@@ -1,380 +1,133 @@
 /**
  * @file
  * Faulty-channel chaos campaign: the Figure 6 implementation matrix
- * (INV/UPD/UNC x FAP/LL-SC/CAS) under all six channel fault axes at
- * once — delivery jitter, random message loss, flaky-link episodes,
- * bounded-skew reordering, delayed duplication, and payload corruption
- * — at escalating intensities. Every point runs the lock-free counter
- * under contention, then asserts the end-to-end hardening promise: the
- * run completes (no watchdog trip), the counter's final value is
- * exact, checkCoherence() finds no violation, checkFaultAccounting()
- * reconciles the extended ledger (every drop covered, every corruption
- * detected, every duplicate absorbed, every reorder delivered), and
- * the transaction tracer's phase sums still partition every latency.
+ * (INV/UPD/UNC x FAP/LL-SC/CAS) on the contended lock-free counter
+ * under six escalating channel levels. The first three are message
+ * loss alone — random drops at two rates, then drops plus a seeded
+ * whole-link flaky episode with quarantine — and certify the recovery
+ * layer by itself; the last three arm all six channel fault axes at
+ * once: delivery jitter, random loss, flaky links, bounded-skew
+ * reordering, delayed duplication, and payload corruption.
+ *
+ * Every point runs with transaction tracing on and must pass the
+ * campaign harness's standard gates (exp/campaign.hh): completion with
+ * no watchdog trip, the exact counter, coherence, the extended fault
+ * ledger (every drop covered, every corruption detected, every
+ * duplicate absorbed, every reorder delivered), and phase sums that
+ * still partition every latency. Each axis a level arms must fire
+ * somewhere in the campaign.
  *
  * Usage: chaos_sweep [--seeds K] [--seed BASE] [--jobs N]
  *
- * DSM_FAULTS, when set, replaces the built-in chaos axis with the
- * given spec as a single level — the failure repro line uses exactly
- * this. On failure a WATCHDOG_chaos_sweep_<point-index>_<impl>_
- * <level>_<seed>.txt diagnosis dump is written next to
- * BENCH_chaos_sweep.json (the point index keeps dumps collision-free
- * under --jobs N).
+ * DSM_FAULTS replaces the level axis with one custom level; a failure's
+ * repro line sets exactly that.
  */
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <mutex>
-#include <string>
-#include <vector>
-
 #include "cpu/system.hh"
-#include "exp/experiment.hh"
+#include "exp/campaign.hh"
 #include "fault/fault.hh"
 #include "fault/recovery.hh"
-#include "proto/checker.hh"
-#include "sim/logging.hh"
 #include "workloads/counter_apps.hh"
 
 using namespace dsm;
 
-namespace {
-
-int
-parseSeedsFlag(int argc, char **argv, int fallback)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *v = nullptr;
-        if (std::strncmp(a, "--seeds=", 8) == 0)
-            v = a + 8;
-        else if (std::strcmp(a, "--seeds") == 0 && i + 1 < argc)
-            v = argv[i + 1];
-        if (v != nullptr) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1)
-                dsm_fatal("--seeds expects a positive integer, got "
-                          "'%s'", v);
-            return static_cast<int>(n);
-        }
-    }
-    return fallback;
-}
-
-std::string
-fileLabel(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        if (c == ' ' || c == '+' || c == '/')
-            c = '_';
-    return out;
-}
-
-/** One chaos level: a label and a DSM_FAULTS-style spec. */
-struct ChaosLevel
-{
-    std::string label;
-    FaultConfig cfg;
-    std::string spec;
-};
-
-ChaosLevel
-makeLevel(std::string label, std::string spec)
-{
-    ChaosLevel lv;
-    lv.label = std::move(label);
-    lv.spec = std::move(spec);
-    std::string err = lv.cfg.parse(lv.spec);
-    if (!err.empty())
-        dsm_fatal("chaos level '%s': %s", lv.label.c_str(),
-                  err.c_str());
-    return lv;
-}
-
-struct Failure
-{
-    std::size_t index;
-    std::string impl;
-    std::string level;
-    std::string spec;
-    std::uint64_t seed;
-    std::string report;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobsFlag(argc, argv);
-    int nseeds = parseSeedsFlag(argc, argv, 8);
-    std::uint64_t base = parseSeedFlag(argc, argv);
-    if (base == 0)
-        base = seedFromEnv();
-    if (base == 0)
-        base = 1;
-    // Seeds and fault plans are assigned per point; consume the global
-    // overrides so Experiment::run() does not flatten them again.
-    unsetenv("DSM_SEED");
-
-    // The chaos axis: every channel fault armed at once, escalating.
-    // "mild" keeps each axis rare, "moderate" raises every rate, and
-    // "heavy+flaky" adds a guaranteed whole-link flaky episode with
-    // quarantine plus the LL reservation age bound. DSM_FAULTS
-    // replaces the axis with a single custom level.
-    std::vector<ChaosLevel> levels;
-    FaultConfig env = faultConfigFromEnv();
-    if (env.enabled) {
-        ChaosLevel lv;
-        lv.label = "custom";
-        lv.cfg = env;
-        lv.spec = env.summary();
-        levels.push_back(std::move(lv));
-    } else {
-        levels.push_back(makeLevel(
-            "mild",
-            "jitter_prob=0.001,jitter_max=8,drop_prob=0.0002,"
-            "reorder_prob=0.0005,reorder_max=16,dup_prob=0.0005,"
-            "dup_delay=32,corrupt_prob=0.0002,req_timeout=2000"));
-        levels.push_back(makeLevel(
-            "moderate",
-            "jitter_prob=0.002,jitter_max=16,drop_prob=0.0005,"
-            "reorder_prob=0.001,reorder_max=32,dup_prob=0.001,"
-            "dup_delay=64,corrupt_prob=0.0005,req_timeout=2000"));
-        levels.push_back(makeLevel(
-            "heavy+flaky",
-            "jitter_prob=0.005,jitter_max=32,drop_prob=0.001,"
-            "flaky_links=1,flaky_window=50000,flaky_duration=50000,"
-            "flaky_drop_prob=1,quarantine_k=2,"
-            "quarantine_window=1000000000,reorder_prob=0.002,"
-            "reorder_max=64,dup_prob=0.002,dup_delay=128,"
-            "corrupt_prob=0.001,resv_max_age=200000,req_timeout=2000"));
-    }
-
-    Config cfg0;
-    cfg0.machine.num_procs = 16;
-    cfg0.machine.mesh_x = 4;
-    cfg0.machine.mesh_y = 4;
-    cfg0.machine.retry_jitter = 4;
-
-    Experiment ex("chaos_sweep", cfg0);
-    ex.title(csprintf("Faulty-channel chaos campaign: lock-free "
-                      "counter, p=16, c=8, %zu level(s), %d seed(s) "
-                      "from %llu",
-                      levels.size(), nseeds, (unsigned long long)base))
+    Campaign c("chaos_sweep", argc, argv);
+    c.experiment().baseConfig().txn_trace.enabled = true;
+    c.experiment()
+        .title("Faulty-channel chaos campaign: lock-free counter, p=16, "
+               "c=8")
         .meta("app", "lock-free counter")
-        .meta("seeds", nseeds)
-        .meta("levels", static_cast<int>(levels.size()))
         .rowKey("impl")
         .colKey("chaos")
         .table(false);
+    // Loss, flaky links and corruption all end in drops that only a
+    // retransmission or a link quarantine may cover.
+    Armed drops = [](const Config &cfg) {
+        return cfg.faults.lossEnabled() || cfg.faults.corrupt_prob > 0;
+    };
+    return c
+        .axis(Knob::FAULTS, Place::COL,
+              {{"2e-4", "drop_prob=0.0002,req_timeout=2000"},
+               {"1e-3", "drop_prob=0.001,req_timeout=2000"},
+               {"1e-3+flaky",
+                "drop_prob=0.001,flaky_links=1,flaky_window=50000,"
+                "flaky_duration=50000,flaky_drop_prob=1,req_timeout=2000,"
+                "quarantine_k=2,quarantine_window=1000000000"},
+               // "mild" keeps each chaos axis rare, "moderate" raises
+               // every rate, and "heavy+flaky" adds a guaranteed flaky
+               // episode with quarantine plus the LL reservation age
+               // bound.
+               {"mild",
+                "jitter_prob=0.001,jitter_max=8,drop_prob=0.0002,"
+                "reorder_prob=0.0005,reorder_max=16,dup_prob=0.0005,"
+                "dup_delay=32,corrupt_prob=0.0002,req_timeout=2000"},
+               {"moderate",
+                "jitter_prob=0.002,jitter_max=16,drop_prob=0.0005,"
+                "reorder_prob=0.001,reorder_max=32,dup_prob=0.001,"
+                "dup_delay=64,corrupt_prob=0.0005,req_timeout=2000"},
+               {"heavy+flaky",
+                "jitter_prob=0.005,jitter_max=32,drop_prob=0.001,"
+                "flaky_links=1,flaky_window=50000,flaky_duration=50000,"
+                "flaky_drop_prob=1,quarantine_k=2,"
+                "quarantine_window=1000000000,reorder_prob=0.002,"
+                "reorder_max=64,dup_prob=0.002,dup_delay=128,"
+                "corrupt_prob=0.001,resv_max_age=200000,req_timeout=2000"}})
+        .seeds(8)
+        .total("drops", "drops", drops)
+        .total("retransmits", "retransmits", drops)
+        .total("dup_replayed", "replays")
+        .total("links_quarantined", "quarantines")
+        .total("msg_reorders", "reorders",
+               [](const Config &cfg) { return cfg.faults.reorder_prob > 0; })
+        .total("msg_dups", "dups",
+               [](const Config &cfg) { return cfg.faults.dup_prob > 0; })
+        .total("msg_corruptions", "corruptions",
+               [](const Config &cfg) { return cfg.faults.corrupt_prob > 0; })
+        .workload([](System &sys, const ImplCase &impl, const Gate &gate) {
+            CounterAppConfig app;
+            app.kind = CounterKind::LOCK_FREE;
+            app.prim = impl.prim;
+            // Fault rates are per message: the run must be long enough
+            // that every level expects many events.
+            app.contention = 8;
+            app.phases = 64;
+            CounterAppResult r = runCounterApp(sys, app);
+            bool ok = gate(r.completed, r.correct);
 
-    std::mutex fail_mutex;
-    std::vector<Failure> failures;
-    std::atomic<std::uint64_t> total_drops{0};
-    std::atomic<std::uint64_t> total_retransmits{0};
-    std::atomic<std::uint64_t> total_reorders{0};
-    std::atomic<std::uint64_t> total_dups{0};
-    std::atomic<std::uint64_t> total_corruptions{0};
-    std::atomic<std::uint64_t> total_watchdog_trips{0};
-
-    std::size_t index = 0;
-    for (const ImplCase &impl : applicationMatrix()) {
-        for (const ChaosLevel &lv : levels) {
-            for (int k = 0; k < nseeds; ++k, ++index) {
-                Config cfg = ex.configFor(impl);
-                cfg.machine.seed =
-                    base + static_cast<std::uint64_t>(k);
-                cfg.faults = lv.cfg;
-                // Phase-sum validation rides along on every point.
-                cfg.txn_trace.enabled = true;
-                // Forward-progress bounds: chaos stretches transactions
-                // by recovery timeouts and skew, so the age bound is
-                // generous, but a trip still means livelock.
-                cfg.watchdog.enabled = true;
-                cfg.watchdog.max_retries = 100000;
-                cfg.watchdog.max_txn_age = 5'000'000;
-                cfg.watchdog.scan_period = 50'000;
-                std::uint64_t seed = cfg.machine.seed;
-                std::string spec = lv.spec;
-                std::string level = lv.label;
-                std::size_t idx = index;
-                ex.point(
-                    impl.label,
-                    csprintf("%s/%llu", level.c_str(),
-                             (unsigned long long)seed),
-                    cfg,
-                    [&, impl, seed, spec, level, idx](System &sys) {
-                        CounterAppConfig app;
-                        app.kind = CounterKind::LOCK_FREE;
-                        app.prim = impl.prim;
-                        // Rates are per message: the run must be long
-                        // enough that every axis expects many events.
-                        app.contention = 8;
-                        app.phases = 64;
-                        CounterAppResult r = runCounterApp(sys, app);
-
-                        std::vector<std::string> problems;
-                        if (!r.completed) {
-                            const Watchdog &wd = sys.watchdogState();
-                            if (wd.tripped())
-                                ++total_watchdog_trips;
-                            problems.push_back(
-                                wd.tripped()
-                                    ? wd.diagnosis()
-                                    : "run did not complete:\n" +
-                                          Watchdog::blockedTxnDump(
-                                              sys));
-                        } else {
-                            if (!r.correct)
-                                problems.push_back(
-                                    "final counter value is wrong");
-                            for (std::string &v : checkCoherence(sys))
-                                problems.push_back(std::move(v));
-                            for (std::string &v :
-                                 checkFaultAccounting(sys))
-                                problems.push_back(std::move(v));
-                            if (sys.txns().phaseSumMismatches() != 0)
-                                problems.push_back(csprintf(
-                                    "%llu transaction phase-sum "
-                                    "mismatch(es)",
-                                    (unsigned long long)sys.txns()
-                                        .phaseSumMismatches()));
-                        }
-
-                        const FaultPlan::Counters &fctr =
-                            sys.faultPlan().counters();
-                        const Recovery::Counters &rctr =
-                            sys.recoveryState().counters();
-                        total_drops += rctr.drops;
-                        total_retransmits += rctr.retransmits;
-                        total_reorders += fctr.msg_reorders;
-                        total_dups += fctr.msg_dups;
-                        total_corruptions += fctr.msg_corruptions;
-
-                        PointResult res;
-                        res.value = r.avg_cycles_per_update;
-                        res.metrics = collectRunMetrics(sys);
-                        SysStats agg = sys.stats();
-                        res.fields.set("seed", seed)
-                            .set("ok", static_cast<std::uint64_t>(
-                                           problems.empty() ? 1 : 0))
-                            .set("updates", r.updates)
-                            .set("retries", agg.retries)
-                            .set("nacks", agg.nacks)
-                            .set("msg_drops", fctr.msg_drops)
-                            .set("flaky_drops", fctr.flaky_drops)
-                            .set("msg_reorders", fctr.msg_reorders)
-                            .set("msg_dups", fctr.msg_dups)
-                            .set("msg_corruptions",
-                                 fctr.msg_corruptions)
-                            .set("drops", rctr.drops)
-                            .set("retransmits", rctr.retransmits)
-                            .set("retransmit_covered",
-                                 rctr.retransmit_covered)
-                            .set("quarantine_covered",
-                                 rctr.quarantine_covered)
-                            .set("corrupt_detected",
-                                 rctr.corrupt_detected)
-                            .set("dups_absorbed", rctr.dups_absorbed)
-                            .set("reorders_delivered",
-                                 rctr.reorders_delivered)
-                            .set("links_quarantined",
-                                 rctr.links_quarantined)
-                            .set("stale_replies", rctr.stale_replies);
-
-                        if (!problems.empty()) {
-                            std::string report = csprintf(
-                                "chaos_sweep failure: impl=%s "
-                                "level=%s seed=%llu\n"
-                                "fault spec: %s\n",
-                                impl.label.c_str(), level.c_str(),
-                                (unsigned long long)seed,
-                                spec.c_str());
-                            for (const std::string &p : problems)
-                                report += p + "\n";
-                            std::lock_guard<std::mutex> g(fail_mutex);
-                            failures.push_back(Failure{
-                                idx, impl.label, level, spec, seed,
-                                report});
-                        }
-                        return res;
-                    });
-            }
-        }
-    }
-
-    ex.run(jobs);
-
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    for (const Failure &f : failures) {
-        std::string path = csprintf(
-            "%s/WATCHDOG_chaos_sweep_%zu_%s_%s_%llu.txt", d.c_str(),
-            f.index, fileLabel(f.impl).c_str(),
-            fileLabel(f.level).c_str(), (unsigned long long)f.seed);
-        std::ofstream out(path, std::ios::binary);
-        if (out)
-            out << f.report;
-        std::fprintf(stderr, "FAILED %s level=%s seed=%llu -> %s\n",
-                     f.impl.c_str(), f.level.c_str(),
-                     (unsigned long long)f.seed, path.c_str());
-    }
-
-    std::printf("campaign: %zu points (9 impls x %zu levels x %d "
-                "seeds), %llu drops, %llu retransmits, %llu reorders, "
-                "%llu dups, %llu corruptions, %llu watchdog trip(s), "
-                "%zu failure(s)\n",
-                ex.numPoints(), levels.size(), nseeds,
-                (unsigned long long)total_drops.load(),
-                (unsigned long long)total_retransmits.load(),
-                (unsigned long long)total_reorders.load(),
-                (unsigned long long)total_dups.load(),
-                (unsigned long long)total_corruptions.load(),
-                (unsigned long long)total_watchdog_trips.load(),
-                failures.size());
-    // The campaign must actually exercise every axis it certifies: a
-    // silently fault-free "pass" would prove nothing. Only axes some
-    // level actually arms are asserted — a single-axis DSM_FAULTS
-    // repro must not fail on the axes it deliberately left off.
-    bool arm_loss = false, arm_reorder = false, arm_dup = false,
-         arm_corrupt = false;
-    for (const ChaosLevel &lv : levels) {
-        arm_loss |= lv.cfg.msg_drop_prob > 0.0 || lv.cfg.flaky_links > 0;
-        arm_reorder |= lv.cfg.reorder_prob > 0.0;
-        arm_dup |= lv.cfg.dup_prob > 0.0;
-        arm_corrupt |= lv.cfg.corrupt_prob > 0.0;
-    }
-    bool drops_expected = arm_loss || arm_corrupt;
-    if ((drops_expected &&
-         (total_drops.load() == 0 || total_retransmits.load() == 0)) ||
-        (arm_reorder && total_reorders.load() == 0) ||
-        (arm_dup && total_dups.load() == 0) ||
-        (arm_corrupt && total_corruptions.load() == 0)) {
-        std::printf("campaign error: some chaos axis injected nothing "
-                    "(drops %llu, retransmits %llu, reorders %llu, "
-                    "dups %llu, corruptions %llu); the axis is "
-                    "miswired\n",
-                    (unsigned long long)total_drops.load(),
-                    (unsigned long long)total_retransmits.load(),
-                    (unsigned long long)total_reorders.load(),
-                    (unsigned long long)total_dups.load(),
-                    (unsigned long long)total_corruptions.load());
-        return 1;
-    }
-    if (!failures.empty()) {
-        // The fault spec is part of the point's identity: repeat it
-        // verbatim so the repro rebuilds the exact fault stream.
-        const Failure &f = failures.front();
-        std::printf("reproduce with: DSM_FAULTS='%s' chaos_sweep "
-                    "--seeds 1 --seed %llu\n",
-                    f.spec.c_str(), (unsigned long long)f.seed);
-        return 1;
-    }
-    return 0;
+            const FaultPlan::Counters &f = sys.faultPlan().counters();
+            const Recovery::Counters &rc = sys.recoveryState().counters();
+            SysStats agg = sys.stats();
+            PointResult res;
+            res.value = r.avg_cycles_per_update;
+            res.metrics = collectRunMetrics(sys);
+            res.fields.set("seed", sys.cfg().machine.seed)
+                .set("ok", static_cast<std::uint64_t>(ok))
+                .set("updates", r.updates)
+                .set("retries", agg.retries)
+                .set("nacks", agg.nacks)
+                .set("msg_drops", f.msg_drops)
+                .set("flaky_drops", f.flaky_drops)
+                .set("msg_reorders", f.msg_reorders)
+                .set("msg_dups", f.msg_dups)
+                .set("msg_corruptions", f.msg_corruptions)
+                .set("drops", rc.drops)
+                .set("req_drops", rc.req_drops)
+                .set("reply_drops", rc.reply_drops)
+                .set("retransmits", rc.retransmits)
+                .set("retransmit_covered", rc.retransmit_covered)
+                .set("quarantine_covered", rc.quarantine_covered)
+                .set("corrupt_detected", rc.corrupt_detected)
+                .set("dups_absorbed", rc.dups_absorbed)
+                .set("reorders_delivered", rc.reorders_delivered)
+                .set("dup_replayed", rc.dup_replayed)
+                .set("dup_reprocessed", rc.dup_reprocessed)
+                .set("links_quarantined", rc.links_quarantined)
+                .set("nacks_lost", rc.nacks_lost)
+                .set("stale_replies", rc.stale_replies);
+            return res;
+        })
+        .run();
 }

@@ -4,238 +4,77 @@
  * matrix (INV/UPD/UNC x FAP/LL-SC/CAS) under the standard fault mix,
  * across many machine seeds. Every point runs the lock-free counter
  * under contention with message jitter, reservation drops, forced
- * evictions, and extra NACK rounds, then asserts the tier-1 protocol
- * invariants: the run completes, the counter's final value is exact,
- * checkCoherence() finds no violation, and checkFaultAccounting()
- * reconciles the injected faults with the observed NACKs and retries.
+ * evictions, and extra NACK rounds, and must pass the campaign
+ * harness's standard gates (exp/campaign.hh); each fault class the mix
+ * arms must fire somewhere in the campaign.
  *
  * Usage: fault_sweep [--seeds K] [--seed BASE] [--jobs N]
  *
- * The campaign uses machine seeds BASE..BASE+K-1; the fault stream of
- * each point derives from its machine seed, so every point exercises a
- * different schedule and any failure reproduces from its row's "seed"
- * field alone. On failure a WATCHDOG_fault_sweep_<point-index>_
- * <impl>_<seed>.txt diagnosis dump is written next to
- * BENCH_fault_sweep.json (the point index keeps dumps collision-free
- * under --jobs N and repeated impl/seed combinations).
+ * The fault stream of each point derives from its machine seed, so
+ * every point exercises a different schedule and any failure
+ * reproduces from its row's "seed" field alone. DSM_FAULTS replaces
+ * the standard mix.
  */
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <mutex>
-#include <string>
-#include <vector>
-
 #include "cpu/system.hh"
-#include "exp/experiment.hh"
+#include "exp/campaign.hh"
 #include "fault/fault.hh"
-#include "proto/checker.hh"
-#include "sim/logging.hh"
 #include "workloads/counter_apps.hh"
 
 using namespace dsm;
 
-namespace {
-
-int
-parseSeedsFlag(int argc, char **argv, int fallback)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *v = nullptr;
-        if (std::strncmp(a, "--seeds=", 8) == 0)
-            v = a + 8;
-        else if (std::strcmp(a, "--seeds") == 0 && i + 1 < argc)
-            v = argv[i + 1];
-        if (v != nullptr) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1)
-                dsm_fatal("--seeds expects a positive integer, got "
-                          "'%s'", v);
-            return static_cast<int>(n);
-        }
-    }
-    return fallback;
-}
-
-std::string
-fileLabel(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        if (c == ' ' || c == '+' || c == '/')
-            c = '_';
-    return out;
-}
-
-struct Failure
-{
-    std::size_t index;
-    std::string impl;
-    std::uint64_t seed;
-    std::string report;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobsFlag(argc, argv);
-    int nseeds = parseSeedsFlag(argc, argv, 50);
-    std::uint64_t base = parseSeedFlag(argc, argv);
-    if (base == 0)
-        base = seedFromEnv();
-    if (base == 0)
-        base = 1;
-    // Seeds are assigned per point (base + k); consume the global
-    // override so Experiment::run() does not flatten them again.
-    unsetenv("DSM_SEED");
-
-    // The standard mix unless the caller overrides via DSM_FAULTS.
-    FaultConfig fc = faultConfigFromEnv();
-    if (!fc.enabled)
-        fc.parse("default");
-
-    Config cfg0;
-    cfg0.machine.num_procs = 16;
-    cfg0.machine.mesh_x = 4;
-    cfg0.machine.mesh_y = 4;
-    // A generous forward-progress bound: organic retry streaks under
-    // this contention stay in the hundreds, so a trip means livelock.
-    cfg0.machine.retry_jitter = 4;
-
-    Experiment ex("fault_sweep", cfg0);
-    ex.title(csprintf("Fault-injection campaign: lock-free counter, "
-                      "p=16, c=8, %d seed(s) from %llu",
-                      nseeds, (unsigned long long)base))
-        .title(csprintf("fault mix: %s", fc.summary().c_str()))
+    Campaign c("fault_sweep", argc, argv);
+    c.experiment()
+        .title("Fault-injection campaign: lock-free counter, p=16, c=8")
         .meta("app", "lock-free counter")
-        .meta("seeds", nseeds)
         .rowKey("impl")
         .colKey("seed")
-        .table(false)
-        .faults(fc);
+        .table(false);
+    return c.axis(Knob::FAULTS, Place::NONE, {{"default", "default"}})
+        .seeds(50)
+        .total("injected", "faults injected")
+        .total("nacks_injected", "NACKs",
+               [](const Config &cfg) { return cfg.faults.nack_prob > 0; })
+        .total("resv_drops", "reservation drops",
+               [](const Config &cfg) {
+                   return cfg.faults.resv_drop_prob > 0;
+               })
+        .total("forced_evictions", "evictions",
+               [](const Config &cfg) { return cfg.faults.evict_prob > 0; })
+        .total("jitter_applied", "jitters",
+               [](const Config &cfg) {
+                   return cfg.faults.msg_jitter_prob > 0;
+               })
+        .workload([](System &sys, const ImplCase &impl, const Gate &gate) {
+            CounterAppConfig app;
+            app.kind = CounterKind::LOCK_FREE;
+            app.prim = impl.prim;
+            app.contention = 8;
+            app.phases = 4;
+            CounterAppResult r = runCounterApp(sys, app);
+            bool ok = gate(r.completed, r.correct);
 
-    std::mutex fail_mutex;
-    std::vector<Failure> failures;
-    std::atomic<std::uint64_t> total_injected{0};
-
-    std::size_t index = 0;
-    for (const ImplCase &impl : applicationMatrix()) {
-        for (int k = 0; k < nseeds; ++k, ++index) {
-            Config cfg = ex.configFor(impl);
-            cfg.machine.seed = base + static_cast<std::uint64_t>(k);
-            cfg.watchdog.enabled = true;
-            cfg.watchdog.max_retries = 100000;
-            cfg.watchdog.max_txn_age = 5'000'000;
-            cfg.watchdog.scan_period = 50'000;
-            std::uint64_t seed = cfg.machine.seed;
-            std::size_t idx = index;
-            ex.point(
-                impl.label, csprintf("%llu", (unsigned long long)seed),
-                cfg,
-                [&, impl, seed, idx](System &sys) {
-                    CounterAppConfig app;
-                    app.kind = CounterKind::LOCK_FREE;
-                    app.prim = impl.prim;
-                    app.contention = 8;
-                    app.phases = 4;
-                    CounterAppResult r = runCounterApp(sys, app);
-
-                    std::vector<std::string> problems;
-                    if (!r.completed) {
-                        const Watchdog &wd = sys.watchdogState();
-                        problems.push_back(
-                            wd.tripped()
-                                ? wd.diagnosis()
-                                : "run did not complete:\n" +
-                                      Watchdog::blockedTxnDump(sys));
-                    } else {
-                        if (!r.correct)
-                            problems.push_back(
-                                "final counter value is wrong");
-                        for (std::string &v : checkCoherence(sys))
-                            problems.push_back(std::move(v));
-                        for (std::string &v : checkFaultAccounting(sys))
-                            problems.push_back(std::move(v));
-                    }
-
-                    const FaultPlan::Counters &fctr =
-                        sys.faultPlan().counters();
-                    std::uint64_t injected =
-                        fctr.nacks_injected + fctr.resv_drops +
-                        fctr.forced_evictions + fctr.jitter_applied;
-                    total_injected += injected;
-
-                    PointResult res;
-                    res.value = r.avg_cycles_per_update;
-                    res.metrics = collectRunMetrics(sys);
-                    SysStats agg = sys.stats();
-                    res.fields.set("seed", seed)
-                        .set("ok", static_cast<std::uint64_t>(
-                                       problems.empty() ? 1 : 0))
-                        .set("updates", r.updates)
-                        .set("retries", agg.retries)
-                        .set("nacks", agg.nacks)
-                        .set("nacks_injected", fctr.nacks_injected)
-                        .set("resv_drops", fctr.resv_drops)
-                        .set("forced_evictions", fctr.forced_evictions)
-                        .set("jitter_applied", fctr.jitter_applied)
-                        .set("jitter_cycles", fctr.jitter_cycles);
-
-                    if (!problems.empty()) {
-                        std::string report = csprintf(
-                            "fault_sweep failure: impl=%s seed=%llu\n"
-                            "fault mix: %s\n",
-                            impl.label.c_str(),
-                            (unsigned long long)seed,
-                            sys.cfg().faults.summary().c_str());
-                        for (const std::string &p : problems)
-                            report += p + "\n";
-                        std::lock_guard<std::mutex> g(fail_mutex);
-                        failures.push_back(
-                            Failure{idx, impl.label, seed, report});
-                    }
-                    return res;
-                });
-        }
-    }
-
-    ex.run(jobs);
-
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    for (const Failure &f : failures) {
-        std::string path =
-            csprintf("%s/WATCHDOG_fault_sweep_%zu_%s_%llu.txt",
-                     d.c_str(), f.index, fileLabel(f.impl).c_str(),
-                     (unsigned long long)f.seed);
-        std::ofstream out(path, std::ios::binary);
-        if (out)
-            out << f.report;
-        std::fprintf(stderr, "FAILED %s seed=%llu -> %s\n",
-                     f.impl.c_str(), (unsigned long long)f.seed,
-                     path.c_str());
-    }
-
-    std::printf("campaign: %zu points (%d impls x %d seeds), "
-                "%llu faults injected, %zu failure(s)\n",
-                ex.numPoints(), 9, nseeds,
-                (unsigned long long)total_injected.load(),
-                failures.size());
-    if (!failures.empty()) {
-        // The fault spec is part of the point's identity: repeat it
-        // verbatim so the repro rebuilds the exact fault stream.
-        std::printf("reproduce with: DSM_FAULTS='%s' fault_sweep "
-                    "--seeds 1 --seed %llu\n",
-                    fc.summary().c_str(),
-                    (unsigned long long)failures.front().seed);
-        return 1;
-    }
-    return 0;
+            const FaultPlan::Counters &f = sys.faultPlan().counters();
+            SysStats agg = sys.stats();
+            PointResult res;
+            res.value = r.avg_cycles_per_update;
+            res.metrics = collectRunMetrics(sys);
+            res.fields.set("seed", sys.cfg().machine.seed)
+                .set("ok", static_cast<std::uint64_t>(ok))
+                .set("updates", r.updates)
+                .set("retries", agg.retries)
+                .set("nacks", agg.nacks)
+                .set("injected", f.nacks_injected + f.resv_drops +
+                                     f.forced_evictions + f.jitter_applied)
+                .set("nacks_injected", f.nacks_injected)
+                .set("resv_drops", f.resv_drops)
+                .set("forced_evictions", f.forced_evictions)
+                .set("jitter_applied", f.jitter_applied)
+                .set("jitter_cycles", f.jitter_cycles);
+            return res;
+        })
+        .run();
 }

@@ -10,133 +10,47 @@
  * (exploding past saturation), with an SLO-violation fraction as a
  * first-class metric.
  *
- * Every point also asserts the observability invariants: the run
- * completes with an exact counter, the transaction tracer's phase sums
- * still partition every latency with the ADMIT (admission-wait) phase
- * included (txn.phase_sum_mismatches == 0), and the per-impl
- * throughput curve over the pure-rate axis never collapses as load
- * rises (monotone saturation, with tolerance).
+ * Every point passes the campaign harness's standard gates
+ * (exp/campaign.hh), with the ADMIT (admission-wait) phase inside the
+ * phase-sum partition and the serving ledger closed. Per
+ * implementation, throughput over the pure-rate axis must saturate
+ * without collapsing, and the top load must shed and miss the SLO.
  *
  * Usage: openloop_sweep [--seed BASE] [--jobs N]
  *
- * DSM_OPENLOOP, when set, replaces the built-in load axis with the
- * given spec as a single level — the failure repro line uses exactly
- * this. The overload-protection serving layer runs with its defaults
- * (combining + backpressure + priority + NACK backoff); DSM_SERVE
- * overrides it, including "0" to measure the unprotected stack.
+ * DSM_OPENLOOP replaces the load axis with one custom level. The
+ * overload-protection serving layer runs with its defaults (combining +
+ * backpressure + priority + NACK backoff); DSM_SERVE replaces them,
+ * "0" measuring the unprotected stack. Either replacement skips the
+ * campaign-level gates.
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <string>
-#include <vector>
 
-#include "cpu/admission.hh"
 #include "cpu/system.hh"
-#include "exp/experiment.hh"
-#include "sim/json.hh"
-#include "sim/logging.hh"
+#include "exp/campaign.hh"
 #include "workloads/openloop.hh"
 
 using namespace dsm;
 
-namespace {
-
-/** One load level: a label and a DSM_OPENLOOP-style spec. */
-struct LoadLevel
-{
-    std::string label;
-    OpenLoopConfig cfg;
-    std::string spec;
-};
-
-LoadLevel
-makeLevel(std::string label, std::string spec)
-{
-    LoadLevel lv;
-    lv.label = std::move(label);
-    lv.spec = std::move(spec);
-    std::string err = lv.cfg.parse(lv.spec);
-    if (!err.empty())
-        dsm_fatal("load level '%s': %s", lv.label.c_str(), err.c_str());
-    return lv;
-}
-
-struct Failure
-{
-    std::string impl;
-    std::string level;
-    std::string spec;
-    std::string problem;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobsFlag(argc, argv);
-    std::uint64_t seed = parseSeedFlag(argc, argv);
-    if (seed == 0)
-        seed = seedFromEnv();
-    if (seed == 0)
-        seed = 1;
-    // The seed is applied per point below; consume the global override
-    // so Experiment::run() does not flatten it again.
-    unsetenv("DSM_SEED");
-
-    // The load axis: Poisson arrivals per processor per cycle, from
-    // well under saturation to well past it, plus one bursty level at
-    // a moderate rate. DSM_OPENLOOP replaces the axis with a single
-    // custom level.
-    std::vector<LoadLevel> levels;
-    OpenLoopConfig env = openLoopConfigFromEnv();
-    bool custom = env.enabled;
-    if (custom) {
-        LoadLevel lv;
-        lv.label = "custom";
-        lv.cfg = env;
-        lv.spec = env.summary();
-        levels.push_back(std::move(lv));
-    } else {
-        const char *common = "slo_cycles=2000,ops_per_proc=256";
-        levels.push_back(makeLevel(
-            "1e-4", csprintf("rate=0.0001,%s", common)));
-        levels.push_back(makeLevel(
-            "3e-4", csprintf("rate=0.0003,%s", common)));
-        levels.push_back(makeLevel(
-            "1e-3", csprintf("rate=0.001,%s", common)));
-        levels.push_back(makeLevel(
-            "3e-3", csprintf("rate=0.003,%s", common)));
-        levels.push_back(makeLevel(
-            "3e-4x8", csprintf("rate=0.0003,burst=8,%s", common)));
-    }
-
-    Config cfg0;
-    cfg0.machine.num_procs = 16;
-    cfg0.machine.mesh_x = 4;
-    cfg0.machine.mesh_y = 4;
-    cfg0.machine.retry_jitter = 4;
-    // Serve the campaign through the overload-protection layer: home
-    // combining keeps hot-word fetch&adds O(1) in service slots and
-    // credit backpressure sheds at the admission edge, which is what
-    // lets the saturation gate below demand a flat curve instead of
-    // tolerating retry collapse. DSM_SERVE overrides (e.g. "0").
-    if (const char *sv = std::getenv("DSM_SERVE"); sv != nullptr)
-        cfg0.serve = serveConfigFromEnv();
-    else
-        cfg0.serve.enabled = true;
-
-    Experiment ex("openloop_sweep", cfg0);
-    ex.title(csprintf("Open-loop serving campaign: Poisson arrivals "
-                      "into bounded admission queues, p=16, %zu "
-                      "level(s), seed %llu; cell value = sojourn p99",
-                      levels.size(), (unsigned long long)seed))
+    Campaign c("openloop_sweep", argc, argv);
+    Config &base = c.experiment().baseConfig();
+    // Points keep the Config of the committed baseline, which has no
+    // watchdog.
+    base.watchdog = WatchdogConfig();
+    // Tail attribution and exemplar capture ride along on every point:
+    // the ADMIT phase keeps the phase-sum invariant honest under
+    // queueing, and the four slowest transactions' span trees land in
+    // the report.
+    base.txn_trace.enabled = true;
+    base.txn_trace.exemplar_k = 4;
+    c.experiment()
+        .title("Open-loop serving campaign: Poisson arrivals into bounded "
+               "admission queues, p=16; cell value = sojourn p99")
         .meta("app", "open-loop lock-free counter")
-        .meta("levels", static_cast<int>(levels.size()))
-        .meta("seed", static_cast<int>(seed))
         .rowKey("impl")
         .colKey("load")
         .table(true)
@@ -145,176 +59,94 @@ main(int argc, char **argv)
         // and the TRACE_ file only lands when DSM_BENCH_DIR is set.
         .traceTxns(true);
 
-    std::mutex fail_mutex;
-    std::vector<Failure> failures;
-
-    for (const ImplCase &impl : applicationMatrix()) {
-        for (const LoadLevel &lv : levels) {
-            Config cfg = ex.configFor(impl);
-            cfg.machine.seed = seed;
-            cfg.openloop = lv.cfg;
-            // Tail attribution and exemplar capture ride along on
-            // every point: the ADMIT phase keeps the phase-sum
-            // invariant honest under queueing, and the four slowest
-            // transactions' span trees land in the report.
-            cfg.txn_trace.enabled = true;
-            cfg.txn_trace.exemplar_k = 4;
-            std::string spec = lv.spec;
-            std::string level = lv.label;
-            ex.point(
-                impl.label, level, cfg,
-                [&, impl, spec, level](System &sys) {
-                    OpenLoopResult r = runOpenLoop(sys, impl.prim);
-
-                    std::vector<std::string> problems;
-                    if (!r.completed_run)
-                        problems.push_back("run did not complete");
-                    else if (!r.correct)
-                        problems.push_back(
-                            "final counter value != completed updates");
-                    if (sys.txns().phaseSumMismatches() != 0)
-                        problems.push_back(csprintf(
-                            "%llu transaction phase-sum mismatch(es)",
-                            (unsigned long long)
-                                sys.txns().phaseSumMismatches()));
-
-                    PointResult res;
-                    res.value = static_cast<double>(r.sojourn_p99);
-                    res.metrics = collectRunMetrics(sys);
-                    res.fields.set("offered", r.offered)
-                        .set("admitted", r.admitted)
-                        .set("rejected", r.rejected)
-                        .set("completed", r.completed)
-                        .set("slo_violations", r.slo_violations)
-                        .set("slo_frac", r.slo_frac)
-                        .set("throughput", r.throughput)
-                        .set("sojourn_mean", r.sojourn_mean)
-                        .set("sojourn_p50",
-                             static_cast<std::uint64_t>(r.sojourn_p50))
-                        .set("sojourn_p99",
-                             static_cast<std::uint64_t>(r.sojourn_p99))
-                        .set("sojourn_p999",
-                             static_cast<std::uint64_t>(r.sojourn_p999))
-                        .set("sojourn_max",
-                             static_cast<std::uint64_t>(r.sojourn_max))
-                        .set("admission_wait_mean",
-                             r.admission_wait_mean)
-                        .set("ok", static_cast<std::uint64_t>(
-                                       problems.empty() ? 1 : 0));
-                    // The full tail picture of the point: conditional
-                    // per-phase attribution above p90/p99 plus the
-                    // slowest transactions' summaries.
-                    JsonWriter w;
-                    w.beginObject();
-                    w.key("attribution");
-                    w.raw(sys.txns().attribution().tailJson());
-                    w.key("exemplars");
-                    w.raw(sys.txns().exemplarsJson());
-                    w.endObject();
-                    res.fields.setRaw("tail", w.str());
-
-                    if (!problems.empty()) {
-                        std::lock_guard<std::mutex> g(fail_mutex);
-                        for (std::string &p : problems)
-                            failures.push_back(Failure{
-                                impl.label, level, spec,
-                                std::move(p)});
-                    }
-                    return res;
-                });
-        }
-    }
-
-    const std::vector<PointResult> &results = ex.run(jobs);
-
-    // Campaign-level gates over the built-in axis. The pure-rate axis
-    // is levels[0..3] in declaration order within each impl row.
-    std::uint64_t total_rejected = 0, total_violations = 0,
-                  total_completed = 0;
-    std::size_t nlevels = levels.size();
-    std::size_t nimpls = results.size() / nlevels;
-    std::vector<ImplCase> impls = applicationMatrix();
-    dsm_assert(results.size() == impls.size() * nlevels,
-               "unexpected result count");
-    std::string gate_errors;
-    JsonValue report;
-    std::string perr;
-    if (!parseJson(ex.reportJson(), &report, &perr))
-        dsm_fatal("cannot reparse own report: %s", perr.c_str());
-    const JsonValue *rows = report.find("results");
-    dsm_assert(rows != nullptr && rows->isArray(), "no results array");
-    for (std::size_t ii = 0; ii < nimpls; ++ii) {
-        double peak_tput = 0.0;
-        for (std::size_t li = 0; li + (custom ? 0 : 1) < nlevels; ++li) {
-            const JsonValue &row = rows->array[ii * nlevels + li];
-            double tput = row.num("throughput");
-            total_rejected +=
-                static_cast<std::uint64_t>(row.num("rejected"));
-            total_violations +=
-                static_cast<std::uint64_t>(row.num("slo_violations"));
-            total_completed +=
-                static_cast<std::uint64_t>(row.num("completed"));
-            // Saturation gate: with combining and backpressure on,
-            // the curve must rise and then stay flat — goodput at
-            // every overload point within 10% of the running peak.
-            // Retry collapse past the knee is no longer tolerable:
-            // combining folds the retry storm's hot-word fetch&adds
-            // into O(1) service slots and the credit throttle sheds
-            // the excess at the edge, so any sag beyond 10% means a
-            // protection mechanism regressed.
-            if (!custom && peak_tput > 0 && tput < peak_tput * 0.9) {
-                gate_errors += csprintf(
-                    "%s: throughput collapsed at load %s: peak %g -> %g\n",
-                    impls[ii].label.c_str(),
-                    levels[li].label.c_str(), peak_tput, tput);
+    // Poisson arrivals per processor per cycle, from well under
+    // saturation to well past it, then one bursty level at a moderate
+    // rate.
+    const char *common = "slo_cycles=2000,ops_per_proc=256";
+    std::vector<Level> loads = {
+        {"1e-4", csprintf("rate=0.0001,%s", common)},
+        {"3e-4", csprintf("rate=0.0003,%s", common)},
+        {"1e-3", csprintf("rate=0.001,%s", common)},
+        {"3e-3", csprintf("rate=0.003,%s", common)},
+        {"3e-4x8", csprintf("rate=0.0003,burst=8,%s", common)}};
+    return c
+        // Serve through the overload-protection layer: home combining
+        // keeps hot-word fetch&adds O(1) in service slots and credit
+        // backpressure sheds at the admission edge, which is what lets
+        // the saturation gate demand a flat curve instead of tolerating
+        // retry collapse.
+        .axis(Knob::SERVE, Place::NONE, {{"on", "1"}})
+        .axis(Knob::OPENLOOP, Place::COL, loads)
+        .total("completed", "completed")
+        .total("rejected", "rejected")
+        .total("slo_violations", "SLO violations")
+        .gates([loads](const Rows &rows) {
+            std::string err;
+            for (std::size_t i = 0; i < rows.size(); i += loads.size()) {
+                // Saturation gate over the pure-rate levels (the bursty
+                // last one rides outside it): throughput at every
+                // overload point within 10% of the running peak.
+                // Combining folds the retry storm's hot-word fetch&adds
+                // into O(1) service slots and the credit throttle sheds
+                // the excess at the edge, so any sag beyond 10% means a
+                // protection mechanism regressed.
+                double peak = 0.0;
+                for (std::size_t li = 0; li + 1 < loads.size(); ++li) {
+                    double tput = rows[i + li].num("throughput");
+                    if (peak > 0 && tput < peak * 0.9)
+                        err += csprintf("%s: throughput collapsed at load "
+                                        "%s: peak %g -> %g\n",
+                                        rows[i].str("impl").c_str(),
+                                        loads[li].label.c_str(), peak,
+                                        tput);
+                    peak = std::max(peak, tput);
+                }
             }
-            peak_tput = std::max(peak_tput, tput);
-        }
-        // The bursty level rides outside the monotone gate but still
-        // contributes to the exercised-machinery totals.
-        if (!custom) {
-            const JsonValue &row =
-                rows->array[ii * nlevels + (nlevels - 1)];
-            total_rejected +=
-                static_cast<std::uint64_t>(row.num("rejected"));
-            total_violations +=
-                static_cast<std::uint64_t>(row.num("slo_violations"));
-            total_completed +=
-                static_cast<std::uint64_t>(row.num("completed"));
-        }
-    }
+            // A sweep whose top load sheds nothing and never misses the
+            // SLO is not probing the tail at all.
+            if (sumField(rows, "rejected") == 0 ||
+                sumField(rows, "slo_violations") == 0)
+                err += "no shed arrivals or no SLO violations; the load "
+                       "axis never saturates\n";
+            return err;
+        })
+        .workload([](System &sys, const ImplCase &impl, const Gate &gate) {
+            OpenLoopResult r = runOpenLoop(sys, impl.prim);
+            bool ok = gate(r.completed_run, r.correct);
 
-    std::printf("campaign: %zu points (%zu impls x %zu levels), %llu "
-                "completed, %llu rejected, %llu SLO violations, %zu "
-                "failure(s)\n",
-                ex.numPoints(), nimpls, nlevels,
-                (unsigned long long)total_completed,
-                (unsigned long long)total_rejected,
-                (unsigned long long)total_violations,
-                failures.size());
-
-    for (const Failure &f : failures)
-        std::fprintf(stderr, "FAILED %s load=%s: %s\n", f.impl.c_str(),
-                     f.level.c_str(), f.problem.c_str());
-    if (!gate_errors.empty())
-        std::fprintf(stderr, "%s", gate_errors.c_str());
-
-    // The campaign must actually exercise the machinery it certifies:
-    // a sweep whose top load level sheds nothing and never misses the
-    // SLO is not probing the tail at all.
-    if (!custom && (total_rejected == 0 || total_violations == 0)) {
-        std::printf("campaign error: no shed arrivals or no SLO "
-                    "violations; the load axis never saturates\n");
-        return 1;
-    }
-    if (!failures.empty() || !gate_errors.empty()) {
-        const std::string &spec =
-            failures.empty() ? levels.front().spec
-                             : failures.front().spec;
-        std::printf("reproduce with: DSM_OPENLOOP='%s' openloop_sweep "
-                    "--seed %llu\n",
-                    spec.c_str(), (unsigned long long)seed);
-        return 1;
-    }
-    return 0;
+            PointResult res;
+            res.value = static_cast<double>(r.sojourn_p99);
+            res.metrics = collectRunMetrics(sys);
+            res.fields.set("offered", r.offered)
+                .set("admitted", r.admitted)
+                .set("rejected", r.rejected)
+                .set("completed", r.completed)
+                .set("slo_violations", r.slo_violations)
+                .set("slo_frac", r.slo_frac)
+                .set("throughput", r.throughput)
+                .set("sojourn_mean", r.sojourn_mean)
+                .set("sojourn_p50",
+                     static_cast<std::uint64_t>(r.sojourn_p50))
+                .set("sojourn_p99",
+                     static_cast<std::uint64_t>(r.sojourn_p99))
+                .set("sojourn_p999",
+                     static_cast<std::uint64_t>(r.sojourn_p999))
+                .set("sojourn_max",
+                     static_cast<std::uint64_t>(r.sojourn_max))
+                .set("admission_wait_mean", r.admission_wait_mean)
+                .set("ok", static_cast<std::uint64_t>(ok));
+            // The full tail picture of the point: conditional per-phase
+            // attribution above p90/p99 plus the slowest transactions'
+            // summaries.
+            JsonWriter w;
+            w.beginObject();
+            w.key("attribution");
+            w.raw(sys.txns().attribution().tailJson());
+            w.key("exemplars");
+            w.raw(sys.txns().exemplarsJson());
+            w.endObject();
+            res.fields.setRaw("tail", w.str());
+            return res;
+        })
+        .run();
 }

@@ -11,168 +11,42 @@
  * the row's running peak and the sojourn p99 stays bounded, while the
  * unprotected stack ("none") must demonstrably violate one of those at
  * the same loads — a sweep in which the baseline also degrades
- * gracefully is not probing overload at all. Every point additionally
- * asserts the serving ledger (served == slots + coalesced,
- * served == hi + lo) and the transaction tracer's phase-sum partition
- * with the ADMIT phase included.
+ * gracefully is not probing overload at all. Every point also passes
+ * the campaign harness's standard gates (exp/campaign.hh), including
+ * the serving ledger and the phase-sum partition with the ADMIT phase.
  *
  * Usage: overload_sweep [--seed BASE] [--jobs N]
  *
- * DSM_SERVE, when set, replaces the mechanism axis with the given spec
- * as a single mode; DSM_OPENLOOP likewise replaces the load axis. The
- * failure repro line uses exactly these. On failure a
- * WATCHDOG_overload_sweep_<point-index>_<impl>_<mode>_<load>.txt
- * (collision-free under --jobs N) diagnosis dump is
- * written next to BENCH_overload_sweep.json.
+ * DSM_SERVE replaces the mechanism axis with one custom mode and
+ * DSM_OPENLOOP the load axis with one custom level; either skips the
+ * campaign-level gates.
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <string>
-#include <vector>
 
-#include "cpu/admission.hh"
 #include "cpu/system.hh"
-#include "exp/experiment.hh"
-#include "fault/watchdog.hh"
+#include "exp/campaign.hh"
 #include "mem/home_queue.hh"
-#include "sim/json.hh"
-#include "sim/logging.hh"
 #include "workloads/openloop.hh"
 
 using namespace dsm;
 
-namespace {
-
-/** One protection mode: a label and a DSM_SERVE-style spec. */
-struct ServeMode
-{
-    std::string label;
-    std::string spec; ///< empty = serving layer disabled
-    ServeConfig cfg;
-};
-
-ServeMode
-makeMode(std::string label, std::string spec)
-{
-    ServeMode m;
-    m.label = std::move(label);
-    m.spec = std::move(spec);
-    if (!m.spec.empty()) {
-        std::string err = m.cfg.parse(m.spec);
-        if (!err.empty())
-            dsm_fatal("serve mode '%s': %s", m.label.c_str(),
-                      err.c_str());
-    }
-    return m;
-}
-
-/** One load level: a label and a DSM_OPENLOOP-style spec. */
-struct LoadLevel
-{
-    std::string label;
-    OpenLoopConfig cfg;
-    std::string spec;
-};
-
-LoadLevel
-makeLevel(std::string label, std::string spec)
-{
-    LoadLevel lv;
-    lv.label = std::move(label);
-    lv.spec = std::move(spec);
-    std::string err = lv.cfg.parse(lv.spec);
-    if (!err.empty())
-        dsm_fatal("load level '%s': %s", lv.label.c_str(), err.c_str());
-    return lv;
-}
-
-std::string
-fileLabel(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out)
-        if (c == ' ' || c == '+' || c == '/')
-            c = '_';
-    return out;
-}
-
-struct Failure
-{
-    std::size_t index;
-    std::string impl;
-    std::string mode;
-    std::string level;
-    std::string serve_spec;
-    std::string load_spec;
-    std::string report;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    int jobs = parseJobsFlag(argc, argv);
-    std::uint64_t seed = parseSeedFlag(argc, argv);
-    if (seed == 0)
-        seed = seedFromEnv();
-    if (seed == 0)
-        seed = 1;
-    // The seed is applied per point below; consume the global override
-    // so Experiment::run() does not flatten it again.
-    unsetenv("DSM_SEED");
-
-    // The mechanism axis: each protection in isolation, then all of
-    // them. DSM_SERVE replaces the axis with a single custom mode.
-    std::vector<ServeMode> modes;
-    bool custom_mode = std::getenv("DSM_SERVE") != nullptr &&
-                       std::getenv("DSM_SERVE")[0] != '\0';
-    if (custom_mode) {
-        ServeMode m;
-        m.label = "custom";
-        m.cfg = serveConfigFromEnv();
-        m.spec = m.cfg.enabled ? m.cfg.summary() : "";
-        modes.push_back(std::move(m));
-    } else {
-        modes.push_back(makeMode("none", ""));
-        modes.push_back(makeMode(
-            "+combining",
-            "combining=1,backpressure=0,priority=0,nack_backoff=0"));
-        modes.push_back(makeMode(
-            "+backpressure",
-            "combining=0,backpressure=1,priority=0,nack_backoff=0"));
-        modes.push_back(makeMode(
-            "+priority",
-            "combining=0,backpressure=0,priority=1,nack_backoff=0"));
-        modes.push_back(makeMode("all", "1"));
-    }
-
-    // The load axis: the serving knee for this machine sits near 1e-3
-    // arrivals/cycle/proc (the openloop_sweep axis), so 2e-3 and 4e-3
-    // are 2x and 4x saturation. DSM_OPENLOOP replaces the axis with a
-    // single custom level.
-    std::vector<LoadLevel> levels;
-    OpenLoopConfig lenv = openLoopConfigFromEnv();
-    bool custom_load = lenv.enabled;
-    if (custom_load) {
-        LoadLevel lv;
-        lv.label = "custom";
-        lv.cfg = lenv;
-        lv.spec = lenv.summary();
-        levels.push_back(std::move(lv));
-    } else {
-        const char *common = "slo_cycles=2000,ops_per_proc=192";
-        levels.push_back(makeLevel("1x", csprintf("rate=0.001,%s",
-                                                  common)));
-        levels.push_back(makeLevel("2x", csprintf("rate=0.002,%s",
-                                                  common)));
-        levels.push_back(makeLevel("4x", csprintf("rate=0.004,%s",
-                                                  common)));
-    }
+    Campaign c("overload_sweep", argc, argv);
+    // The phase-sum invariant must hold with both the ADMIT queueing
+    // phase and the serve layer's parked (backoff/throttle) cycles in
+    // the ledger.
+    c.experiment().baseConfig().txn_trace.enabled = true;
+    c.experiment()
+        .title("Overload campaign: open-loop fetch&add at 1x/2x/4x "
+               "saturation, p=16; cell value = goodput, updates per 1000 "
+               "cycles")
+        .meta("app", "open-loop lock-free counter")
+        .rowKey("impl_mode")
+        .colKey("load")
+        .table(true);
 
     // The fetch&add column of the application matrix: combining is a
     // home-side mechanism, so the home-served UNC/UPD implementations
@@ -182,319 +56,141 @@ main(int argc, char **argv)
     for (const ImplCase &impl : applicationMatrix())
         if (impl.prim == Primitive::FAP)
             impls.push_back(impl);
-    dsm_assert(!impls.empty(), "no FAP implementations in the matrix");
+    // Each protection in isolation, between none (first) and all (last).
+    std::vector<Level> modes = {
+        {"none", "0"},
+        {"+combining",
+         "combining=1,backpressure=0,priority=0,nack_backoff=0"},
+        {"+backpressure",
+         "combining=0,backpressure=1,priority=0,nack_backoff=0"},
+        {"+priority", "combining=0,backpressure=0,priority=1,nack_backoff=0"},
+        {"all", "1"}};
+    // The serving knee for this machine sits near 1e-3 arrivals/cycle/
+    // proc (the openloop_sweep axis), so 2e-3 and 4e-3 are 2x and 4x
+    // saturation.
+    const char *common = "slo_cycles=2000,ops_per_proc=192";
+    std::vector<Level> loads = {
+        {"1x", csprintf("rate=0.001,%s", common)},
+        {"2x", csprintf("rate=0.002,%s", common)},
+        {"4x", csprintf("rate=0.004,%s", common)}};
 
-    Config cfg0;
-    cfg0.machine.num_procs = 16;
-    cfg0.machine.mesh_x = 4;
-    cfg0.machine.mesh_y = 4;
-    cfg0.machine.retry_jitter = 4;
-
-    Experiment ex("overload_sweep", cfg0);
-    ex.title(csprintf("Overload campaign: open-loop fetch&add at 1x/2x/"
-                      "4x saturation, p=16, %zu mode(s) x %zu level(s), "
-                      "seed %llu; cell value = goodput, updates per "
-                      "1000 cycles",
-                      modes.size(), levels.size(),
-                      (unsigned long long)seed))
-        .meta("app", "open-loop lock-free counter")
-        .meta("modes", static_cast<int>(modes.size()))
-        .meta("levels", static_cast<int>(levels.size()))
-        .meta("seed", static_cast<int>(seed))
-        .rowKey("impl_mode")
-        .colKey("load")
-        .table(true);
-
-    std::mutex fail_mutex;
-    std::vector<Failure> failures;
-
-    std::size_t index = 0;
-    for (const ImplCase &impl : impls) {
-        for (const ServeMode &mode : modes) {
-            for (const LoadLevel &lv : levels) {
-                ++index;
-                Config cfg = ex.configFor(impl);
-                cfg.machine.seed = seed;
-                cfg.openloop = lv.cfg;
-                cfg.serve = mode.cfg;
-                // The phase-sum invariant must hold with both the
-                // ADMIT queueing phase and the serve layer's parked
-                // (backoff/throttle) cycles in the ledger.
-                cfg.txn_trace.enabled = true;
-                // A tripped watchdog turns an overload livelock into a
-                // diagnosis instead of a wedged campaign; the bounds
-                // are generous enough that deliberate backoff/throttle
-                // parking (excluded from livelock age) never trips.
-                cfg.watchdog.enabled = true;
-                cfg.watchdog.max_retries = 100000;
-                cfg.watchdog.max_txn_age = 5'000'000;
-                cfg.watchdog.scan_period = 50'000;
-                std::string row = impl.label + " " + mode.label;
-                std::string serve_spec = mode.spec;
-                std::string load_spec = lv.spec;
-                std::string level = lv.label;
-                std::string mlabel = mode.label;
-                std::size_t idx = index - 1;
-                ex.point(
-                    row, level, cfg,
-                    [&, impl, mlabel, level, serve_spec,
-                     load_spec, idx](System &sys) {
-                        OpenLoopResult r = runOpenLoop(sys, impl.prim);
-
-                        std::vector<std::string> problems;
-                        if (!r.completed_run) {
-                            const Watchdog &wd = sys.watchdogState();
-                            problems.push_back(
-                                wd.tripped()
-                                    ? wd.diagnosis()
-                                    : "run did not complete:\n" +
-                                          Watchdog::blockedTxnDump(sys));
-                        } else if (!r.correct) {
-                            problems.push_back(
-                                "final counter value != completed "
-                                "updates");
-                        }
-                        if (sys.txns().phaseSumMismatches() != 0)
-                            problems.push_back(csprintf(
-                                "%llu transaction phase-sum "
-                                "mismatch(es)",
-                                (unsigned long long)
-                                    sys.txns().phaseSumMismatches()));
-                        // The serving ledger must reconcile exactly:
-                        // every served request consumed a slot or rode
-                        // a combined batch, and hi/lo partition it.
-                        const ServeStats &sst = sys.serveStats();
-                        if (sst.served != sst.slots + sst.coalesced)
-                            problems.push_back(csprintf(
-                                "serve ledger: served %llu != slots "
-                                "%llu + coalesced %llu",
-                                (unsigned long long)sst.served,
-                                (unsigned long long)sst.slots,
-                                (unsigned long long)sst.coalesced));
-                        if (sst.served != sst.hi_served + sst.lo_served)
-                            problems.push_back(csprintf(
-                                "serve ledger: served %llu != hi %llu "
-                                "+ lo %llu",
-                                (unsigned long long)sst.served,
-                                (unsigned long long)sst.hi_served,
-                                (unsigned long long)sst.lo_served));
-
-                        double shed_frac =
-                            r.offered > 0
-                                ? static_cast<double>(r.rejected) /
-                                      static_cast<double>(r.offered)
-                                : 0.0;
-
-                        PointResult res;
-                        res.value = r.throughput * 1000.0;
-                        res.metrics = collectRunMetrics(sys);
-                        res.fields.set("offered", r.offered)
-                            .set("admitted", r.admitted)
-                            .set("rejected", r.rejected)
-                            .set("completed", r.completed)
-                            .set("goodput", r.throughput)
-                            .set("shed_frac", shed_frac)
-                            .set("slo_violations", r.slo_violations)
-                            .set("slo_frac", r.slo_frac)
-                            .set("sojourn_mean", r.sojourn_mean)
-                            .set("sojourn_p50",
-                                 static_cast<std::uint64_t>(
-                                     r.sojourn_p50))
-                            .set("sojourn_p99",
-                                 static_cast<std::uint64_t>(
-                                     r.sojourn_p99))
-                            .set("sojourn_p999",
-                                 static_cast<std::uint64_t>(
-                                     r.sojourn_p999))
-                            .set("serve_slots", sst.slots)
-                            .set("serve_coalesced", sst.coalesced)
-                            .set("serve_batches", sst.batches)
-                            .set("serve_aged", sst.aged)
-                            .set("throttle_events", sst.throttle_events)
-                            .set("backoff_capped", sst.backoff_capped)
-                            .set("ok", static_cast<std::uint64_t>(
-                                           problems.empty() ? 1 : 0));
-
-                        if (!problems.empty()) {
-                            std::string report = csprintf(
-                                "overload_sweep failure: impl=%s "
-                                "mode=%s load=%s\nserve: %s\nload: "
-                                "%s\n",
-                                impl.label.c_str(), mlabel.c_str(),
-                                level.c_str(),
-                                serve_spec.empty() ? "off"
-                                                   : serve_spec.c_str(),
-                                load_spec.c_str());
-                            for (const std::string &p : problems)
-                                report += p + "\n";
-                            std::lock_guard<std::mutex> g(fail_mutex);
-                            failures.push_back(Failure{
-                                idx, impl.label, mlabel, level,
-                                serve_spec, load_spec,
-                                std::move(report)});
-                        }
-                        return res;
-                    });
-            }
-        }
-    }
-
-    const std::vector<PointResult> &results = ex.run(jobs);
-
-    // Campaign-level gates over the built-in axes; a custom mode or
-    // load replaces an axis and disables the shape gates (the point
-    // assertions above still run).
-    std::size_t nlevels = levels.size();
-    std::size_t nmodes = modes.size();
-    dsm_assert(results.size() == impls.size() * nmodes * nlevels,
-               "unexpected result count");
-    std::string gate_errors;
-    JsonValue report;
-    std::string perr;
-    if (!parseJson(ex.reportJson(), &report, &perr))
-        dsm_fatal("cannot reparse own report: %s", perr.c_str());
-    const JsonValue *rows = report.find("results");
-    dsm_assert(rows != nullptr && rows->isArray(), "no results array");
-
-    std::uint64_t total_coalesced = 0, total_throttles = 0,
-                  total_rejected = 0, total_capped = 0;
-    bool baseline_collapses = false, unc_flat = false;
-    if (!custom_mode && !custom_load) {
-        auto rowAt = [&](std::size_t ii, std::size_t mi,
-                         std::size_t li) -> const JsonValue & {
-            return rows->array[(ii * nmodes + mi) * nlevels + li];
+    std::size_t nm = modes.size(), nl = loads.size();
+    auto gates = [impls, loads, nm, nl](const Rows &rows) {
+        const std::size_t none = 0, all = nm - 1;
+        auto at = [&](std::size_t ii, std::size_t mi,
+                      std::size_t li) -> const JsonValue & {
+            return rows[(ii * nm + mi) * nl + li];
         };
-        std::size_t mi_none = nmodes, mi_all = nmodes;
-        for (std::size_t mi = 0; mi < nmodes; ++mi) {
-            if (modes[mi].label == "none")
-                mi_none = mi;
-            if (modes[mi].label == "all")
-                mi_all = mi;
-        }
-        dsm_assert(mi_none < nmodes && mi_all < nmodes,
-                   "mode axis lost its endpoints");
+        std::string err;
+        bool baseline_collapses = false;
         for (std::size_t ii = 0; ii < impls.size(); ++ii) {
-            const std::string &ilabel = impls[ii].label;
-            for (std::size_t mi = 0; mi < nmodes; ++mi) {
-                for (std::size_t li = 0; li < nlevels; ++li) {
-                    const JsonValue &row = rowAt(ii, mi, li);
-                    total_coalesced += static_cast<std::uint64_t>(
-                        row.num("serve_coalesced"));
-                    total_throttles += static_cast<std::uint64_t>(
-                        row.num("throttle_events"));
-                    total_rejected += static_cast<std::uint64_t>(
-                        row.num("rejected"));
-                    total_capped += static_cast<std::uint64_t>(
-                        row.num("backoff_capped"));
-                }
-            }
+            const char *impl = impls[ii].label.c_str();
             // Graceful degradation with every mechanism on: goodput at
             // every overload point within 10% of the running peak —
             // work keeps completing as offered load doubles past the
             // knee (overload shows up in the tail and in shedding, not
             // as a goodput cliff).
             double peak = 0.0;
-            for (std::size_t li = 0; li < nlevels; ++li) {
-                double goodput = rowAt(ii, mi_all, li).num("goodput");
+            for (std::size_t li = 0; li < nl; ++li) {
+                double goodput = at(ii, all, li).num("goodput");
                 if (peak > 0 && goodput < peak * 0.9)
-                    gate_errors += csprintf(
-                        "%s all: goodput sagged > 10%% at load %s "
-                        "(peak %g -> %g)\n",
-                        ilabel.c_str(), levels[li].label.c_str(), peak,
-                        goodput);
+                    err += csprintf("%s all: goodput sagged > 10%% at "
+                                    "load %s (peak %g -> %g)\n",
+                                    impl, loads[li].label.c_str(), peak,
+                                    goodput);
                 peak = std::max(peak, goodput);
             }
-            double none_1x_p99 =
-                rowAt(ii, mi_none, 0).num("sojourn_p99");
-            for (std::size_t li = 1; li < nlevels; ++li) {
-                double none_p99 =
-                    rowAt(ii, mi_none, li).num("sojourn_p99");
-                double all_p99 =
-                    rowAt(ii, mi_all, li).num("sojourn_p99");
+            double none_1x_p99 = at(ii, none, 0).num("sojourn_p99");
+            for (std::size_t li = 1; li < nl; ++li) {
+                double none_p99 = at(ii, none, li).num("sojourn_p99");
+                double all_p99 = at(ii, all, li).num("sojourn_p99");
                 // The protections must never worsen the overload tail
                 // (10% slack for schedule perturbation)...
                 if (all_p99 > none_p99 * 1.1)
-                    gate_errors += csprintf(
-                        "%s at load %s: protections worsened the tail "
-                        "(p99 %g -> %g)\n",
-                        ilabel.c_str(), levels[li].label.c_str(),
-                        none_p99, all_p99);
+                    err += csprintf("%s at load %s: protections worsened "
+                                    "the tail (p99 %g -> %g)\n",
+                                    impl, loads[li].label.c_str(), none_p99,
+                                    all_p99);
                 // ... and the unprotected stack must demonstrably
                 // collapse somewhere: p99 blowing past 8x its 1x value
                 // or a majority of completions missing the SLO.
                 if (none_p99 > 8.0 * std::max(none_1x_p99, 1.0) ||
-                    rowAt(ii, mi_none, li).num("slo_frac") >= 0.5)
+                    at(ii, none, li).num("slo_frac") >= 0.5)
                     baseline_collapses = true;
             }
             // The paper's showcase: for the home-served UNC fetch&add,
             // combining folds the entire overload into O(1) service
-            // slots, so the fully protected tail stays flat — p99 at
-            // 4x saturation within 3x of its 1x value.
-            if (ilabel.rfind("UNC", 0) == 0) {
-                double p99_1x = rowAt(ii, mi_all, 0).num("sojourn_p99");
-                double p99_top =
-                    rowAt(ii, mi_all, nlevels - 1).num("sojourn_p99");
-                unc_flat = p99_top <= 3.0 * std::max(p99_1x, 1.0);
-                if (!unc_flat)
-                    gate_errors += csprintf(
-                        "%s all: combined fetch&add tail is not flat "
-                        "under 4x overload (p99 %g at 1x -> %g)\n",
-                        ilabel.c_str(), p99_1x, p99_top);
+            // slots, so the fully protected tail stays flat — p99 at 4x
+            // saturation within 3x of its 1x value.
+            if (impls[ii].label.rfind("UNC", 0) == 0) {
+                double p99_1x = at(ii, all, 0).num("sojourn_p99");
+                double p99_top = at(ii, all, nl - 1).num("sojourn_p99");
+                if (p99_top > 3.0 * std::max(p99_1x, 1.0))
+                    err += csprintf("%s all: combined fetch&add tail is "
+                                    "not flat under 4x overload (p99 %g "
+                                    "at 1x -> %g)\n",
+                                    impl, p99_1x, p99_top);
             }
         }
         // The campaign must certify a contrast, not a tautology: the
         // unprotected stack has to visibly collapse somewhere on this
         // axis...
         if (!baseline_collapses)
-            gate_errors += "baseline 'none' mode degraded gracefully "
-                           "everywhere; the load axis is not probing "
-                           "overload\n";
+            err += "baseline 'none' mode degraded gracefully everywhere; "
+                   "the load axis is not probing overload\n";
         // ... and actually exercise every mechanism it ablates.
-        if (total_coalesced == 0)
-            gate_errors += "no requests were ever combined\n";
-        if (total_throttles == 0)
-            gate_errors += "backpressure never throttled a requester\n";
-        if (total_rejected == 0)
-            gate_errors += "no arrivals were ever shed\n";
-    }
+        if (sumField(rows, "serve_coalesced") == 0)
+            err += "no requests were ever combined\n";
+        if (sumField(rows, "throttle_events") == 0)
+            err += "backpressure never throttled a requester\n";
+        if (sumField(rows, "rejected") == 0)
+            err += "no arrivals were ever shed\n";
+        return err;
+    };
 
-    std::printf("campaign: %zu points (%zu impls x %zu modes x %zu "
-                "levels), %llu coalesced, %llu throttle events, %llu "
-                "capped backoffs, %llu shed, %zu failure(s)\n",
-                ex.numPoints(), impls.size(), nmodes, nlevels,
-                (unsigned long long)total_coalesced,
-                (unsigned long long)total_throttles,
-                (unsigned long long)total_capped,
-                (unsigned long long)total_rejected, failures.size());
+    return c.impls(impls)
+        .axis(Knob::SERVE, Place::ROW, modes)
+        .axis(Knob::OPENLOOP, Place::COL, loads)
+        .total("serve_coalesced", "coalesced")
+        .total("throttle_events", "throttle events")
+        .total("backoff_capped", "capped backoffs")
+        .total("rejected", "shed")
+        .gates(gates)
+        .workload([](System &sys, const ImplCase &impl, const Gate &gate) {
+            OpenLoopResult r = runOpenLoop(sys, impl.prim);
+            bool ok = gate(r.completed_run, r.correct);
 
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    for (const Failure &f : failures) {
-        std::string path = csprintf(
-            "%s/WATCHDOG_overload_sweep_%zu_%s_%s_%s.txt", d.c_str(),
-            f.index, fileLabel(f.impl).c_str(),
-            fileLabel(f.mode).c_str(), fileLabel(f.level).c_str());
-        std::ofstream out(path, std::ios::binary);
-        if (out)
-            out << f.report;
-        std::fprintf(stderr, "FAILED %s mode=%s load=%s -> %s\n",
-                     f.impl.c_str(), f.mode.c_str(), f.level.c_str(),
-                     path.c_str());
-    }
-    if (!gate_errors.empty())
-        std::fprintf(stderr, "%s", gate_errors.c_str());
-
-    if (!failures.empty() || !gate_errors.empty()) {
-        std::string serve_spec =
-            failures.empty() ? "1" : failures.front().serve_spec;
-        std::string load_spec = failures.empty()
-                                    ? levels.front().spec
-                                    : failures.front().load_spec;
-        std::printf("reproduce with: DSM_SERVE='%s' DSM_OPENLOOP='%s' "
-                    "overload_sweep --seed %llu\n",
-                    serve_spec.empty() ? "0" : serve_spec.c_str(),
-                    load_spec.c_str(), (unsigned long long)seed);
-        return 1;
-    }
-    return 0;
+            const ServeStats &sst = sys.serveStats();
+            double shed_frac =
+                r.offered > 0 ? static_cast<double>(r.rejected) /
+                                    static_cast<double>(r.offered)
+                              : 0.0;
+            PointResult res;
+            res.value = r.throughput * 1000.0;
+            res.metrics = collectRunMetrics(sys);
+            res.fields.set("offered", r.offered)
+                .set("admitted", r.admitted)
+                .set("rejected", r.rejected)
+                .set("completed", r.completed)
+                .set("goodput", r.throughput)
+                .set("shed_frac", shed_frac)
+                .set("slo_violations", r.slo_violations)
+                .set("slo_frac", r.slo_frac)
+                .set("sojourn_mean", r.sojourn_mean)
+                .set("sojourn_p50",
+                     static_cast<std::uint64_t>(r.sojourn_p50))
+                .set("sojourn_p99",
+                     static_cast<std::uint64_t>(r.sojourn_p99))
+                .set("sojourn_p999",
+                     static_cast<std::uint64_t>(r.sojourn_p999))
+                .set("serve_slots", sst.slots)
+                .set("serve_coalesced", sst.coalesced)
+                .set("serve_batches", sst.batches)
+                .set("serve_aged", sst.aged)
+                .set("throttle_events", sst.throttle_events)
+                .set("backoff_capped", sst.backoff_capped)
+                .set("ok", static_cast<std::uint64_t>(ok));
+            return res;
+        })
+        .run();
 }

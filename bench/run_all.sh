@@ -17,8 +17,9 @@
 # on (DSM_TIMESERIES=1), writing TIMESERIES_<name>.json plus a
 # self-contained TIMESERIES_<name>.html report (open it in a browser).
 # --seed S exports DSM_SEED=S so every sweep's simulated machines use
-# seed S (recorded in each report's meta.seed); fault_sweep instead
-# uses S as the base of its per-point seed range.
+# seed S (recorded in each report's meta.seed); the campaign binaries
+# (fault_sweep, openloop_sweep, overload_sweep) take S as their base
+# seed, and fault_sweep's K per-point seeds run S..S+K-1.
 # --openloop appends the open-loop serving campaign (openloop_sweep) to
 # the bench list; --openloop=SPEC additionally exports DSM_OPENLOOP=SPEC
 # so the sweep replaces its built-in load axis with the given level.

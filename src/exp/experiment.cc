@@ -134,6 +134,13 @@ Experiment::meta(const std::string &k, double v)
 }
 
 Experiment &
+Experiment::meta(const std::string &k, std::uint64_t v)
+{
+    _report.meta(k, v);
+    return *this;
+}
+
+Experiment &
 Experiment::meta(const std::string &k, int v)
 {
     _report.meta(k, v);
@@ -194,14 +201,6 @@ Experiment::seed(std::uint64_t s)
 {
     if (s != 0)
         _seed = s;
-    return *this;
-}
-
-Experiment &
-Experiment::faults(const FaultConfig &fc)
-{
-    if (fc.enabled)
-        _faults = fc;
     return *this;
 }
 
@@ -352,8 +351,9 @@ Experiment::run(int jobs)
         _report.meta("seed", s);
     }
 
-    // Fault plan: an explicit faults() wins over $DSM_FAULTS.
-    FaultConfig fc = _faults.enabled ? _faults : faultConfigFromEnv();
+    // Fault plan: $DSM_FAULTS / $DSM_FAULT_SEED, recorded in the meta
+    // object as "faults" when applied.
+    FaultConfig fc = faultConfigFromEnv();
     if (fc.enabled && !_faults_applied) {
         _faults_applied = true;
         for (Point &p : _points)

@@ -94,6 +94,7 @@ class Experiment
     /** Run-level metadata recorded in the report's meta object. */
     Experiment &meta(const std::string &k, const std::string &v);
     Experiment &meta(const std::string &k, double v);
+    Experiment &meta(const std::string &k, std::uint64_t v);
     Experiment &meta(const std::string &k, int v);
 
     /** Key naming the row label in report rows (default "impl"). */
@@ -138,14 +139,6 @@ class Experiment
      * meta object as "seed", keeping default reports byte-identical.
      */
     Experiment &seed(std::uint64_t s);
-
-    /**
-     * Apply a fault-injection plan to every point (a disabled config
-     * is a no-op). Also honoured from $DSM_FAULTS / $DSM_FAULT_SEED
-     * when not set explicitly. An applied plan is recorded in the
-     * report's meta object as "faults" (FaultConfig::summary()).
-     */
-    Experiment &faults(const FaultConfig &fc);
 
     /** @} */
 
@@ -258,7 +251,6 @@ class Experiment
     bool _ts_wrapped = false;
     std::uint64_t _seed = 0;
     bool _seed_applied = false;
-    FaultConfig _faults;
     bool _faults_applied = false;
 
     std::vector<ImplCase> _impls;

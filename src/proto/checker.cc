@@ -334,4 +334,24 @@ checkFaultAccounting(System &sys)
     return out;
 }
 
+std::vector<std::string>
+checkServeAccounting(const System &sys)
+{
+    std::vector<std::string> out;
+    const ServeStats &st = sys.serveStats();
+    if (st.served != st.slots + st.coalesced)
+        out.push_back(csprintf("serve ledger: served %llu != slots %llu + "
+                               "coalesced %llu",
+                               (unsigned long long)st.served,
+                               (unsigned long long)st.slots,
+                               (unsigned long long)st.coalesced));
+    if (st.served != st.hi_served + st.lo_served)
+        out.push_back(csprintf("serve ledger: served %llu != hi %llu + "
+                               "lo %llu",
+                               (unsigned long long)st.served,
+                               (unsigned long long)st.hi_served,
+                               (unsigned long long)st.lo_served));
+    return out;
+}
+
 } // namespace dsm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Coherence / Table 1 / fault-accounting invariant checkers.
+ * Coherence / Table 1 / fault- and serve-accounting invariant checkers.
  *
  * The core invariants run over *snapshots* (CoherenceView) and *facts*
  * (ChainFact), not over a live System: the event-driven simulator and
@@ -154,6 +154,16 @@ std::vector<std::string> checkChains(System &sys);
  * @return a description of each mismatch; empty means reconciled.
  */
 std::vector<std::string> checkFaultAccounting(System &sys);
+
+/**
+ * Reconcile the overload-protection layer's service ledger: every
+ * served request consumed a memory service slot or rode a combined
+ * batch (served == slots + coalesced), and the two priority classes
+ * partition the total (served == hi_served + lo_served). With the
+ * serving layer off every counter is zero and both hold trivially.
+ * @return a description of each mismatch; empty means reconciled.
+ */
+std::vector<std::string> checkServeAccounting(const System &sys);
 
 } // namespace dsm
 

@@ -11,6 +11,7 @@
 
 #include "cpu/system.hh"
 #include "proto/checker.hh"
+#include "sim/json.hh"
 
 namespace dsmtest {
 
@@ -110,6 +111,17 @@ runOp(System &sys, NodeId proc, AtomicOp op, Addr a, Word v = 0,
     EXPECT_TRUE(r.completed);
     sys.reapTasks();
     return out;
+}
+
+/** Parse @p text with dsm::parseJson, or ADD_FAILURE with its error. */
+inline bool
+parseJsonOrFail(const std::string &text, JsonValue *out)
+{
+    std::string err;
+    bool ok = parseJson(text, out, &err);
+    EXPECT_TRUE(ok) << "JSON parse error: " << err << "\ninput:\n"
+                    << text.substr(0, 2000);
+    return ok;
 }
 
 /** Reset system-wide protocol statistics. */

@@ -2,7 +2,8 @@
  * @file
  * Directed failure-path tests for the coherence checker: corrupt
  * directory or cache state on purpose and assert that checkCoherence()
- * reports the specific violation. These guard the checker itself — a
+ * reports the specific violation (and likewise the serve ledger for
+ * checkServeAccounting()). These guard the checker itself — a
  * checker that silently passes corrupted state would mask protocol
  * bugs in every other test and in the fault-injection campaigns.
  */
@@ -155,4 +156,27 @@ TEST(Checker, UncSyncBlockCached)
     l->data = sys.store().readBlock(a);
     std::vector<std::string> vs = checkCoherence(sys);
     EXPECT_TRUE(hasViolation(vs, "UNC sync block")) << joined(vs);
+}
+
+TEST(Checker, ServeLedger)
+{
+    Config cfg = smallConfig(SyncPolicy::UNC);
+    cfg.serve.enabled = true;
+    System sys(cfg);
+    Addr a = sys.allocSyncAt(0);
+    for (NodeId n = 0; n < 4; ++n)
+        sys.spawn(doOp(sys.proc(n), AtomicOp::FAA, a, 1, 0, nullptr));
+    runAll(sys);
+    ASSERT_GT(sys.serveStats().served, 0u);
+    std::vector<std::string> clean = checkServeAccounting(sys);
+    EXPECT_TRUE(clean.empty()) << joined(clean);
+
+    // One phantom slot breaks served == slots + coalesced; one phantom
+    // foreground serve breaks served == hi + lo.
+    ++sys.serveStats().slots;
+    ++sys.serveStats().hi_served;
+    std::vector<std::string> vs = checkServeAccounting(sys);
+    EXPECT_EQ(vs.size(), 2u) << joined(vs);
+    EXPECT_TRUE(hasViolation(vs, "!= slots")) << joined(vs);
+    EXPECT_TRUE(hasViolation(vs, "!= hi")) << joined(vs);
 }

@@ -224,6 +224,15 @@ TEST(Experiment, ExplicitPointsKeepDeclarationOrderInReport)
     EXPECT_LT(c1, c2);
 }
 
+TEST(Experiment, MetaKeepsSixtyFourBitSeed)
+{
+    // A seed past 2^32 must reach the report whole, not as its low word.
+    Experiment ex("seeded", smallConfig());
+    ex.meta("seed", std::uint64_t{4294967297});
+    EXPECT_NE(ex.reportJson().find("\"seed\":4294967297"), std::string::npos)
+        << ex.reportJson();
+}
+
 TEST(ExperimentDeath, SystemRejectsInvalidPointConfig)
 {
     Config bad = smallConfig();

@@ -15,7 +15,6 @@
 #include "cpu/admission.hh"
 #include "exp/experiment.hh"
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "workloads/openloop.hh"
 
 namespace {

@@ -8,7 +8,6 @@
 #include <cstdlib>
 
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "stats/bench_report.hh"
 #include "stats/registry.hh"
 

@@ -14,7 +14,6 @@
 
 #include "exp/experiment.hh"
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "stats/line_profiler.hh"
 #include "stats/timeseries.hh"
 #include "workloads/counter_apps.hh"

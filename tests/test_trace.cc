@@ -9,7 +9,6 @@
 #include <set>
 
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "trace/trace.hh"
 #include "workloads/counter_apps.hh"
 

@@ -12,7 +12,6 @@
 
 #include "exp/experiment.hh"
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "proto/checker.hh"
 #include "trace/txn.hh"
 
