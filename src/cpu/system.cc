@@ -9,6 +9,7 @@ System::System(const Config &cfg)
     : _cfg(cfg),
       _eq(),
       _mesh(_eq, _cfg.machine),
+      _registry(statsSchema(), this, cfg.machine.num_procs),
       _rng(cfg.machine.seed)
 {
     std::string cfg_err = _cfg.validate();
@@ -74,7 +75,6 @@ System::System(const Config &cfg)
                            [this](Tick t) { _telemetry.sample(t); });
         }
     }
-    buildRegistry();
     if (_cfg.machine.spurious_resv_period > 0)
         scheduleSpuriousInvalidation();
     if (_watchdog.enabled() && _cfg.watchdog.max_txn_age > 0)
@@ -192,249 +192,272 @@ System::updateCreditThreshold()
     _credit_threshold = static_cast<int>(threshold);
 }
 
-void
-System::buildRegistry()
-{
-    // Global simulation and network counters.
-    _registry.addCounter("sim.ticks", [this] { return _eq.now(); });
-    _registry.addCounter("sim.events",
-                         [this] { return _eq.eventsExecuted(); });
-    const MeshStats &ms = _mesh.stats();
-    _registry.addCounter("net.messages", &ms.messages);
-    _registry.addCounter("net.flits", &ms.flits);
-    _registry.addCounter("net.local", &ms.local);
-    _registry.addCounter("net.hop_sum", &ms.hop_sum);
+// Stat-row macros for statsSchema(). Each reader is a captureless
+// lambda over the bound System `s`, the node `i` (per-node rows) and
+// the row argument `a`; a gate is one over the bound System's config `c`.
+#define STAT_READER(T, expr)                                             \
+    [](const void *obj, [[maybe_unused]] int i,                         \
+       [[maybe_unused]] int a) -> T {                                    \
+        const System &s = *static_cast<const System *>(obj);            \
+        return expr;                                                     \
+    }
+#define STAT_COUNTER(name, expr)                                         \
+    StatRow{.path = name, .counter = STAT_READER(std::uint64_t, expr)}
+#define STAT_HIST(name, expr)                                            \
+    StatRow{.path = name,                                                \
+            .hist = STAT_READER(const Histogram *, &(expr))}
+#define STAT_LAT(name, expr)                                             \
+    StatRow{.path = name,                                                \
+            .lat = STAT_READER(const LatencyStat *, &(expr))}
+#define STAT_GATE(expr)                                                  \
+    [](const void *obj) {                                                \
+        const Config &c = static_cast<const System *>(obj)->_cfg;       \
+        return expr;                                                     \
+    }
 
-    // Transaction-tracer attribution: global (not per-node), registered
-    // only when enabled so untraced runs keep their exact JSON shape.
-    if (_cfg.txn_trace.enabled) {
-        _registry.addCounter("txn.completed",
-                             [this] { return _txns.completed(); });
-        _registry.addCounter("txn.records_kept", [this] {
-            return static_cast<std::uint64_t>(_txns.records().size());
-        });
-        _registry.addCounter("txn.records_dropped", _txns.droppedCounter());
-        _registry.addCounter("txn.phase_sum_mismatches",
-                             _txns.mismatchCounter());
-        _registry.addCounter("txn.chain_divergences",
-                             _txns.divergenceCounter());
-        const PhaseAttribution &at = _txns.attribution();
-        _registry.addHistogram("txn.retries", at.retriesHist());
-        _registry.addHistogram("txn.fanout", at.fanoutHist());
-        _registry.addHistogram("txn.observed_chain", at.chainHist());
-        // Tail attribution scalars; the full conditional breakdown is
-        // exported via PhaseAttribution::tailJson() (telemetry tail
-        // section and bench rows). Getters are lazy: the cuts are only
-        // computed when the registry is rendered or snapshotted.
-        _registry.addCounter("txn.tail.records", [this] {
-            return _txns.attribution().tailRecords();
-        });
-        _registry.addCounter("txn.tail.dropped", [this] {
-            return _txns.attribution().tailDropped();
-        });
-        _registry.addCounter("txn.tail.p90_threshold", [this] {
-            return static_cast<std::uint64_t>(
-                _txns.attribution().tailCut(0.90).threshold);
-        });
-        _registry.addCounter("txn.tail.p99_threshold", [this] {
-            return static_cast<std::uint64_t>(
-                _txns.attribution().tailCut(0.99).threshold);
-        });
+const StatSchema &
+System::statsSchema()
+{
+    // Built once per process; function-local statics initialise
+    // thread-safely, and SweepRunner constructs Systems on several
+    // threads.
+    static const StatSchema schema = [] {
+        std::vector<StatRow> global;
+        auto add = [&global](StatRow::GateFn gate,
+                             std::initializer_list<StatRow> rows) {
+            for (StatRow r : rows) {
+                r.gate = gate;
+                global.push_back(std::move(r));
+            }
+        };
+        auto withArg = [](StatRow r, int arg) {
+            r.arg = arg;
+            return r;
+        };
+
+        // Global simulation and network counters.
+        add(nullptr,
+            {STAT_COUNTER("sim.ticks", s._eq.now()),
+             STAT_COUNTER("sim.events", s._eq.eventsExecuted()),
+             STAT_COUNTER("net.messages", s._mesh.stats().messages),
+             STAT_COUNTER("net.flits", s._mesh.stats().flits),
+             STAT_COUNTER("net.local", s._mesh.stats().local),
+             STAT_COUNTER("net.hop_sum", s._mesh.stats().hop_sum)});
+
+        // Every optional group below is present only while its feature
+        // is on, so runs without it keep their exact JSON shape.
+
+        // Transaction-tracer attribution (global, not per-node). The
+        // tail scalars are computed only when the registry is rendered
+        // or snapshotted; the full conditional breakdown is exported
+        // via PhaseAttribution::tailJson().
+        StatRow::GateFn txn = STAT_GATE(c.txn_trace.enabled);
+        add(txn,
+            {STAT_COUNTER("txn.completed", s._txns.completed()),
+             STAT_COUNTER("txn.records_kept", s._txns.records().size()),
+             STAT_COUNTER("txn.records_dropped", *s._txns.droppedCounter()),
+             STAT_COUNTER("txn.phase_sum_mismatches",
+                          *s._txns.mismatchCounter()),
+             STAT_COUNTER("txn.chain_divergences",
+                          *s._txns.divergenceCounter()),
+             STAT_HIST("txn.retries", *s._txns.attribution().retriesHist()),
+             STAT_HIST("txn.fanout", *s._txns.attribution().fanoutHist()),
+             STAT_HIST("txn.observed_chain",
+                       *s._txns.attribution().chainHist()),
+             STAT_COUNTER("txn.tail.records",
+                          s._txns.attribution().tailRecords()),
+             STAT_COUNTER("txn.tail.dropped",
+                          s._txns.attribution().tailDropped()),
+             STAT_COUNTER("txn.tail.p90_threshold",
+                          s._txns.attribution().tailCut(0.90).threshold),
+             STAT_COUNTER("txn.tail.p99_threshold",
+                          s._txns.attribution().tailCut(0.99).threshold)});
         for (int op = 0; op < NUM_ATOMIC_OPS; ++op) {
             std::string base = std::string("txn.ops.") +
                                toString(static_cast<AtomicOp>(op));
-            _registry.addLatency(base + ".total", at.totalStat(op));
+            add(txn, {withArg(STAT_LAT(base + ".total",
+                                       *s._txns.attribution().totalStat(a)),
+                              op)});
             for (int ph = 0; ph < NUM_TXN_PHASES; ++ph)
-                _registry.addLatency(
-                    base + ".phases." +
-                        toString(static_cast<TxnPhase>(ph)),
-                    at.phaseStat(op, ph));
+                add(txn,
+                    {withArg(STAT_LAT(base + ".phases." +
+                                          toString(static_cast<TxnPhase>(ph)),
+                                      *s._txns.attribution().phaseStat(
+                                          a / NUM_TXN_PHASES,
+                                          a % NUM_TXN_PHASES)),
+                             op * NUM_TXN_PHASES + ph)});
         }
-    }
 
-    // Fault-injection and watchdog counters: registered only when the
-    // feature is on, so fault-free runs keep their exact JSON shape.
-    if (_cfg.faults.enabled) {
-        const FaultPlan::Counters &fc = _faults.counters();
-        _registry.addCounter("fault.jitter_applied", &fc.jitter_applied);
-        _registry.addCounter("fault.jitter_cycles", &fc.jitter_cycles);
-        _registry.addCounter("fault.resv_drops", &fc.resv_drops);
-        _registry.addCounter("fault.forced_evictions",
-                             &fc.forced_evictions);
-        _registry.addCounter("fault.nacks_injected", &fc.nacks_injected);
-        // Loss counters only when loss is armed, so legacy fault runs
-        // keep their exact JSON shape.
-        if (_cfg.faults.lossEnabled()) {
-            _registry.addCounter("fault.msg_drops", &fc.msg_drops);
-            _registry.addCounter("fault.flaky_drops", &fc.flaky_drops);
-        }
-        // Chaos counters only when a chaos axis is armed, so loss-only
-        // fault runs keep their exact JSON shape.
-        if (_cfg.faults.chaosEnabled()) {
-            _registry.addCounter("fault.msg_reorders", &fc.msg_reorders);
-            _registry.addCounter("fault.msg_dups", &fc.msg_dups);
-            _registry.addCounter("fault.msg_corruptions",
-                                 &fc.msg_corruptions);
-        }
-    }
-    if (_cfg.faults.recoveryEnabled()) {
-        const Recovery::Counters &rc = _recovery.counters();
-        _registry.addCounter("recovery.drops", &rc.drops);
-        _registry.addCounter("recovery.req_drops", &rc.req_drops);
-        _registry.addCounter("recovery.reply_drops", &rc.reply_drops);
-        _registry.addCounter("recovery.retransmit_covered",
-                             &rc.retransmit_covered);
-        _registry.addCounter("recovery.quarantine_covered",
-                             &rc.quarantine_covered);
-        _registry.addCounter("recovery.pending_drops",
-                             [this] { return _recovery.pendingDrops(); });
-        _registry.addCounter("recovery.retransmits", &rc.retransmits);
-        _registry.addCounter("recovery.stale_replies", &rc.stale_replies);
-        _registry.addCounter("recovery.nacks_lost", &rc.nacks_lost);
-        _registry.addCounter("recovery.nacks_stale", &rc.nacks_stale);
-        _registry.addCounter("recovery.nacks_replayed",
-                             &rc.nacks_replayed);
-        _registry.addCounter("recovery.dup_requests", &rc.dup_requests);
-        _registry.addCounter("recovery.dup_replayed", &rc.dup_replayed);
-        _registry.addCounter("recovery.dup_reprocessed",
-                             &rc.dup_reprocessed);
-        _registry.addCounter("recovery.dup_in_progress",
-                             &rc.dup_in_progress);
-        _registry.addCounter("recovery.dup_stale", &rc.dup_stale);
-        _registry.addCounter("recovery.links_quarantined",
-                             &rc.links_quarantined);
-        // Faulty-channel ledger: registered only when a chaos axis is
-        // armed, so loss-only recovery runs keep their exact JSON shape.
-        if (_cfg.faults.chaosEnabled()) {
-            _registry.addCounter("recovery.corrupt_detected",
-                                 &rc.corrupt_detected);
-            _registry.addCounter("recovery.dups_absorbed",
-                                 &rc.dups_absorbed);
-            _registry.addCounter("recovery.reorders_delivered",
-                                 &rc.reorders_delivered);
-        }
-    }
-    if (_cfg.watchdog.enabled)
-        _registry.addCounter("fault.watchdog_trips",
-                             _watchdog.tripsCounter());
+        // Fault injection: loss counters only when loss is armed and
+        // chaos counters only when a chaos axis is, so legacy and
+        // loss-only runs keep their exact JSON shape.
+        add(STAT_GATE(c.faults.enabled),
+            {STAT_COUNTER("fault.jitter_applied",
+                          s._faults.counters().jitter_applied),
+             STAT_COUNTER("fault.jitter_cycles",
+                          s._faults.counters().jitter_cycles),
+             STAT_COUNTER("fault.resv_drops", s._faults.counters().resv_drops),
+             STAT_COUNTER("fault.forced_evictions",
+                          s._faults.counters().forced_evictions),
+             STAT_COUNTER("fault.nacks_injected",
+                          s._faults.counters().nacks_injected)});
+        add(STAT_GATE(c.faults.lossEnabled()),
+            {STAT_COUNTER("fault.msg_drops", s._faults.counters().msg_drops),
+             STAT_COUNTER("fault.flaky_drops",
+                          s._faults.counters().flaky_drops)});
+        add(STAT_GATE(c.faults.chaosEnabled()),
+            {STAT_COUNTER("fault.msg_reorders",
+                          s._faults.counters().msg_reorders),
+             STAT_COUNTER("fault.msg_dups", s._faults.counters().msg_dups),
+             STAT_COUNTER("fault.msg_corruptions",
+                          s._faults.counters().msg_corruptions)});
+        add(STAT_GATE(c.watchdog.enabled),
+            {STAT_COUNTER("fault.watchdog_trips",
+                          *s._watchdog.tripsCounter())});
 
-    // Open-loop serving counters: registered only when open-loop
-    // arrivals are on, so closed-loop runs keep their exact JSON shape.
-    if (_cfg.openloop.enabled) {
-        const OpenLoopStats &os = _admission.stats();
-        _registry.addCounter("openloop.offered", &os.offered);
-        _registry.addCounter("openloop.admitted", &os.admitted);
-        _registry.addCounter("openloop.rejected", &os.rejected);
-        // Edge-shed attribution exists only when the serving layer can
-        // throttle; gate it so serve-off runs keep their JSON shape.
-        if (_cfg.serve.enabled)
-            _registry.addCounter("openloop.rejected_throttled",
-                                 &os.rejected_throttled);
-        _registry.addCounter("openloop.completed", &os.completed);
-        _registry.addCounter("openloop.slo_violations",
-                             &os.slo_violations);
-        _registry.addHistogram("openloop.depth_on_arrival",
-                               &os.depth_on_arrival);
-        _registry.addLatency("openloop.admission_wait",
-                             &os.admission_wait);
-        _registry.addLatency("openloop.sojourn", &os.sojourn);
-    }
+        // Loss recovery, with the faulty-channel ledger only when a
+        // chaos axis is armed.
+        add(STAT_GATE(c.faults.recoveryEnabled()),
+            {STAT_COUNTER("recovery.drops", s._recovery.counters().drops),
+             STAT_COUNTER("recovery.req_drops",
+                          s._recovery.counters().req_drops),
+             STAT_COUNTER("recovery.reply_drops",
+                          s._recovery.counters().reply_drops),
+             STAT_COUNTER("recovery.retransmit_covered",
+                          s._recovery.counters().retransmit_covered),
+             STAT_COUNTER("recovery.quarantine_covered",
+                          s._recovery.counters().quarantine_covered),
+             STAT_COUNTER("recovery.pending_drops",
+                          s._recovery.pendingDrops()),
+             STAT_COUNTER("recovery.retransmits",
+                          s._recovery.counters().retransmits),
+             STAT_COUNTER("recovery.stale_replies",
+                          s._recovery.counters().stale_replies),
+             STAT_COUNTER("recovery.nacks_lost",
+                          s._recovery.counters().nacks_lost),
+             STAT_COUNTER("recovery.nacks_stale",
+                          s._recovery.counters().nacks_stale),
+             STAT_COUNTER("recovery.nacks_replayed",
+                          s._recovery.counters().nacks_replayed),
+             STAT_COUNTER("recovery.dup_requests",
+                          s._recovery.counters().dup_requests),
+             STAT_COUNTER("recovery.dup_replayed",
+                          s._recovery.counters().dup_replayed),
+             STAT_COUNTER("recovery.dup_reprocessed",
+                          s._recovery.counters().dup_reprocessed),
+             STAT_COUNTER("recovery.dup_in_progress",
+                          s._recovery.counters().dup_in_progress),
+             STAT_COUNTER("recovery.dup_stale",
+                          s._recovery.counters().dup_stale),
+             STAT_COUNTER("recovery.links_quarantined",
+                          s._recovery.counters().links_quarantined)});
+        add(STAT_GATE(c.faults.recoveryEnabled() && c.faults.chaosEnabled()),
+            {STAT_COUNTER("recovery.corrupt_detected",
+                          s._recovery.counters().corrupt_detected),
+             STAT_COUNTER("recovery.dups_absorbed",
+                          s._recovery.counters().dups_absorbed),
+             STAT_COUNTER("recovery.reorders_delivered",
+                          s._recovery.counters().reorders_delivered)});
 
-    // Overload-protection serving counters: registered only when the
-    // serving layer is on, so legacy runs keep their exact JSON shape.
-    if (_cfg.serve.enabled) {
-        _registry.addCounter("serve.slots", &_serve_stats.slots);
-        _registry.addCounter("serve.served", &_serve_stats.served);
-        _registry.addCounter("serve.hi_served", &_serve_stats.hi_served);
-        _registry.addCounter("serve.lo_served", &_serve_stats.lo_served);
-        _registry.addCounter("serve.aged", &_serve_stats.aged);
-        _registry.addCounter("serve.batches", &_serve_stats.batches);
-        _registry.addCounter("serve.coalesced", &_serve_stats.coalesced);
-        _registry.addCounter("serve.throttle_events",
-                             &_serve_stats.throttle_events);
-        _registry.addCounter("serve.throttle_cycles",
-                             &_serve_stats.throttle_cycles);
-        _registry.addCounter("serve.backoff_capped",
-                             &_serve_stats.backoff_capped);
-    }
+        // Open-loop serving, with edge-shed attribution only when the
+        // serving layer can throttle.
+        add(STAT_GATE(c.openloop.enabled),
+            {STAT_COUNTER("openloop.offered", s._admission.stats().offered),
+             STAT_COUNTER("openloop.admitted", s._admission.stats().admitted),
+             STAT_COUNTER("openloop.rejected", s._admission.stats().rejected),
+             STAT_COUNTER("openloop.completed",
+                          s._admission.stats().completed),
+             STAT_COUNTER("openloop.slo_violations",
+                          s._admission.stats().slo_violations),
+             STAT_HIST("openloop.depth_on_arrival",
+                       s._admission.stats().depth_on_arrival),
+             STAT_LAT("openloop.admission_wait",
+                      s._admission.stats().admission_wait),
+             STAT_LAT("openloop.sojourn", s._admission.stats().sojourn)});
+        add(STAT_GATE(c.openloop.enabled && c.serve.enabled),
+            {STAT_COUNTER("openloop.rejected_throttled",
+                          s._admission.stats().rejected_throttled)});
 
-    // Telemetry accounting: registered only when telemetry is on, so
-    // untelemetered runs keep their exact JSON shape.
-    if (_cfg.telemetry.enabled) {
-        _registry.addCounter("timeseries.windows", [this] {
-            return _telemetry.windowsSampled();
-        });
-        _registry.addCounter("timeseries.windows_evicted", [this] {
-            return _telemetry.windowsEvicted();
-        });
-        _registry.addCounter("timeseries.series", [this] {
-            return static_cast<std::uint64_t>(_telemetry.numSeries());
-        });
-        _registry.addCounter("timeseries.lines_tracked", [this] {
-            return _line_prof.linesTracked();
-        });
-    }
+        // Overload-protection serving.
+        add(STAT_GATE(c.serve.enabled),
+            {STAT_COUNTER("serve.slots", s._serve_stats.slots),
+             STAT_COUNTER("serve.served", s._serve_stats.served),
+             STAT_COUNTER("serve.hi_served", s._serve_stats.hi_served),
+             STAT_COUNTER("serve.lo_served", s._serve_stats.lo_served),
+             STAT_COUNTER("serve.aged", s._serve_stats.aged),
+             STAT_COUNTER("serve.batches", s._serve_stats.batches),
+             STAT_COUNTER("serve.coalesced", s._serve_stats.coalesced),
+             STAT_COUNTER("serve.throttle_events",
+                          s._serve_stats.throttle_events),
+             STAT_COUNTER("serve.throttle_cycles",
+                          s._serve_stats.throttle_cycles),
+             STAT_COUNTER("serve.backoff_capped",
+                          s._serve_stats.backoff_capped)});
 
-    // Event-trace ring accounting: the ring silently overwrites its
-    // oldest records, so surface how many were lost. Registered only
-    // when tracing is on (same JSON-shape discipline as above).
-    if (_cfg.trace.enabled) {
-        _registry.addCounter("trace.recorded",
-                             [this] { return _tracer.totalRecorded(); });
-        _registry.addCounter("trace.dropped",
-                             [this] { return _tracer.dropped(); });
-    }
+        // Telemetry accounting.
+        add(STAT_GATE(c.telemetry.enabled),
+            {STAT_COUNTER("timeseries.windows", s._telemetry.windowsSampled()),
+             STAT_COUNTER("timeseries.windows_evicted",
+                          s._telemetry.windowsEvicted()),
+             STAT_COUNTER("timeseries.series", s._telemetry.numSeries()),
+             STAT_COUNTER("timeseries.lines_tracked",
+                          s._line_prof.linesTracked())});
 
-    // Per-node component counters. All pointed-to storage lives in
-    // containers sized once by the constructor, so addresses are stable.
-    for (int i = 0; i < numProcs(); ++i) {
-        std::string p = csprintf("node%d.", i);
+        // Event-trace ring accounting: the ring silently overwrites its
+        // oldest records, so surface how many were lost.
+        add(STAT_GATE(c.trace.enabled),
+            {STAT_COUNTER("trace.recorded", s._tracer.totalRecorded()),
+             STAT_COUNTER("trace.dropped", s._tracer.dropped())});
 
-        const SysStats &st = _node_stats[i];
-        _registry.addCounter(p + "proto.nacks", &st.nacks);
-        _registry.addCounter(p + "proto.retries", &st.retries);
-        _registry.addCounter(p + "proto.invalidations", &st.invalidations);
-        _registry.addCounter(p + "proto.updates", &st.updates);
-        _registry.addCounter(p + "proto.writebacks", &st.writebacks);
-        _registry.addCounter(p + "proto.drop_notifies", &st.drop_notifies);
-        _registry.addCounter(p + "proto.sc_successes", &st.sc_successes);
-        _registry.addCounter(p + "proto.sc_failures", &st.sc_failures);
-        _registry.addCounter(p + "proto.cas_successes", &st.cas_successes);
-        _registry.addCounter(p + "proto.cas_failures", &st.cas_failures);
-        _registry.addHistogram(p + "proto.chain_length", &st.chain_length);
+        // Per-node component counters, read from storage sized once by
+        // the constructor.
+        std::vector<StatRow> node = {
+            STAT_COUNTER("proto.nacks", s._node_stats[i].nacks),
+            STAT_COUNTER("proto.retries", s._node_stats[i].retries),
+            STAT_COUNTER("proto.invalidations",
+                         s._node_stats[i].invalidations),
+            STAT_COUNTER("proto.updates", s._node_stats[i].updates),
+            STAT_COUNTER("proto.writebacks", s._node_stats[i].writebacks),
+            STAT_COUNTER("proto.drop_notifies",
+                         s._node_stats[i].drop_notifies),
+            STAT_COUNTER("proto.sc_successes", s._node_stats[i].sc_successes),
+            STAT_COUNTER("proto.sc_failures", s._node_stats[i].sc_failures),
+            STAT_COUNTER("proto.cas_successes",
+                         s._node_stats[i].cas_successes),
+            STAT_COUNTER("proto.cas_failures", s._node_stats[i].cas_failures),
+            STAT_HIST("proto.chain_length", s._node_stats[i].chain_length),
+            STAT_COUNTER("cache.hits", s._ctrls[i]->cache().stats().hits),
+            STAT_COUNTER("cache.misses", s._ctrls[i]->cache().stats().misses),
+            STAT_COUNTER("cache.evictions",
+                         s._ctrls[i]->cache().stats().evictions),
+            STAT_COUNTER("cache.invalidations_received",
+                         s._ctrls[i]->cache().stats().invalidations_received),
+            STAT_COUNTER("mem.accesses", s._mems[i].accesses()),
+            STAT_COUNTER("mem.queue_cycles", s._mems[i].queueCycles()),
+            STAT_COUNTER("mem.busy_cycles", s._mems[i].busyCycles()),
+            STAT_HIST("mem.queue_wait", s._mems[i].queueWait()),
+            STAT_COUNTER("dir.transitions", s._dirs[i].transitions()),
+            STAT_COUNTER("net.inj_msgs", s._mesh.injMsgs(i)),
+            STAT_COUNTER("net.ej_msgs", s._mesh.ejMsgs(i)),
+            STAT_COUNTER("net.inj_flits", s._mesh.injFlits(i)),
+            STAT_COUNTER("proc.ops_issued", s._procs[i]->opsIssued()),
+        };
         for (int op = 0; op < NUM_ATOMIC_OPS; ++op)
-            _registry.addLatency(
-                p + "proto.ops." + toString(static_cast<AtomicOp>(op)),
-                &st.op_latency[op]);
-
-        const CacheStats &cs = _ctrls[i]->cache().stats();
-        _registry.addCounter(p + "cache.hits", &cs.hits);
-        _registry.addCounter(p + "cache.misses", &cs.misses);
-        _registry.addCounter(p + "cache.evictions", &cs.evictions);
-        _registry.addCounter(p + "cache.invalidations_received",
-                             &cs.invalidations_received);
-
-        const MemModule &mm = _mems[i];
-        _registry.addCounter(p + "mem.accesses",
-                             [&mm] { return mm.accesses(); });
-        _registry.addCounter(p + "mem.queue_cycles",
-                             [&mm] { return mm.queueCycles(); });
-        _registry.addCounter(p + "mem.busy_cycles",
-                             [&mm] { return mm.busyCycles(); });
-        _registry.addHistogram(p + "mem.queue_wait", &mm.queueWait());
-
-        _registry.addCounter(p + "dir.transitions",
-                             &_dirs[i].transitions());
-
-        _registry.addCounter(p + "net.inj_msgs", &_mesh.injMsgs(i));
-        _registry.addCounter(p + "net.ej_msgs", &_mesh.ejMsgs(i));
-        _registry.addCounter(p + "net.inj_flits", &_mesh.injFlits(i));
-
-        const Proc &pr = *_procs[i];
-        _registry.addCounter(p + "proc.ops_issued",
-                             [&pr] { return pr.opsIssued(); });
-    }
+            node.push_back(withArg(
+                STAT_LAT(std::string("proto.ops.") +
+                             toString(static_cast<AtomicOp>(op)),
+                         s._node_stats[i].op_latency[a]),
+                op));
+        return StatSchema(std::move(global), std::move(node));
+    }();
+    return schema;
 }
+
+#undef STAT_GATE
+#undef STAT_LAT
+#undef STAT_HIST
+#undef STAT_COUNTER
+#undef STAT_READER
 
 void
 System::scheduleSpuriousInvalidation()

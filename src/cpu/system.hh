@@ -327,8 +327,8 @@ class System
     /** Periodic watchdog age scan (WatchdogConfig::max_txn_age). */
     void scheduleWatchdogScan();
 
-    /** Populate the stats registry with per-node and global entries. */
-    void buildRegistry();
+    /** The stats tree every System renders: global and per-node rows. */
+    static const StatSchema &statsSchema();
 
     /** Register the machine-wide telemetry series (telemetry on only). */
     void registerTelemetrySeries();

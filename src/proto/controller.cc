@@ -127,7 +127,7 @@ Controller::hooks()
 // ===================== Outcome commit ====================================
 
 void
-Controller::commit(tf::Outcome o)
+Controller::commit(const tf::Outcome &o)
 {
     for (const tf::MemWrite &mw : o.mem_writes) {
         if (mw.is_block)
@@ -212,7 +212,7 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
             tf::detail::emitTraceLine(evict, v.base, v.state,
                                       LineState::INVALID);
             tf::detail::evictVictim(env(), _st, evict, v);
-            commit(std::move(evict));
+            commit(evict);
         }
     }
     _done = std::move(done);
@@ -556,7 +556,7 @@ Controller::homeServiceSlot(Tick when)
         lead.msg.seq != 0) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, lead.msg, o);
-        commit(std::move(o));
+        commit(o);
         if (handled) {
             homePump();
             return;
@@ -603,7 +603,7 @@ Controller::homeServiceSlot(Tick when)
                 if (!_st.dedup.empty() && f.msg.seq != 0) {
                     tf::Outcome o;
                     bool handled = tf::tryDedup(env(), _st, f.msg, o);
-                    commit(std::move(o));
+                    commit(o);
                     if (handled)
                         continue;
                 }
@@ -643,7 +643,7 @@ Controller::homeService(const Msg &m)
     if (!_st.dedup.empty() && recoverableRequest(m.type) && m.seq != 0) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, m, o);
-        commit(std::move(o));
+        commit(o);
         if (handled)
             return;
     }

@@ -142,7 +142,7 @@ class Controller : private tf::StepCtx
      * RETRY, and ARM_TIMER are driver-owned (scheduling, RNG, the
      * completion callback).
      */
-    void commit(tf::Outcome o);
+    void commit(const tf::Outcome &o);
 
     /** Complete the active transaction now (COMPLETE effect body). */
     void finishNow(Word value, bool success, Word serial);

@@ -42,6 +42,7 @@
 #include "mem/directory.hh"
 #include "net/msg.hh"
 #include "sim/config.hh"
+#include "sim/inline_vec.hh"
 #include "sim/types.hh"
 
 namespace dsm {
@@ -271,13 +272,20 @@ struct MemWrite
  * Everything one transition wants done to the world, as data. The
  * driver commits mem_writes, then dir_writes, then the stat delta,
  * then walks effects in order.
+ *
+ * The inline capacities cover nearly every transition, so building an
+ * outcome allocates nothing: at most one directory write per
+ * transition, more than one memory write only in a combined serve
+ * batch, and more than four effects only for invalidation or update
+ * fan-outs to several sharers (0.04-1.9% of outcomes on the benchmark
+ * workloads; see EXPERIMENTS.md "Simulator performance").
  */
 struct Outcome
 {
-    std::vector<MemWrite> mem_writes;
-    std::vector<DirWrite> dir_writes;
+    InlineVec<MemWrite, 1> mem_writes;
+    InlineVec<DirWrite, 1> dir_writes;
     StatDelta stats;
-    std::vector<Effect> effects;
+    InlineVec<Effect, 4> effects;
 };
 
 /** A processor operation to issue (driver-owned context pre-resolved). */

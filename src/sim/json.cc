@@ -1,6 +1,8 @@
 #include "sim/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -8,11 +10,19 @@
 
 namespace dsm {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+/** Append @p s to @p out with JSON string escaping. */
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
+    auto plain = [](char c) {
+        return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+    };
+    if (std::all_of(s.begin(), s.end(), plain)) {
+        out.append(s);
+        return;
+    }
     for (char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -27,6 +37,27 @@ jsonEscape(const std::string &s)
                 out += c;
         }
     }
+}
+
+/** Append the decimal or "%.10g" rendering of @p v to @p out. */
+template <typename... Fmt>
+void
+appendNumber(std::string &out, auto v, Fmt... fmt)
+{
+    char buf[32];
+    std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v, fmt...);
+    dsm_assert(r.ec == std::errc(), "number does not fit its buffer");
+    out.append(buf, r.ptr);
+}
+
+} // anonymous namespace
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
 }
 
@@ -78,12 +109,13 @@ JsonWriter::endArray()
 }
 
 void
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
-    dsm_assert(!_have_key, "two keys in a row: %s", k.c_str());
+    dsm_assert(!_have_key, "two keys in a row: %.*s",
+               static_cast<int>(k.size()), k.data());
     element();
     _out += '"';
-    _out += jsonEscape(k);
+    appendEscaped(_out, k);
     _out += "\":";
     _have_key = true;
 }
@@ -93,7 +125,7 @@ JsonWriter::value(const std::string &s)
 {
     element();
     _out += '"';
-    _out += jsonEscape(s);
+    appendEscaped(_out, s);
     _out += '"';
 }
 
@@ -110,22 +142,21 @@ JsonWriter::value(double d)
     // JSON has no NaN/Inf; clamp to null-like zero.
     if (!std::isfinite(d))
         d = 0.0;
-    std::string t = csprintf("%.10g", d);
-    _out += t;
+    appendNumber(_out, d, std::chars_format::general, 10);
 }
 
 void
 JsonWriter::value(std::uint64_t v)
 {
     element();
-    _out += csprintf("%llu", static_cast<unsigned long long>(v));
+    appendNumber(_out, v);
 }
 
 void
 JsonWriter::value(std::int64_t v)
 {
     element();
-    _out += csprintf("%lld", static_cast<long long>(v));
+    appendNumber(_out, v);
 }
 
 void

@@ -12,18 +12,22 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace dsm {
 
 /** Escape a string for inclusion inside JSON double quotes. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /**
  * Streaming JSON writer. Call begin/end/key/value in document order;
  * separators and quoting are handled here. Misuse (a value where a key
- * is required) is a programming error and asserts.
+ * is required) is a programming error and asserts. Numbers print with
+ * std::to_chars: integers in decimal, doubles as printf's "%.10g"
+ * would, and keys and strings are escaped straight into the document,
+ * so rendering allocates nothing beyond the document itself.
  */
 class JsonWriter
 {
@@ -34,7 +38,7 @@ class JsonWriter
     void endArray();
 
     /** Object member key; must be followed by exactly one value. */
-    void key(const std::string &k);
+    void key(std::string_view k);
 
     void value(const std::string &s);
     void value(const char *s);
@@ -51,7 +55,7 @@ class JsonWriter
     /** key() + value() in one call. */
     template <typename T>
     void
-    kv(const std::string &k, T v)
+    kv(std::string_view k, T v)
     {
         key(k);
         value(v);

@@ -41,10 +41,8 @@ Histogram::fraction(std::uint64_t value) const
 }
 
 std::uint64_t
-Histogram::percentile(double q) const
+Histogram::rank(double q) const
 {
-    if (_samples == 0)
-        return 0;
     // Nearest-rank: the target rank is ceil(q * n), clamped to [1, n],
     // so fractional ranks round up and percentile(1.0) is the maximum.
     std::uint64_t target = static_cast<std::uint64_t>(
@@ -53,6 +51,15 @@ Histogram::percentile(double q) const
         target = 1;
     if (target > _samples)
         target = _samples;
+    return target;
+}
+
+std::uint64_t
+Histogram::percentile(double q) const
+{
+    if (_samples == 0)
+        return 0;
+    std::uint64_t target = rank(q);
     std::uint64_t seen = 0;
     for (std::uint64_t v = 0; v < _buckets.size(); ++v) {
         seen += _buckets[v];
@@ -60,6 +67,25 @@ Histogram::percentile(double q) const
             return v;
     }
     return _max;
+}
+
+Histogram::Percentiles
+Histogram::percentiles() const
+{
+    if (_samples == 0)
+        return {};
+    // Ranks grow with q, so one cumulative walk meets them in order.
+    const std::uint64_t target[] = {rank(0.50), rank(0.95), rank(0.99),
+                                    rank(0.999)};
+    std::uint64_t at[] = {_max, _max, _max, _max};
+    std::size_t k = 0;
+    std::uint64_t seen = 0;
+    for (std::uint64_t v = 0; v < _buckets.size() && k < 4; ++v) {
+        seen += _buckets[v];
+        while (k < 4 && seen >= target[k])
+            at[k++] = v;
+    }
+    return {at[0], at[1], at[2], at[3]};
 }
 
 void

@@ -48,6 +48,19 @@ class Histogram
     std::uint64_t p999() const { return percentile(0.999); }
     /** @} */
 
+    /** The four standard report percentiles together. */
+    struct Percentiles
+    {
+        std::uint64_t p50 = 0;
+        std::uint64_t p95 = 0;
+        std::uint64_t p99 = 0;
+        std::uint64_t p999 = 0;
+    };
+
+    /** p50/p95/p99/p999 in one walk over the buckets; each field
+     *  equals the matching percentile(q). */
+    Percentiles percentiles() const;
+
     /** Fold another histogram's samples into this one. */
     void merge(const Histogram &other);
 
@@ -61,6 +74,9 @@ class Histogram
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
 
   private:
+    /** Nearest-rank target of quantile @p q: ceil(q * n) in [1, n]. */
+    std::uint64_t rank(double q) const;
+
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _samples = 0;
     std::uint64_t _sum = 0;

@@ -1,6 +1,9 @@
 #include "stats/registry.hh"
 
-#include <vector>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <string_view>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -8,6 +11,12 @@
 namespace dsm {
 
 namespace {
+
+/** Key prefix of the per-node block. */
+constexpr std::string_view NODE = "node";
+
+/** Deepest path a row may have, in segments. */
+constexpr std::size_t MAX_SEGMENTS = 8;
 
 std::vector<std::string>
 splitPath(const std::string &path)
@@ -25,56 +34,194 @@ splitPath(const std::string &path)
     }
 }
 
+/**
+ * Writes rows in path order as nested objects: consecutive rows that
+ * share leading segments share the objects those segments open.
+ */
+class TreeWriter
+{
+  public:
+    explicit TreeWriter(JsonWriter &w) : _w(w) {}
+
+    /** Open the objects above the row at @p parts and write its key. */
+    void
+    key(const std::vector<std::string> &parts)
+    {
+        std::size_t common = 0;
+        while (common < _depth && common + 1 < parts.size() &&
+               *_open[common] == parts[common])
+            ++common;
+        close(common);
+        for (; _depth + 1 < parts.size(); ++_depth) {
+            _w.key(parts[_depth]);
+            _w.beginObject();
+            _open[_depth] = &parts[_depth];
+        }
+        _w.key(parts.back());
+    }
+
+    /** Close open objects down to @p depth. */
+    void
+    close(std::size_t depth = 0)
+    {
+        for (; _depth > depth; --_depth)
+            _w.endObject();
+    }
+
+  private:
+    JsonWriter &_w;
+    std::array<const std::string *, MAX_SEGMENTS> _open{};
+    std::size_t _depth = 0;
+};
+
+void
+writeValue(JsonWriter &w, const StatRow &r, const void *obj, int node)
+{
+    if (r.hist) {
+        const Histogram &h = *r.hist(obj, node, r.arg);
+        Histogram::Percentiles p = h.percentiles();
+        w.beginObject();
+        w.kv("samples", h.samples());
+        w.kv("mean", h.mean());
+        w.kv("max", h.max());
+        w.kv("p50", p.p50);
+        w.kv("p95", p.p95);
+        w.kv("p99", p.p99);
+        w.kv("p999", p.p999);
+        w.endObject();
+    } else if (r.lat) {
+        const LatencyStat &l = *r.lat(obj, node, r.arg);
+        Histogram::Percentiles p = l.percentiles();
+        w.beginObject();
+        w.kv("count", l.count);
+        w.kv("mean", l.mean());
+        w.kv("max", static_cast<std::uint64_t>(l.max));
+        w.kv("p50", p.p50);
+        w.kv("p95", p.p95);
+        w.kv("p99", p.p99);
+        w.kv("p999", p.p999);
+        w.endObject();
+    } else {
+        w.value(r.counter(obj, node, r.arg));
+    }
+}
+
+void
+addToSnapshot(StatsRegistry::Snapshot &snap, const std::string &path,
+              const StatRow &r, const void *obj, int node)
+{
+    if (r.hist) {
+        const Histogram &h = *r.hist(obj, node, r.arg);
+        snap[path + ".samples"] = h.samples();
+        snap[path + ".sum"] = h.sum();
+    } else if (r.lat) {
+        const LatencyStat &l = *r.lat(obj, node, r.arg);
+        snap[path + ".count"] = l.count;
+        snap[path + ".sum"] = l.sum;
+    } else {
+        snap[path] = r.counter(obj, node, r.arg);
+    }
+}
+
+/**
+ * Call @p f on every node index in [0, @p n) in the order of their
+ * decimal strings: 0, 1, 10, 11, ..., 19, 2, 20, ...
+ */
+template <typename F>
+void
+forEachInDecimalOrder(int n, F f)
+{
+    if (n <= 0)
+        return;
+    f(0);
+    // The rest is a preorder walk of the decimal digit trie over
+    // [1, n - 1]: descend a digit while that stays in range, otherwise
+    // step to the next sibling, climbing past exhausted subtrees.
+    int last = n - 1;
+    int cur = 1;
+    for (int k = 1; k < n; ++k) {
+        f(cur);
+        if (cur * 10 <= last) {
+            cur *= 10;
+        } else {
+            if (cur >= last)
+                cur /= 10;
+            ++cur;
+            while (cur % 10 == 0)
+                cur /= 10;
+        }
+    }
+}
+
 } // anonymous namespace
 
-void
-StatsRegistry::addCounter(const std::string &path, Getter getter)
+StatSchema::Table
+StatSchema::sorted(std::vector<StatRow> rows)
 {
-    dsm_assert(!_entries.count(path), "duplicate stat path %s", path.c_str());
-    Entry e;
-    e.getter = std::move(getter);
-    _entries.emplace(path, std::move(e));
+    std::sort(rows.begin(), rows.end(),
+              [](const StatRow &a, const StatRow &b) {
+                  return a.path < b.path;
+              });
+    Table t;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const StatRow &r = rows[i];
+        dsm_assert(i == 0 || rows[i - 1].path != r.path,
+                   "duplicate stat path %s", r.path.c_str());
+        int readers = (r.counter != nullptr) + (r.hist != nullptr) +
+                      (r.lat != nullptr);
+        dsm_assert(readers == 1, "stat %s needs exactly one reader",
+                   r.path.c_str());
+        t.parts.push_back(splitPath(r.path));
+        dsm_assert(t.parts.back().size() <= MAX_SEGMENTS,
+                   "stat path %s is too deep", r.path.c_str());
+    }
+    t.rows = std::move(rows);
+    return t;
 }
 
-void
-StatsRegistry::addCounter(const std::string &path,
-                          const std::uint64_t *counter)
+StatSchema::StatSchema(std::vector<StatRow> global,
+                       std::vector<StatRow> per_node)
+    : _global(sorted(std::move(global))), _node(sorted(std::move(per_node)))
 {
-    addCounter(path, [counter] { return *counter; });
+    // The node block renders at a single position only if no global
+    // path shares its "node" prefix.
+    for (const StatRow &r : _global.rows)
+        dsm_assert(r.path.compare(0, NODE.size(), NODE) != 0,
+                   "global stat %s collides with the per-node block",
+                   r.path.c_str());
+    _node_pos = static_cast<std::size_t>(
+        std::partition_point(_global.rows.begin(), _global.rows.end(),
+                             [](const StatRow &r) { return r.path < NODE; }) -
+        _global.rows.begin());
 }
 
-void
-StatsRegistry::addHistogram(const std::string &path, const Histogram *hist)
+StatsRegistry::StatsRegistry(const StatSchema &schema, const void *obj,
+                             int nodes)
+    : _schema(&schema), _obj(obj), _nodes(nodes)
 {
-    dsm_assert(!_entries.count(path), "duplicate stat path %s", path.c_str());
-    Entry e;
-    e.hist = hist;
-    _entries.emplace(path, std::move(e));
 }
 
-void
-StatsRegistry::addLatency(const std::string &path, const LatencyStat *lat)
+std::size_t
+StatsRegistry::size() const
 {
-    dsm_assert(!_entries.count(path), "duplicate stat path %s", path.c_str());
-    Entry e;
-    e.lat = lat;
-    _entries.emplace(path, std::move(e));
+    std::size_t n = static_cast<std::size_t>(_nodes) *
+                    _schema->_node.rows.size();
+    for (const StatRow &r : _schema->_global.rows)
+        n += on(r);
+    return n;
 }
 
 StatsRegistry::Snapshot
 StatsRegistry::snapshot() const
 {
     Snapshot snap;
-    for (const auto &[path, e] : _entries) {
-        if (e.hist) {
-            snap[path + ".samples"] = e.hist->samples();
-            snap[path + ".sum"] = e.hist->sum();
-        } else if (e.lat) {
-            snap[path + ".count"] = e.lat->count;
-            snap[path + ".sum"] = e.lat->sum;
-        } else {
-            snap[path] = e.getter();
-        }
+    for (const StatRow &r : _schema->_global.rows)
+        if (on(r))
+            addToSnapshot(snap, r.path, r, _obj, 0);
+    for (int n = 0; n < _nodes; ++n) {
+        std::string prefix = std::string(NODE) + std::to_string(n) + ".";
+        for (const StatRow &r : _schema->_node.rows)
+            addToSnapshot(snap, prefix + r.path, r, _obj, n);
     }
     return snap;
 }
@@ -94,57 +241,40 @@ StatsRegistry::diff(const Snapshot &after, const Snapshot &before)
 void
 StatsRegistry::writeJson(JsonWriter &w) const
 {
-    // Sorted iteration keeps prefix groups contiguous, so the tree can
-    // be rendered with a single open-segment stack.
-    std::vector<std::string> open;
+    const StatSchema::Table &global = _schema->_global;
+    const StatSchema::Table &node = _schema->_node;
+    TreeWriter tree(w);
+    auto writeGlobal = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            if (!on(global.rows[i]))
+                continue;
+            tree.key(global.parts[i]);
+            writeValue(w, global.rows[i], _obj, 0);
+        }
+    };
+
     w.beginObject();
-    for (const auto &[path, e] : _entries) {
-        std::vector<std::string> parts = splitPath(path);
-        dsm_assert(!parts.empty(), "empty stat path");
-
-        std::size_t common = 0;
-        while (common < open.size() && common + 1 < parts.size() &&
-               open[common] == parts[common])
-            ++common;
-        while (open.size() > common) {
-            w.endObject();
-            open.pop_back();
-        }
-        while (open.size() + 1 < parts.size()) {
-            w.key(parts[open.size()]);
+    writeGlobal(0, _schema->_node_pos);
+    tree.close();
+    if (!node.rows.empty()) {
+        forEachInDecimalOrder(_nodes, [&](int n) {
+            char key[16];
+            std::copy(NODE.begin(), NODE.end(), key);
+            char *end =
+                std::to_chars(key + NODE.size(), key + sizeof key, n).ptr;
+            w.key(std::string_view(key, end - key));
             w.beginObject();
-            open.push_back(parts[open.size()]);
-        }
-
-        w.key(parts.back());
-        if (e.hist) {
-            w.beginObject();
-            w.kv("samples", e.hist->samples());
-            w.kv("mean", e.hist->mean());
-            w.kv("max", e.hist->max());
-            w.kv("p50", e.hist->p50());
-            w.kv("p95", e.hist->p95());
-            w.kv("p99", e.hist->p99());
-            w.kv("p999", e.hist->p999());
+            TreeWriter sub(w);
+            for (std::size_t j = 0; j < node.rows.size(); ++j) {
+                sub.key(node.parts[j]);
+                writeValue(w, node.rows[j], _obj, n);
+            }
+            sub.close();
             w.endObject();
-        } else if (e.lat) {
-            w.beginObject();
-            w.kv("count", e.lat->count);
-            w.kv("mean", e.lat->mean());
-            w.kv("max", static_cast<std::uint64_t>(e.lat->max));
-            w.kv("p50", static_cast<std::uint64_t>(e.lat->p50()));
-            w.kv("p95", static_cast<std::uint64_t>(e.lat->p95()));
-            w.kv("p99", static_cast<std::uint64_t>(e.lat->p99()));
-            w.kv("p999", static_cast<std::uint64_t>(e.lat->p999()));
-            w.endObject();
-        } else {
-            w.value(e.getter());
-        }
+        });
     }
-    while (!open.empty()) {
-        w.endObject();
-        open.pop_back();
-    }
+    writeGlobal(_schema->_node_pos, global.rows.size());
+    tree.close();
     w.endObject();
 }
 

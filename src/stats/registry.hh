@@ -1,22 +1,24 @@
 /**
  * @file
- * Hierarchical statistics registry.
+ * Hierarchical statistics registry over a declared schema.
  *
- * Components register named counters and histograms under dotted paths
- * ("node3.cache.hits", "net.flits"). The registry does not own any
- * storage: counters are either getter callbacks or pointers into the
- * component's own counters, so registration costs nothing on the hot
- * path. Consumers take scalar snapshots (for warmup-vs-measurement
- * diffs) or render the whole tree as nested JSON.
+ * A StatSchema is a fixed table of rows: dotted paths ("net.flits",
+ * "cache.hits") with captureless readers, plus an optional per-node
+ * table rendered once under "node<i>" for every node. A schema is
+ * built once per process, with each path split into its segments then;
+ * a StatsRegistry only binds it to the object its readers take and to a
+ * node count, so binding costs nothing and rows read the components'
+ * own counters when rendered. Consumers take scalar snapshots (for
+ * warmup-vs-measurement diffs) or render the whole tree as nested JSON.
  */
 
 #ifndef DSM_STATS_REGISTRY_HH
 #define DSM_STATS_REGISTRY_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "stats/histogram.hh"
 #include "stats/stat_set.hh"
@@ -25,28 +27,77 @@ namespace dsm {
 
 class JsonWriter;
 
+/**
+ * One declared statistic. Readers take the bound object, the node
+ * index (per-node rows; 0 for global rows) and the row's own @c arg.
+ */
+struct StatRow
+{
+    using CounterFn = std::uint64_t (*)(const void *obj, int node, int arg);
+    using HistogramFn = const Histogram *(*)(const void *obj, int node,
+                                             int arg);
+    using LatencyFn = const LatencyStat *(*)(const void *obj, int node,
+                                             int arg);
+    using GateFn = bool (*)(const void *obj);
+
+    std::string path;
+    // Exactly one reader is set.
+    CounterFn counter = nullptr;
+    HistogramFn hist = nullptr;
+    LatencyFn lat = nullptr;
+    /** Passed to the reader, e.g. the AtomicOp of a per-op row. */
+    int arg = 0;
+    /** Global rows only: the row exists while this holds (null = always). */
+    GateFn gate = nullptr;
+};
+
+/**
+ * An immutable statistics tree: global rows, plus a per-node table
+ * that renders as "node<i>.<path>" for each node. Both tables are
+ * sorted by path once, so rendering visits rows in full-path order:
+ * the per-node block sits where "node" sorts among the global paths,
+ * and nodes follow in decimal-string order (node0, node1, node10, ...)
+ * because '.' sorts before every digit.
+ */
+class StatSchema
+{
+  public:
+    StatSchema(std::vector<StatRow> global,
+               std::vector<StatRow> per_node = {});
+
+  private:
+    friend class StatsRegistry;
+
+    struct Table
+    {
+        std::vector<StatRow> rows;
+        /** rows[i].path split at its dots. */
+        std::vector<std::vector<std::string>> parts;
+    };
+
+    static Table sorted(std::vector<StatRow> rows);
+
+    Table _global;
+    Table _node;
+    /** Index of the first global row that sorts after the node block. */
+    std::size_t _node_pos = 0;
+};
+
+/** A StatSchema bound to the object its rows read. */
 class StatsRegistry
 {
   public:
-    using Getter = std::function<std::uint64_t()>;
-
     /** Scalar view of the registry at one instant: path -> value. */
     using Snapshot = std::map<std::string, std::uint64_t>;
 
-    /** Register a scalar counter computed on demand. */
-    void addCounter(const std::string &path, Getter getter);
-
-    /** Register a scalar counter read through a stable pointer. */
-    void addCounter(const std::string &path, const std::uint64_t *counter);
-
-    /** Register a histogram (rendered as a distribution summary). */
-    void addHistogram(const std::string &path, const Histogram *hist);
-
-    /** Register a latency accumulator (mean + percentiles in JSON). */
-    void addLatency(const std::string &path, const LatencyStat *lat);
+    /**
+     * Bind @p schema (which must outlive the registry) to @p obj, with
+     * @p nodes copies of its per-node table.
+     */
+    StatsRegistry(const StatSchema &schema, const void *obj, int nodes = 0);
 
     /**
-     * Scalar snapshot of every entry. Histograms contribute
+     * Scalar snapshot of every row. Histograms contribute
      * "<path>.samples" and "<path>.sum"; latencies contribute
      * "<path>.count" and "<path>.sum".
      */
@@ -65,21 +116,16 @@ class StatsRegistry
     /** writeJson() into a fresh document. */
     std::string toJson() const;
 
-    /** Number of registered entries. */
-    std::size_t size() const { return _entries.size(); }
+    /** Number of rows present (gated-off rows excluded). */
+    std::size_t size() const;
 
   private:
-    struct Entry
-    {
-        // Exactly one of these is set.
-        Getter getter;
-        const Histogram *hist = nullptr;
-        const LatencyStat *lat = nullptr;
-    };
+    /** True when global row @p r is present. */
+    bool on(const StatRow &r) const { return !r.gate || r.gate(_obj); }
 
-    // std::map keeps paths sorted; '.' < [0-9a-z] so every dotted
-    // prefix group is contiguous, which writeJson() relies on.
-    std::map<std::string, Entry> _entries;
+    const StatSchema *_schema;
+    const void *_obj;
+    int _nodes;
 };
 
 } // namespace dsm

@@ -62,16 +62,33 @@ struct LatencyStat
     Tick
     percentile(double q) const
     {
-        if (count == 0)
-            return 0;
-        Tick edge = ((dist.percentile(q) + 1) << BUCKET_SHIFT) - 1;
-        return edge > max ? max : edge;
+        return count == 0 ? 0 : upperEdge(dist.percentile(q));
     }
 
     Tick p50() const { return percentile(0.50); }
     Tick p95() const { return percentile(0.95); }
     Tick p99() const { return percentile(0.99); }
     Tick p999() const { return percentile(0.999); }
+
+    /** p50/p95/p99/p999 in one walk; each field equals the matching
+     *  percentile(q). */
+    Histogram::Percentiles
+    percentiles() const
+    {
+        if (count == 0)
+            return {};
+        Histogram::Percentiles b = dist.percentiles();
+        return {upperEdge(b.p50), upperEdge(b.p95), upperEdge(b.p99),
+                upperEdge(b.p999)};
+    }
+
+    /** Upper edge of distribution bucket @p b, capped at the max. */
+    Tick
+    upperEdge(std::uint64_t b) const
+    {
+        Tick edge = ((b + 1) << BUCKET_SHIFT) - 1;
+        return edge > max ? max : edge;
+    }
 
     /** Fold another accumulator's samples into this one. */
     void

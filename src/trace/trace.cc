@@ -32,13 +32,12 @@ toString(TraceCat cat)
 void
 Tracer::configure(const TraceConfig &cfg)
 {
-    _ring.assign(cfg.capacity, TraceEvent{});
+    _capacity = cfg.capacity;
+    _ring = {};
     _head = 0;
     _wrapped = false;
     _total = 0;
-    _mask = cfg.enabled && cfg.capacity > 0
-                ? (cfg.categories & TRACE_ALL)
-                : 0;
+    setMask(cfg.enabled && cfg.capacity > 0 ? cfg.categories : 0);
 }
 
 void
@@ -46,9 +45,12 @@ Tracer::setMask(std::uint32_t mask)
 {
     mask &= TRACE_ALL;
     if (mask != 0 && _ring.empty()) {
-        // Enabled without a prior configure(): give the ring a default
-        // size so record() has somewhere to write.
-        _ring.assign(TraceConfig{}.capacity, TraceEvent{});
+        // First enable: size the ring as configured, or give a tracer
+        // never configured the default size, so record() has somewhere
+        // to write.
+        if (_capacity == 0)
+            _capacity = TraceConfig{}.capacity;
+        _ring.assign(_capacity, TraceEvent{});
         _head = 0;
         _wrapped = false;
     }

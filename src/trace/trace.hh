@@ -90,7 +90,11 @@ struct TraceEvent
 class Tracer
 {
   public:
-    /** Apply a TraceConfig: sets the mask and (re)sizes the ring. */
+    /**
+     * Apply a TraceConfig: sets the mask and records the ring capacity.
+     * The ring itself is allocated when the mask first becomes non-zero,
+     * here or through setMask(), so a disabled tracer holds no storage.
+     */
     void configure(const TraceConfig &cfg);
 
     /** True if any category is enabled. */
@@ -106,7 +110,11 @@ class Tracer
     /** Current category mask. */
     std::uint32_t mask() const { return _mask; }
 
-    /** Enable exactly the categories in @p mask (ring must exist). */
+    /**
+     * Enable exactly the categories in @p mask, allocating the ring at
+     * the configured capacity (the TraceConfig default if never
+     * configured) when it does not exist yet.
+     */
     void setMask(std::uint32_t mask);
 
     /** Append a record, overwriting the oldest once the ring is full. */
@@ -116,7 +124,10 @@ class Tracer
     std::uint32_t nextFlowId() { return ++_next_flow; }
 
     /** Ring capacity in records. */
-    std::size_t capacity() const { return _ring.size(); }
+    std::size_t capacity() const { return _capacity; }
+
+    /** Records the ring holds storage for: 0 until tracing turns on. */
+    std::size_t allocated() const { return _ring.size(); }
 
     /** Records currently retained (<= capacity). */
     std::size_t size() const;
@@ -152,6 +163,7 @@ class Tracer
 
   private:
     std::uint32_t _mask = 0;
+    std::size_t _capacity = 0;
     std::vector<TraceEvent> _ring;
     std::size_t _head = 0;      ///< next write position
     bool _wrapped = false;      ///< ring has overwritten old records

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "stats/histogram.hh"
+#include "stats/stat_set.hh"
 
 using namespace dsm;
 
@@ -106,4 +110,82 @@ TEST(Histogram, SummaryMentionsCountAndMean)
     std::string s = h.summary();
     EXPECT_NE(s.find("n=1"), std::string::npos);
     EXPECT_NE(s.find("mean=4.00"), std::string::npos);
+}
+
+namespace {
+
+constexpr double REPORT_QS[] = {0.50, 0.95, 0.99, 0.999};
+
+/** percentiles(), as {p50, p95, p99, p999}. */
+template <typename Stat>
+std::vector<std::uint64_t>
+oneWalk(const Stat &s)
+{
+    Histogram::Percentiles p = s.percentiles();
+    return {p.p50, p.p95, p.p99, p.p999};
+}
+
+/** percentile(q) for each report quantile, one walk each. */
+template <typename Stat>
+std::vector<std::uint64_t>
+perQuantile(const Stat &s)
+{
+    std::vector<std::uint64_t> v;
+    for (double q : REPORT_QS)
+        v.push_back(s.percentile(q));
+    return v;
+}
+
+} // namespace
+
+TEST(Histogram, OneWalkPercentilesMatchPercentile)
+{
+    Histogram empty;
+    EXPECT_EQ(oneWalk(empty), perQuantile(empty));
+
+    Histogram single;
+    single.add(7);
+    EXPECT_EQ(oneWalk(single), perQuantile(single));
+
+    // n = 1000: the p999 target rank is exactly 999.
+    Histogram thousand;
+    for (std::uint64_t v = 1; v <= 1000; ++v)
+        thousand.add(v);
+    EXPECT_EQ(oneWalk(thousand), perQuantile(thousand));
+    EXPECT_EQ(thousand.percentiles().p999, 999u);
+
+    std::mt19937_64 rng(17);
+    for (int trial = 0; trial < 200; ++trial) {
+        Histogram h;
+        int samples = 1 + static_cast<int>(rng() % 3000);
+        std::uint64_t span = 1 + rng() % 500;
+        for (int i = 0; i < samples; ++i)
+            h.add(rng() % span, 1 + rng() % 3);
+        EXPECT_EQ(oneWalk(h), perQuantile(h)) << "trial " << trial;
+    }
+}
+
+TEST(Histogram, LatencyOneWalkPercentilesMatchPercentile)
+{
+    LatencyStat empty;
+    EXPECT_EQ(oneWalk(empty), perQuantile(empty));
+
+    LatencyStat single;
+    single.sample(42);
+    EXPECT_EQ(oneWalk(single), perQuantile(single));
+
+    LatencyStat thousand;
+    for (Tick t = 1; t <= 1000; ++t)
+        thousand.sample(t);
+    EXPECT_EQ(oneWalk(thousand), perQuantile(thousand));
+
+    std::mt19937_64 rng(23);
+    for (int trial = 0; trial < 200; ++trial) {
+        LatencyStat l;
+        int samples = 1 + static_cast<int>(rng() % 3000);
+        Tick span = 1 + rng() % 5000;
+        for (int i = 0; i < samples; ++i)
+            l.sample(rng() % span);
+        EXPECT_EQ(oneWalk(l), perQuantile(l)) << "trial " << trial;
+    }
 }

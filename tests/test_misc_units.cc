@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
+#include "sim/inline_vec.hh"
 #include "sync/backoff.hh"
 
 using namespace dsmtest;
@@ -88,4 +89,54 @@ TEST(CacheStats, HitMissAccounting)
     const CacheStats &cs = sys.ctrl(0).cache().stats();
     EXPECT_EQ(cs.misses, 1u);
     EXPECT_EQ(cs.hits, 2u);
+}
+
+TEST(InlineVec, PushPastCapacityKeepsOrder)
+{
+    InlineVec<int, 3> v;
+    EXPECT_TRUE(v.empty());
+    for (int n = 1; n <= 10; ++n) {
+        v.push_back(n);
+        EXPECT_EQ(v.size(), static_cast<std::size_t>(n));
+        EXPECT_EQ(v.spilled(), n > 3);
+        int want = 1;
+        for (int x : v)
+            EXPECT_EQ(x, want++);
+        EXPECT_EQ(want, n + 1);
+    }
+}
+
+TEST(InlineVec, CopyAndMoveKeepEveryElement)
+{
+    using Vec = InlineVec<int, 3>;
+    auto expectHolds = [](const Vec &v, int n) {
+        ASSERT_EQ(v.size(), static_cast<std::size_t>(n));
+        int i = 0;
+        for (int x : v)
+            EXPECT_EQ(x, 10 * i++);
+    };
+    for (int n : {0, 2, 3, 4, 9}) {
+        SCOPED_TRACE(n);
+        Vec src;
+        for (int i = 0; i < n; ++i)
+            src.push_back(10 * i);
+
+        Vec copy = src;
+        expectHolds(copy, n);
+        Vec assigned;
+        assigned.push_back(-1);
+        assigned = src;
+        expectHolds(assigned, n);
+
+        // A copy is independent of its source, inline or spilled.
+        copy.push_back(-1);
+        expectHolds(src, n);
+
+        Vec moved = std::move(assigned);
+        expectHolds(moved, n);
+        Vec move_assigned;
+        move_assigned = std::move(moved);
+        expectHolds(move_assigned, n);
+        expectHolds(moved, n);
+    }
 }

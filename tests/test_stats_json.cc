@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the stats registry's snapshot/diff and JSON rendering, the
- * LatencyStat percentiles, and the dsm-bench-v1 BenchReport schema.
+ * Tests for JsonWriter's number and key rendering, the stats registry's
+ * snapshot/diff and JSON rendering, the LatencyStat percentiles, and the
+ * dsm-bench-v1 BenchReport schema.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include "helpers.hh"
 #include "stats/bench_report.hh"
@@ -15,20 +21,107 @@ namespace {
 
 using namespace dsmtest;
 
+/** JsonWriter::value(@p v) as a document of its own. */
+template <typename T>
+std::string
+written(T v)
+{
+    JsonWriter w;
+    w.value(v);
+    return w.str();
+}
+
+/** snprintf(@p fmt, @p v): the rendering JsonWriter must reproduce. */
+template <typename T>
+std::string
+printed(const char *fmt, T v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return buf;
+}
+
+TEST(JsonWriterUnit, NumbersMatchPrintf)
+{
+    for (double d : {0.0, -0.0, 1.0 / 3.0, 1e-5, 12345678901.0, 1e21, 0.5,
+                     -2.75, 1e-300, 4.9e-324, 1.7976931348623157e308,
+                     123456.789, 1e10, 9999999999.5})
+        EXPECT_EQ(written(d), printed("%.10g", d)) << d;
+    // JSON has no NaN or infinities: they clamp to 0.
+    EXPECT_EQ(written(std::nan("")), "0");
+    EXPECT_EQ(written(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(written(-std::numeric_limits<double>::infinity()), "0");
+
+    const std::uint64_t umax = std::numeric_limits<std::uint64_t>::max();
+    const std::int64_t imin = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(written(umax), printed("%llu", (unsigned long long)umax));
+    EXPECT_EQ(written(imin), printed("%lld", (long long)imin));
+    EXPECT_EQ(written(std::uint64_t{0}), "0");
+    EXPECT_EQ(written(-1), "-1");
+    EXPECT_EQ(written(4000000000u), "4000000000");
+
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        if (std::isfinite(d)) {
+            ASSERT_EQ(written(d), printed("%.10g", d)) << bits;
+        }
+        double ratio = static_cast<double>(rng() % 1000000) /
+                       static_cast<double>(1 + rng() % 1000);
+        ASSERT_EQ(written(ratio), printed("%.10g", ratio)) << ratio;
+        std::uint64_t u = rng() >> (rng() % 64);
+        ASSERT_EQ(written(u), printed("%llu", (unsigned long long)u));
+        std::int64_t s = static_cast<std::int64_t>(rng()) >> (rng() % 64);
+        ASSERT_EQ(written(s), printed("%lld", (long long)s));
+    }
+}
+
+TEST(JsonWriterUnit, KeysAreEscaped)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.kv("plain", 1);
+    w.kv(std::string("q\"uote\\\n"), 2);
+    w.endObject();
+    EXPECT_EQ(w.str(), "{\"plain\":1,\"q\\\"uote\\\\\\n\":2}");
+}
+
 TEST(StatsRegistryUnit, SnapshotAndDiff)
 {
-    std::uint64_t raw = 5;
-    Histogram hist;
+    struct Bound
+    {
+        std::uint64_t raw = 5;
+        Histogram hist;
+        LatencyStat lat;
+    } bound;
+    std::uint64_t &raw = bound.raw;
+    Histogram &hist = bound.hist;
+    LatencyStat &lat = bound.lat;
     hist.add(3);
     hist.add(5);
-    LatencyStat lat;
     lat.sample(10);
 
-    StatsRegistry reg;
-    reg.addCounter("a.count", &raw);
-    reg.addCounter("b.derived", [&raw] { return raw * 2; });
-    reg.addHistogram("a.hist", &hist);
-    reg.addLatency("a.lat", &lat);
+    StatSchema schema({
+        {.path = "a.count",
+         .counter = [](const void *obj, int, int) {
+             return static_cast<const Bound *>(obj)->raw;
+         }},
+        {.path = "b.derived",
+         .counter = [](const void *obj, int, int) {
+             return static_cast<const Bound *>(obj)->raw * 2;
+         }},
+        {.path = "a.hist",
+         .hist = [](const void *obj, int, int) {
+             return &static_cast<const Bound *>(obj)->hist;
+         }},
+        {.path = "a.lat",
+         .lat = [](const void *obj, int, int) {
+             return &static_cast<const Bound *>(obj)->lat;
+         }},
+    });
+    StatsRegistry reg(schema, &bound);
     EXPECT_EQ(reg.size(), 4u);
 
     StatsRegistry::Snapshot s0 = reg.snapshot();
@@ -60,12 +153,17 @@ TEST(StatsRegistryUnit, SnapshotAndDiff)
 
 TEST(StatsRegistryUnit, NestedJsonFromDottedPaths)
 {
-    std::uint64_t one = 1, two = 2, three = 3, four = 4;
-    StatsRegistry reg;
-    reg.addCounter("a.b", &one);
-    reg.addCounter("a.c.d", &two);
-    reg.addCounter("a.c.e", &three);
-    reg.addCounter("z", &four);
+    const std::uint64_t values[] = {1, 2, 3, 4};
+    auto nth = [](const void *obj, int, int a) {
+        return static_cast<const std::uint64_t *>(obj)[a];
+    };
+    StatSchema schema({
+        {.path = "a.b", .counter = nth, .arg = 0},
+        {.path = "a.c.d", .counter = nth, .arg = 1},
+        {.path = "a.c.e", .counter = nth, .arg = 2},
+        {.path = "z", .counter = nth, .arg = 3},
+    });
+    StatsRegistry reg(schema, values);
 
     JsonValue root;
     ASSERT_TRUE(parseJsonOrFail(reg.toJson(), &root));
@@ -78,6 +176,51 @@ TEST(StatsRegistryUnit, NestedJsonFromDottedPaths)
     EXPECT_EQ(c->num("d"), 2.0);
     EXPECT_EQ(c->num("e"), 3.0);
     EXPECT_EQ(root.num("z"), 4.0);
+}
+
+TEST(StatsRegistryUnit, RendersInFullPathOrder)
+{
+    // Global rows on both sides of the per-node block, and node counts
+    // with one, two and three digits: members must come out in the
+    // sorted order of their full paths ("node1." < "node10." because
+    // '.' sorts before digits).
+    auto zero = [](const void *, int, int) { return std::uint64_t{0}; };
+    auto perNode = [](const void *, int n, int a) {
+        return static_cast<std::uint64_t>(10 * n + a);
+    };
+    StatSchema schema({{.path = "z", .counter = zero},
+                       {.path = "net.a", .counter = zero},
+                       {.path = "a.b", .counter = zero},
+                       {.path = "openloop.x", .counter = zero}},
+                      {{.path = "p.y", .counter = perNode, .arg = 1},
+                       {.path = "p.x", .counter = perNode, .arg = 0}});
+    for (int nodes : {0, 1, 10, 11, 23, 64, 101}) {
+        SCOPED_TRACE(nodes);
+        StatsRegistry reg(schema, nullptr, nodes);
+        EXPECT_EQ(reg.size(), 4u + 2u * static_cast<std::size_t>(nodes));
+
+        std::vector<std::string> want = {"a", "net", "openloop", "z"};
+        for (int n = 0; n < nodes; ++n)
+            want.push_back("node" + std::to_string(n));
+        std::sort(want.begin(), want.end());
+
+        JsonValue root;
+        ASSERT_TRUE(parseJsonOrFail(reg.toJson(), &root));
+        std::vector<std::string> got;
+        for (const auto &[key, value] : root.object)
+            got.push_back(key);
+        EXPECT_EQ(got, want);
+        for (int n = 0; n < nodes; ++n) {
+            const JsonValue *node = root.find("node" + std::to_string(n));
+            ASSERT_NE(node, nullptr);
+            const JsonValue *p = node->find("p");
+            ASSERT_NE(p, nullptr);
+            ASSERT_EQ(p->object.size(), 2u);
+            EXPECT_EQ(p->object[0].first, "x");
+            EXPECT_EQ(p->num("x"), 10.0 * n);
+            EXPECT_EQ(p->num("y"), 10.0 * n + 1);
+        }
+    }
 }
 
 TEST(LatencyStatUnit, PercentilesBracketTheDistribution)

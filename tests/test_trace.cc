@@ -105,6 +105,27 @@ TEST(TracerUnit, SetMaskProvisionsRingLazily)
     EXPECT_EQ(tr.size(), 1u);
 }
 
+TEST(TracerUnit, SetMaskAllocatesTheConfiguredRing)
+{
+    // Configured disabled: no storage yet, but the capacity is kept for
+    // when setMask() turns tracing on, instead of the default ring.
+    TraceConfig cfg;
+    cfg.capacity = 16;
+    Tracer tr;
+    tr.configure(cfg);
+    EXPECT_FALSE(tr.enabled());
+    EXPECT_EQ(tr.allocated(), 0u);
+    EXPECT_EQ(tr.capacity(), 16u);
+
+    tr.setMask(TRACE_ALL);
+    EXPECT_EQ(tr.allocated(), 16u);
+    for (Tick t = 0; t < 20; ++t)
+        tr.record(mkEvent(t, TraceCat::NACK));
+    EXPECT_EQ(tr.size(), 16u);
+    EXPECT_EQ(tr.dropped(), 4u);
+    EXPECT_EQ(tr.events().front().tick, 4u);
+}
+
 /** A short contended LL/SC counter run with tracing fully enabled. */
 Config
 tracedConfig()
@@ -136,6 +157,14 @@ TEST(TraceSystem, DisabledTracingRecordsNothing)
     runTracedCounter(sys);
     EXPECT_FALSE(sys.tracer().enabled());
     EXPECT_EQ(sys.tracer().totalRecorded(), 0u);
+}
+
+TEST(TraceSystem, TracingOffHoldsNoRing)
+{
+    System off(smallConfig(SyncPolicy::INV, 4));
+    EXPECT_EQ(off.tracer().allocated(), 0u);
+    System on(tracedConfig());
+    EXPECT_EQ(on.tracer().allocated(), on.tracer().capacity());
 }
 
 TEST(TraceSystem, DeterministicOrderAcrossIdenticalRuns)

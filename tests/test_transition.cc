@@ -8,6 +8,7 @@
  *  - stat-shape stability: the statsJson of a fixed Table 1-style
  *    counter run is byte-identical to the committed baseline, pinning
  *    the refactored driver's counters to the event-driven engine's.
+ *    A second baseline pins a run with every optional stats group on.
  *    Regenerate with DSM_REGEN_BASELINES=1 after an *intended* stats
  *    change.
  */
@@ -20,8 +21,10 @@
 #include <string>
 
 #include "cpu/system.hh"
+#include "helpers.hh"
 #include "proto/transition.hh"
 #include "sync/lockfree_counter.hh"
+#include "workloads/openloop.hh"
 
 using namespace dsm;
 
@@ -173,6 +176,39 @@ TEST(Transition, IssueIsDeterministic)
     EXPECT_EQ(tf::debugString(oa), tf::debugString(ob));
 }
 
+TEST(Transition, FanOutPastInlineCapacityCommitsInOrder)
+{
+    // Fifteen sharers of one line, then a store by one of them: the
+    // home's outcome carries an INV send for each of the other fourteen
+    // (plus profiler records), far past the inline effect capacity, and
+    // the controller must put every one on the mesh in outcome order.
+    Config cfg = dsmtest::smallConfig(SyncPolicy::INV, 16);
+    cfg.trace.enabled = true;
+    cfg.trace.categories = traceBit(TraceCat::MSG_SEND);
+    System sys(cfg);
+    Addr a = sys.allocAt(0, BLOCK_BYTES);
+    for (NodeId n = 1; n < 16; ++n)
+        dsmtest::runOp(sys, n, AtomicOp::LOAD, a);
+    sys.tracer().clear();
+    dsmtest::runOp(sys, 15, AtomicOp::STORE, a, 99);
+
+    std::vector<NodeId> invalidated;
+    for (const TraceEvent &ev : sys.tracer().events())
+        if (ev.op == static_cast<std::uint8_t>(MsgType::INV)) {
+            EXPECT_EQ(ev.node, 0) << "INV not sent by the home";
+            invalidated.push_back(ev.peer);
+        }
+    std::vector<NodeId> want;
+    for (NodeId n = 1; n < 15; ++n)
+        want.push_back(n);
+    EXPECT_EQ(invalidated, want);
+    EXPECT_EQ(sys.debugRead(a), 99u);
+    for (NodeId n = 1; n < 15; ++n)
+        EXPECT_EQ(sys.ctrl(n).cache().stateOf(a), LineState::INVALID)
+            << "node " << n;
+    dsmtest::expectCoherent(sys);
+}
+
 namespace {
 
 Task
@@ -198,14 +234,51 @@ baselineRunJson()
     return sys.statsJson();
 }
 
-} // namespace
-
-TEST(Transition, StatsJsonMatchesCommittedBaseline)
+/**
+ * A p=16 open-loop serving run with every optional stats group on:
+ * serve "1", the chaos_sweep "moderate" faults with loss recovery, the
+ * watchdog, transaction tracing, telemetry, and an event-trace ring
+ * small enough to wrap.
+ */
+std::string
+allGroupsRunJson()
 {
-    const std::string path =
-        std::string(DSM_TEST_BASELINE_DIR) + "/statsjson_table1.json";
-    std::string json = baselineRunJson();
+    Config cfg;
+    cfg.machine.num_procs = 16;
+    cfg.machine.mesh_x = 4;
+    cfg.machine.mesh_y = 4;
+    cfg.sync.policy = SyncPolicy::UNC;
+    EXPECT_EQ(cfg.openloop.parse("rate=0.004,ops_per_proc=128,"
+                                 "slo_cycles=2000"),
+              "");
+    EXPECT_EQ(cfg.serve.parse("1"), "");
+    EXPECT_EQ(cfg.faults.parse(
+                  "jitter_prob=0.002,jitter_max=16,drop_prob=0.0005,"
+                  "reorder_prob=0.001,reorder_max=32,dup_prob=0.001,"
+                  "dup_delay=64,corrupt_prob=0.0005,req_timeout=2000"),
+              "");
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.max_retries = 100000;
+    cfg.watchdog.max_txn_age = 5'000'000;
+    cfg.watchdog.scan_period = 50'000;
+    cfg.txn_trace.enabled = true;
+    cfg.telemetry.enabled = true;
+    cfg.trace.enabled = true;
+    cfg.trace.categories = TRACE_ALL;
+    cfg.trace.capacity = 64;
+    System sys(cfg);
+    OpenLoopResult r = runOpenLoop(sys, Primitive::FAP);
+    EXPECT_TRUE(r.completed_run);
+    EXPECT_TRUE(r.correct);
+    return sys.statsJson();
+}
 
+/** Compare @p json with tests/baselines/@p name, or rewrite it under
+ *  DSM_REGEN_BASELINES. */
+void
+expectMatchesBaseline(const std::string &name, const std::string &json)
+{
+    const std::string path = std::string(DSM_TEST_BASELINE_DIR) + "/" + name;
     if (std::getenv("DSM_REGEN_BASELINES") != nullptr) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -222,4 +295,22 @@ TEST(Transition, StatsJsonMatchesCommittedBaseline)
     EXPECT_EQ(json, buf.str())
         << "statsJson drifted from the committed baseline; if the "
            "change is intended, regenerate with DSM_REGEN_BASELINES=1";
+}
+
+} // namespace
+
+TEST(Transition, StatsJsonMatchesCommittedBaseline)
+{
+    expectMatchesBaseline("statsjson_table1.json", baselineRunJson());
+}
+
+TEST(Transition, AllGroupsStatsJsonMatchesCommittedBaseline)
+{
+    std::string json = allGroupsRunJson();
+    // Anti-vacuous: every optional group is present in the document.
+    for (const char *group : {"\"fault\":", "\"recovery\":", "\"txn\":",
+                              "\"openloop\":", "\"serve\":",
+                              "\"timeseries\":", "\"trace\":"})
+        EXPECT_NE(json.find(group), std::string::npos) << group;
+    expectMatchesBaseline("statsjson_all_groups.json", json);
 }
