@@ -5,10 +5,9 @@
 #        [--timeseries BENCH] [--openloop[=SPEC]] [build-dir] [output-dir]
 #
 # Each binary prints its usual text tables and writes BENCH_<name>.json
-# (schema dsm-bench-v1; simcore_microbench writes google-benchmark's
-# JSON) into the output directory. The output directory defaults to
-# $DSM_BENCH_DIR if set, else ./bench-results; an explicit output-dir
-# argument overrides both. --jobs N (or DSM_JOBS) is passed through to
+# (schema dsm-bench-v1) into the output directory. The output directory
+# defaults to $DSM_BENCH_DIR if set, else ./bench-results; an explicit
+# output-dir argument overrides both. --jobs N (or DSM_JOBS) is passed through to
 # the binaries so each sweep runs its points on N host threads.
 # --trace BENCH runs that benchmark with transaction tracing on
 # (DSM_TXN_TRACE=1), writing TRACE_<name>.json next to its
@@ -124,7 +123,6 @@ ablation_serial_llsc
 ablation_reservations
 ablation_barrier
 fault_sweep
-simcore_microbench
 "
 if [ -n "$openloop" ]; then
     benches="$benches

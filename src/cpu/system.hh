@@ -219,9 +219,6 @@ class System
      */
     LineProfiler *lineProfiler() { return _line_prof_on; }
 
-    /** The profiler itself, for inspection even when disabled. */
-    const LineProfiler &lineProfilerState() const { return _line_prof; }
-
     /**
      * Finalize sampling (records the residual partial window) and
      * render the full telemetry snapshot — the windowed series, the

@@ -1,7 +1,6 @@
 #include "exp/campaign.hh"
 
 #include <algorithm>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,23 +25,14 @@ envName(Knob knob)
     return kEnvName[static_cast<int>(knob)];
 }
 
-/** Reset @p section, then parse @p spec into it unless it is "0". */
-template <typename T>
-std::string
-parseSection(T &section, const std::string &spec)
-{
-    section = T();
-    return spec == "0" ? "" : section.parse(spec);
-}
-
 /** Set @p knob's section of @p cfg from @p spec. */
 std::string
 setKnob(Knob knob, const std::string &spec, Config &cfg)
 {
     switch (knob) {
-      case Knob::FAULTS: return parseSection(cfg.faults, spec);
-      case Knob::OPENLOOP: return parseSection(cfg.openloop, spec);
-      case Knob::SERVE: return parseSection(cfg.serve, spec);
+      case Knob::FAULTS: return cfg.faults.parse(spec);
+      case Knob::OPENLOOP: return cfg.openloop.parse(spec);
+      case Knob::SERVE: return cfg.serve.parse(spec);
     }
     return "";
 }
@@ -159,11 +149,7 @@ Campaign::seeds(int k)
             v = i + 1 < _argc ? _argv[i + 1] : "";
         if (v == nullptr)
             continue;
-        char *end = nullptr;
-        long n = std::strtol(v, &end, 10);
-        if (end == v || *end != '\0' || n < 1 || n > INT_MAX)
-            dsm_fatal("--seeds expects a positive integer, got '%s'", v);
-        k = static_cast<int>(n);
+        k = parsePositive<int>(v, "--seeds expects a positive integer");
         break;
     }
     _nseeds = k;

@@ -12,28 +12,6 @@
 #include "sim/logging.hh"
 #include "stats/telemetry_html.hh"
 
-namespace {
-
-/** True when $DSM_TXN_TRACE asks for transaction tracing. */
-bool
-txnTraceEnv()
-{
-    const char *v = std::getenv("DSM_TXN_TRACE");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-/** True when $DSM_TIMESERIES asks for time-resolved telemetry. */
-bool
-timeseriesEnv()
-{
-    const char *v = std::getenv("DSM_TIMESERIES");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-} // anonymous namespace
-
 namespace dsm {
 
 std::vector<ImplCase>
@@ -351,8 +329,8 @@ Experiment::run(int jobs)
         _report.meta("seed", s);
     }
 
-    // Fault plan: $DSM_FAULTS / $DSM_FAULT_SEED, recorded in the meta
-    // object as "faults" when applied.
+    // Fault plan: $DSM_FAULTS, recorded in the meta object as "faults"
+    // when applied.
     FaultConfig fc = faultConfigFromEnv();
     if (fc.enabled && !_faults_applied) {
         _faults_applied = true;
@@ -366,7 +344,7 @@ Experiment::run(int jobs)
     // returns. The Chrome pid and process name are baked in from the
     // declaration index, so a parallel run's harvest is byte-identical
     // to a serial one.
-    bool txn_on = _trace_txns || txnTraceEnv();
+    bool txn_on = _trace_txns || envFlag("DSM_TXN_TRACE");
     if (txn_on && !_txn_wrapped) {
         _txn_wrapped = true;
         for (std::size_t i = 0; i < _points.size(); ++i) {
@@ -399,7 +377,7 @@ Experiment::run(int jobs)
     // wrap each point function to harvest the finalized telemetry
     // snapshot after the workload returns. Harvests are merged in
     // declaration order below, so --jobs never changes the document.
-    bool ts_on = _timeseries || timeseriesEnv();
+    bool ts_on = _timeseries || envFlag("DSM_TIMESERIES");
     if (ts_on && !_ts_wrapped) {
         _ts_wrapped = true;
         for (Point &p : _points) {

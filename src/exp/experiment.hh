@@ -229,9 +229,6 @@ class Experiment
 
     void expandMatrix();
     void emit(const std::string &s);
-    void flushCompleted(const std::vector<Point> &pts,
-                        const std::vector<char> &done,
-                        std::size_t &frontier);
     std::string headerText() const;
     std::string rowText(const std::string &row,
                         const std::vector<const PointResult *> &cells)

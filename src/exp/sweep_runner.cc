@@ -33,15 +33,9 @@ SweepRunner::resolveJobs(int requested)
     if (requested > 0)
         return requested;
     const char *env = std::getenv("DSM_JOBS");
-    if (env != nullptr && env[0] != '\0') {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end == nullptr || *end != '\0' || v < 1)
-            dsm_fatal("DSM_JOBS must be a positive integer, got '%s'",
-                      env);
-        return static_cast<int>(v);
-    }
-    return 1;
+    if (env == nullptr || env[0] == '\0')
+        return 1;
+    return parsePositive<int>(env, "DSM_JOBS must be a positive integer");
 }
 
 std::vector<PointResult>
@@ -101,11 +95,7 @@ int
 parseJobsFlag(int argc, char **argv)
 {
     auto parse = [](const char *s) {
-        char *end = nullptr;
-        long v = std::strtol(s, &end, 10);
-        if (end == nullptr || *end != '\0' || v < 1)
-            dsm_fatal("--jobs expects a positive integer, got '%s'", s);
-        return static_cast<int>(v);
+        return parsePositive<int>(s, "--jobs expects a positive integer");
     };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
@@ -124,11 +114,8 @@ std::uint64_t
 parseSeedFlag(int argc, char **argv)
 {
     auto parse = [](const char *s) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || v == 0)
-            dsm_fatal("--seed expects a positive integer, got '%s'", s);
-        return static_cast<std::uint64_t>(v);
+        return parsePositive<std::uint64_t>(
+            s, "--seed expects a positive integer");
     };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
@@ -149,11 +136,8 @@ seedFromEnv()
     const char *s = std::getenv("DSM_SEED");
     if (s == nullptr || *s == '\0')
         return 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || v == 0)
-        dsm_fatal("DSM_SEED must be a positive integer, got '%s'", s);
-    return static_cast<std::uint64_t>(v);
+    return parsePositive<std::uint64_t>(
+        s, "DSM_SEED must be a positive integer");
 }
 
 } // namespace dsm

@@ -1,9 +1,5 @@
 #include "fault/fault.hh"
 
-#include <cstdlib>
-
-#include "sim/logging.hh"
-
 namespace dsm {
 
 namespace {
@@ -226,156 +222,6 @@ FaultPlan::corruptMessage(Msg &m)
     }
     ++_ctr.msg_corruptions;
     return true;
-}
-
-std::string
-FaultConfig::parse(const std::string &spec)
-{
-    if (spec == "1" || spec == "on" || spec == "default") {
-        // The standard campaign mix: frequent-but-bounded jitter plus
-        // occasional reservation drops, evictions, and NACK storms.
-        enabled = true;
-        msg_jitter_prob = 0.2;
-        msg_jitter_max = 64;
-        resv_drop_prob = 0.05;
-        evict_prob = 0.02;
-        nack_prob = 0.1;
-        max_extra_nacks = 4;
-        return "";
-    }
-
-    FaultConfig out;
-    out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return csprintf("fault spec item '%s' is not key=value",
-                            item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("fault spec value '%s' for '%s' is not a "
-                            "number", val.c_str(), key.c_str());
-        if (key == "jitter_prob") {
-            out.msg_jitter_prob = d;
-        } else if (key == "jitter_max") {
-            out.msg_jitter_max = static_cast<Tick>(d);
-        } else if (key == "resv_drop_prob") {
-            out.resv_drop_prob = d;
-        } else if (key == "evict_prob") {
-            out.evict_prob = d;
-        } else if (key == "nack_prob") {
-            out.nack_prob = d;
-        } else if (key == "max_extra_nacks") {
-            out.max_extra_nacks = static_cast<int>(d);
-        } else if (key == "seed") {
-            out.seed = static_cast<std::uint64_t>(d);
-        } else if (key == "drop_prob") {
-            out.msg_drop_prob = d;
-        } else if (key == "flaky_links") {
-            out.flaky_links = static_cast<int>(d);
-        } else if (key == "flaky_window") {
-            out.flaky_window = static_cast<Tick>(d);
-        } else if (key == "flaky_duration") {
-            out.flaky_duration = static_cast<Tick>(d);
-        } else if (key == "flaky_drop_prob") {
-            out.flaky_drop_prob = d;
-        } else if (key == "req_timeout") {
-            out.req_timeout = static_cast<Tick>(d);
-        } else if (key == "quarantine_k") {
-            out.quarantine_k = static_cast<int>(d);
-        } else if (key == "quarantine_window") {
-            out.quarantine_window = static_cast<Tick>(d);
-        } else if (key == "reorder_prob") {
-            out.reorder_prob = d;
-        } else if (key == "reorder_max") {
-            out.reorder_max = static_cast<Tick>(d);
-        } else if (key == "dup_prob") {
-            out.dup_prob = d;
-        } else if (key == "dup_delay") {
-            out.dup_delay = static_cast<Tick>(d);
-        } else if (key == "corrupt_prob") {
-            out.corrupt_prob = d;
-        } else if (key == "resv_max_age") {
-            out.resv_max_age = static_cast<Tick>(d);
-        } else {
-            return csprintf("unknown fault spec key '%s'", key.c_str());
-        }
-    }
-    *this = out;
-    return "";
-}
-
-std::string
-FaultConfig::summary() const
-{
-    std::string s =
-        csprintf("seed=%llu,jitter_prob=%g,jitter_max=%llu,"
-                 "resv_drop_prob=%g,evict_prob=%g,nack_prob=%g,"
-                 "max_extra_nacks=%d",
-                 (unsigned long long)seed, msg_jitter_prob,
-                 (unsigned long long)msg_jitter_max, resv_drop_prob,
-                 evict_prob, nack_prob, max_extra_nacks);
-    // Loss/recovery keys appear only when armed, so summaries of
-    // pre-existing loss-free specs stay byte-identical.
-    if (lossEnabled() || recoveryEnabled()) {
-        s += csprintf(",drop_prob=%g,flaky_links=%d,flaky_window=%llu,"
-                      "flaky_duration=%llu,flaky_drop_prob=%g,"
-                      "req_timeout=%llu,quarantine_k=%d,"
-                      "quarantine_window=%llu",
-                      msg_drop_prob, flaky_links,
-                      (unsigned long long)flaky_window,
-                      (unsigned long long)flaky_duration,
-                      flaky_drop_prob, (unsigned long long)req_timeout,
-                      quarantine_k,
-                      (unsigned long long)quarantine_window);
-    }
-    // Faulty-channel keys likewise appear only when a chaos axis is
-    // armed, keeping pre-existing summaries byte-identical.
-    if (chaosEnabled()) {
-        s += csprintf(",reorder_prob=%g,reorder_max=%llu,dup_prob=%g,"
-                      "dup_delay=%llu,corrupt_prob=%g",
-                      reorder_prob, (unsigned long long)reorder_max,
-                      dup_prob, (unsigned long long)dup_delay,
-                      corrupt_prob);
-    }
-    if (resv_max_age != 0)
-        s += csprintf(",resv_max_age=%llu",
-                      (unsigned long long)resv_max_age);
-    return s;
-}
-
-FaultConfig
-faultConfigFromEnv()
-{
-    FaultConfig fc;
-    const char *spec = std::getenv("DSM_FAULTS");
-    if (spec == nullptr || *spec == '\0' ||
-        std::string(spec) == "0")
-        return fc;
-    std::string err = fc.parse(spec);
-    if (!err.empty())
-        dsm_fatal("DSM_FAULTS: %s", err.c_str());
-    const char *seed = std::getenv("DSM_FAULT_SEED");
-    if (seed != nullptr && *seed != '\0') {
-        char *end = nullptr;
-        unsigned long long s = std::strtoull(seed, &end, 10);
-        if (end == seed || *end != '\0')
-            dsm_fatal("DSM_FAULT_SEED must be an integer, got '%s'",
-                      seed);
-        fc.seed = s;
-    }
-    return fc;
 }
 
 } // namespace dsm

@@ -123,11 +123,7 @@ class FaultPlan
         return _drop_ppm != 0 || !_episodes.empty();
     }
 
-    /** True when a faulty-channel axis (reorder/dup/corrupt) is armed. */
-    bool chaosArmed() const
-    {
-        return _reorder_ppm != 0 || _dup_ppm != 0 || _corrupt_ppm != 0;
-    }
+    /** Whether each faulty-channel axis (reorder/dup/corrupt) is armed. */
     bool reorderArmed() const { return _reorder_ppm != 0; }
     bool dupArmed() const { return _dup_ppm != 0; }
     bool corruptArmed() const { return _corrupt_ppm != 0; }
@@ -200,14 +196,6 @@ class FaultPlan
     std::uint64_t _draws = 0;
     Counters _ctr;
 };
-
-/**
- * Build a FaultConfig from the environment: DSM_FAULTS holds a
- * FaultConfig::parse spec ("1" for the default mix), DSM_FAULT_SEED
- * overrides the fault seed. Returns a disabled config when DSM_FAULTS
- * is unset or "0"; dsm_fatal on a malformed spec.
- */
-FaultConfig faultConfigFromEnv();
 
 } // namespace dsm
 

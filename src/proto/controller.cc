@@ -12,7 +12,6 @@
 #include "proto/controller.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cpu/admission.hh"
 #include "cpu/system.hh"
@@ -33,7 +32,7 @@ namespace {
 bool
 traceEnabled()
 {
-    static const bool on = std::getenv("DSM_TRACE") != nullptr;
+    static const bool on = envFlag("DSM_TRACE");
     return on;
 }
 

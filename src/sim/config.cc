@@ -1,6 +1,13 @@
 #include "sim/config.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <type_traits>
+#include <variant>
 
 #include "sim/logging.hh"
 
@@ -52,166 +59,316 @@ SyncConfig::label() const
     return s;
 }
 
-std::string
-OpenLoopConfig::parse(const std::string &spec)
+namespace {
+
+/** std::from_chars over all of @p s. */
+template <typename T>
+bool
+fromChars(std::string_view s, T &out)
 {
-    if (spec == "1" || spec == "on" || spec == "default") {
-        // A mid-load default: well below saturation for every impl at
-        // the 16-proc sweep shape, so smoke runs finish quickly.
-        *this = OpenLoopConfig();
-        enabled = true;
-        rate_ppc = 0.001;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+constexpr double NO_BOUND = std::numeric_limits<double>::infinity();
+
+/**
+ * One key of a config group's spec string. A group's rows are the only
+ * description of its spec format: parse(), summary() and the
+ * single-field range checks of Config::validate() all read them.
+ */
+template <typename G>
+struct SpecRow
+{
+    const char *key;
+    /** The member the key sets, in the member's own type. */
+    std::variant<bool G::*, int G::*, std::uint64_t G::*, double G::*>
+        member;
+    /** The member's name in validate() messages when it is not the key. */
+    const char *name = nullptr;
+    /** Inclusive range validate() enforces, and why when not obvious. */
+    double lo = -NO_BOUND;
+    double hi = NO_BOUND;
+    const char *why = nullptr;
+    /** summary() shows the row only when this holds (nullptr: always). */
+    bool (*shown)(const G &) = nullptr;
+    /** Set by the value "auto", which summary() then prints. */
+    bool G::*auto_flag = nullptr;
+};
+
+template <typename G>
+struct SpecTable
+{
+    /** Names the group in parse errors: "unknown <noun> spec key". */
+    const char *noun;
+    /** Prefixes the member names in validate() messages. */
+    const char *prefix;
+    /** The spec that "1", "on" and "default" stand for. */
+    const char *preset;
+    std::span<const SpecRow<G>> rows;
+};
+
+/** The table of spec group G (specialized for each group below). */
+template <typename G>
+constexpr SpecTable<G> TABLE = {};
+
+using FC = FaultConfig;
+using OC = OpenLoopConfig;
+using SC = ServeConfig;
+
+const char *const HORIZON_WHY = "the event-queue jitter horizon";
+
+constexpr auto lossShown = [](const FC &f) {
+    return f.lossEnabled() || f.recoveryEnabled();
+};
+constexpr auto chaosShown = [](const FC &f) { return f.chaosEnabled(); };
+
+// Row order is summary() order. The loss and chaos keys appear in a
+// summary only when armed, so summaries of older specs stay unchanged.
+constexpr SpecRow<FC> FAULT_ROWS[] = {
+    {.key = "seed", .member = &FC::seed},
+    {.key = "jitter_prob", .member = &FC::msg_jitter_prob,
+     .name = "msg_jitter_prob", .lo = 0, .hi = 1},
+    {.key = "jitter_max", .member = &FC::msg_jitter_max,
+     .name = "msg_jitter_max", .hi = FAULT_JITTER_HORIZON,
+     .why = HORIZON_WHY},
+    {.key = "resv_drop_prob", .member = &FC::resv_drop_prob, .lo = 0,
+     .hi = 1},
+    {.key = "evict_prob", .member = &FC::evict_prob, .lo = 0, .hi = 1},
+    {.key = "nack_prob", .member = &FC::nack_prob, .lo = 0, .hi = 1},
+    {.key = "max_extra_nacks", .member = &FC::max_extra_nacks, .lo = 0},
+    {.key = "drop_prob", .member = &FC::msg_drop_prob,
+     .name = "msg_drop_prob", .lo = 0, .hi = 1, .shown = lossShown},
+    {.key = "flaky_links", .member = &FC::flaky_links, .lo = 0,
+     .shown = lossShown},
+    {.key = "flaky_window", .member = &FC::flaky_window,
+     .shown = lossShown},
+    {.key = "flaky_duration", .member = &FC::flaky_duration,
+     .shown = lossShown},
+    {.key = "flaky_drop_prob", .member = &FC::flaky_drop_prob, .lo = 0,
+     .hi = 1, .shown = lossShown},
+    {.key = "req_timeout", .member = &FC::req_timeout, .shown = lossShown},
+    {.key = "quarantine_k", .member = &FC::quarantine_k, .lo = 0,
+     .shown = lossShown},
+    {.key = "quarantine_window", .member = &FC::quarantine_window,
+     .shown = lossShown},
+    {.key = "reorder_prob", .member = &FC::reorder_prob, .lo = 0, .hi = 1,
+     .shown = chaosShown},
+    {.key = "reorder_max", .member = &FC::reorder_max,
+     .hi = FAULT_JITTER_HORIZON, .why = HORIZON_WHY, .shown = chaosShown},
+    {.key = "dup_prob", .member = &FC::dup_prob, .lo = 0, .hi = 1,
+     .shown = chaosShown},
+    {.key = "dup_delay", .member = &FC::dup_delay,
+     .hi = FAULT_JITTER_HORIZON, .why = HORIZON_WHY, .shown = chaosShown},
+    {.key = "corrupt_prob", .member = &FC::corrupt_prob, .lo = 0, .hi = 1,
+     .shown = chaosShown},
+    {.key = "resv_max_age", .member = &FC::resv_max_age,
+     .shown = [](const FC &f) { return f.resv_max_age != 0; }},
+};
+
+// The preset is the standard campaign mix: frequent-but-bounded jitter
+// plus occasional reservation drops, evictions and NACK storms.
+template <>
+constexpr SpecTable<FC> TABLE<FC> = {
+    "fault", "faults",
+    "jitter_prob=0.2,jitter_max=64,resv_drop_prob=0.05,evict_prob=0.02,"
+    "nack_prob=0.1,max_extra_nacks=4",
+    FAULT_ROWS};
+
+constexpr SpecRow<OC> OPENLOOP_ROWS[] = {
+    // The open lower bound (rate > 0) is checked by Config::validate().
+    {.key = "rate", .member = &OC::rate_ppc, .name = "rate_ppc", .lo = 0,
+     .hi = 1},
+    {.key = "burst", .member = &OC::burst, .lo = 1, .hi = 4096},
+    {.key = "queue_cap", .member = &OC::queue_cap, .lo = 1,
+     .why = "a node needs at least one admission slot"},
+    {.key = "slo_cycles", .member = &OC::slo_cycles},
+    {.key = "ops_per_proc", .member = &OC::ops_per_proc, .lo = 1},
+};
+
+// The preset is a mid-load default: well below saturation for every
+// impl at the 16-proc sweep shape, so smoke runs finish quickly.
+template <>
+constexpr SpecTable<OC> TABLE<OC> = {"openloop", "openloop", "rate=0.001",
+                                     OPENLOOP_ROWS};
+
+constexpr SpecRow<SC> SERVE_ROWS[] = {
+    {.key = "combining", .member = &SC::combining},
+    {.key = "combine_limit", .member = &SC::combine_limit, .lo = 2,
+     .why = "a batch of one is not combining"},
+    {.key = "backpressure", .member = &SC::backpressure},
+    {.key = "credit_threshold", .member = &SC::credit_threshold, .lo = 1,
+     .auto_flag = &SC::credit_auto},
+    {.key = "priority", .member = &SC::priority},
+    {.key = "age_limit", .member = &SC::age_limit},
+    {.key = "nack_backoff", .member = &SC::nack_backoff},
+    {.key = "backoff_cap", .member = &SC::backoff_cap},
+};
+
+template <>
+constexpr SpecTable<SC> TABLE<SC> = {"serve", "serve", "", SERVE_ROWS};
+
+/** Parse all of @p s into @p v; "" or what @p s is not. */
+template <typename T>
+std::string
+parseValue(std::string_view s, T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        if (s != "0" && s != "1")
+            return "is not 0 or 1";
+        v = s == "1";
+        return "";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return fromChars(s, v) ? "" : "is not a number";
+    } else {
+        if (fromChars(s, v))
+            return "";
+        return "is not a whole number in [" +
+               std::to_string(std::numeric_limits<T>::min()) + ", " +
+               std::to_string(std::numeric_limits<T>::max()) + "]";
+    }
+}
+
+/** The row's member of @p cfg as summary() and validate() print it. */
+template <typename G>
+std::string
+formatMember(const SpecRow<G> &row, const G &cfg)
+{
+    return std::visit(
+        [&](auto m) {
+            using T = std::remove_cvref_t<decltype(cfg.*m)>;
+            if constexpr (std::is_floating_point_v<T>)
+                return csprintf("%g", cfg.*m);
+            else
+                return std::to_string(cfg.*m); // bools print 0 or 1
+        },
+        row.member);
+}
+
+/** The first row whose value is outside its range, as a message. */
+template <typename G>
+std::string
+checkRanges(const G &cfg)
+{
+    for (const SpecRow<G> &row : TABLE<G>.rows) {
+        double v = std::visit(
+            [&](auto m) { return static_cast<double>(cfg.*m); },
+            row.member);
+        // Written so that NaN fails.
+        if (v >= row.lo && v <= row.hi)
+            continue;
+        std::string range =
+            row.hi == NO_BOUND ? csprintf(">= %.15g", row.lo)
+            : row.lo == -NO_BOUND
+                ? csprintf("<= %.15g", row.hi)
+                : csprintf("in [%.15g, %.15g]", row.lo, row.hi);
+        if (row.why != nullptr)
+            range += csprintf(" (%s)", row.why);
+        return csprintf("%s.%s must be %s, got %s", TABLE<G>.prefix,
+                        row.name != nullptr ? row.name : row.key,
+                        range.c_str(), formatMember(row, cfg).c_str());
+    }
+    return "";
+}
+
+} // anonymous namespace
+
+template <typename T>
+T
+parsePositive(const char *s, const char *what)
+{
+    T v = 0;
+    if (!fromChars(s, v) || v < 1)
+        dsm_fatal("%s, got '%s'", what, s);
+    return v;
+}
+
+template int parsePositive(const char *, const char *);
+template std::uint64_t parsePositive(const char *, const char *);
+
+bool
+envFlag(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
+}
+
+template <typename G>
+std::string
+SpecGroup<G>::parse(const std::string &spec)
+{
+    const SpecTable<G> &table = TABLE<G>;
+    G cfg;
+    if (spec == "0") {
+        static_cast<G &>(*this) = cfg;
         return "";
     }
-
-    OpenLoopConfig out;
-    out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
+    std::string_view rest = spec;
+    if (spec == "1" || spec == "on" || spec == "default")
+        rest = table.preset;
+    cfg.enabled = true;
+    while (!rest.empty()) {
+        std::string item(rest.substr(0, rest.find(',')));
+        rest.remove_prefix(std::min(rest.size(), item.size() + 1));
         if (item.empty())
             continue;
         std::size_t eq = item.find('=');
         if (eq == std::string::npos)
-            return csprintf("openloop spec item '%s' is not key=value",
-                            item.c_str());
+            return csprintf("%s spec item '%s' is not key=value",
+                            table.noun, item.c_str());
         std::string key = item.substr(0, eq);
         std::string val = item.substr(eq + 1);
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("openloop spec value '%s' for '%s' is not "
-                            "a number", val.c_str(), key.c_str());
-        if (key == "rate") {
-            out.rate_ppc = d;
-        } else if (key == "burst") {
-            out.burst = static_cast<int>(d);
-        } else if (key == "queue_cap") {
-            out.queue_cap = static_cast<int>(d);
-        } else if (key == "slo_cycles") {
-            out.slo_cycles = static_cast<Tick>(d);
-        } else if (key == "ops_per_proc") {
-            out.ops_per_proc = static_cast<int>(d);
-        } else {
-            return csprintf("unknown openloop spec key '%s'",
+        auto row = std::ranges::find(table.rows, key, &SpecRow<G>::key);
+        if (row == table.rows.end())
+            return csprintf("unknown %s spec key '%s'", table.noun,
                             key.c_str());
-        }
+        std::string err;
+        if (row->auto_flag != nullptr && val == "auto")
+            cfg.*row->auto_flag = true;
+        else
+            err = std::visit(
+                [&](auto m) { return parseValue(val, cfg.*m); },
+                row->member);
+        if (!err.empty())
+            return csprintf("%s spec value '%s' for '%s' %s", table.noun,
+                            val.c_str(), key.c_str(), err.c_str());
     }
-    *this = out;
+    static_cast<G &>(*this) = cfg;
     return "";
 }
 
+template <typename G>
 std::string
-OpenLoopConfig::summary() const
+SpecGroup<G>::summary() const
 {
-    return csprintf("rate=%g,burst=%d,queue_cap=%d,slo_cycles=%llu,"
-                    "ops_per_proc=%d",
-                    rate_ppc, burst, queue_cap,
-                    (unsigned long long)slo_cycles, ops_per_proc);
-}
-
-OpenLoopConfig
-openLoopConfigFromEnv()
-{
-    OpenLoopConfig ol;
-    const char *spec = std::getenv("DSM_OPENLOOP");
-    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
-        return ol;
-    std::string err = ol.parse(spec);
-    if (!err.empty())
-        dsm_fatal("DSM_OPENLOOP: %s", err.c_str());
-    return ol;
-}
-
-std::string
-ServeConfig::parse(const std::string &spec)
-{
-    if (spec == "1" || spec == "on" || spec == "default") {
-        *this = ServeConfig();
-        enabled = true;
-        return "";
-    }
-
-    ServeConfig out;
-    out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
+    const G &cfg = static_cast<const G &>(*this);
+    std::string s;
+    for (const SpecRow<G> &row : TABLE<G>.rows) {
+        if (row.shown != nullptr && !row.shown(cfg))
             continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return csprintf("serve spec item '%s' is not key=value",
-                            item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        if (key == "credit_threshold" && val == "auto") {
-            out.credit_auto = true;
-            continue;
-        }
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("serve spec value '%s' for '%s' is not "
-                            "a number", val.c_str(), key.c_str());
-        if (key == "combining") {
-            out.combining = d != 0.0;
-        } else if (key == "combine_limit") {
-            out.combine_limit = static_cast<int>(d);
-        } else if (key == "backpressure") {
-            out.backpressure = d != 0.0;
-        } else if (key == "credit_threshold") {
-            out.credit_threshold = static_cast<int>(d);
-        } else if (key == "priority") {
-            out.priority = d != 0.0;
-        } else if (key == "age_limit") {
-            out.age_limit = static_cast<Tick>(d);
-        } else if (key == "nack_backoff") {
-            out.nack_backoff = d != 0.0;
-        } else if (key == "backoff_cap") {
-            out.backoff_cap = static_cast<int>(d);
-        } else {
-            return csprintf("unknown serve spec key '%s'", key.c_str());
-        }
+        bool is_auto = row.auto_flag != nullptr && cfg.*row.auto_flag;
+        s += (s.empty() ? "" : ",") + std::string(row.key) + "=" +
+             (is_auto ? "auto" : formatMember(row, cfg));
     }
-    *this = out;
-    return "";
+    return s;
 }
 
-std::string
-ServeConfig::summary() const
-{
-    std::string threshold = credit_auto
-                                ? "auto"
-                                : csprintf("%d", credit_threshold);
-    return csprintf("combining=%d,combine_limit=%d,backpressure=%d,"
-                    "credit_threshold=%s,priority=%d,age_limit=%llu,"
-                    "nack_backoff=%d,backoff_cap=%d",
-                    combining ? 1 : 0, combine_limit,
-                    backpressure ? 1 : 0, threshold.c_str(),
-                    priority ? 1 : 0, (unsigned long long)age_limit,
-                    nack_backoff ? 1 : 0, backoff_cap);
-}
+template struct SpecGroup<FaultConfig>;
+template struct SpecGroup<OpenLoopConfig>;
+template struct SpecGroup<ServeConfig>;
 
-ServeConfig
-serveConfigFromEnv()
+FaultConfig
+faultConfigFromEnv()
 {
-    ServeConfig sv;
-    const char *spec = std::getenv("DSM_SERVE");
-    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
-        return sv;
-    std::string err = sv.parse(spec);
+    FaultConfig fc;
+    const char *spec = std::getenv("DSM_FAULTS");
+    if (spec == nullptr || *spec == '\0')
+        return fc;
+    std::string err = fc.parse(spec);
     if (!err.empty())
-        dsm_fatal("DSM_SERVE: %s", err.c_str());
-    return sv;
+        dsm_fatal("DSM_FAULTS: %s", err.c_str());
+    return fc;
 }
 
 void
@@ -275,33 +432,25 @@ Config::validate() const
         return "telemetry.max_windows must be nonzero when telemetry "
                "is enabled";
 
+    // Each spec row's own range; only the checks that span fields, or
+    // that apply only under a switch, are written out below. Open-loop
+    // and serving knobs are checked only when their group is enabled,
+    // fault knobs always, so a typo in a sweep config fails fast rather
+    // than when a campaign later flips `enabled` on.
     const OpenLoopConfig &ol = openloop;
     if (ol.enabled) {
-        if (!(ol.rate_ppc > 0.0) || ol.rate_ppc > 1.0)
+        if (std::string err = checkRanges(ol); !err.empty())
+            return err;
+        if (!(ol.rate_ppc > 0.0))
             return csprintf("openloop.rate_ppc must be in (0, 1] "
                             "arrivals/cycle/proc when open-loop "
                             "arrivals are enabled, got %g", ol.rate_ppc);
-        if (ol.burst < 1 || ol.burst > 4096)
-            return csprintf("openloop.burst must be in [1, 4096], "
-                            "got %d", ol.burst);
-        if (ol.queue_cap < 1)
-            return csprintf("openloop.queue_cap must be >= 1 (a node "
-                            "needs at least one admission slot), got %d",
-                            ol.queue_cap);
-        if (ol.ops_per_proc < 1)
-            return csprintf("openloop.ops_per_proc must be >= 1, got %d",
-                            ol.ops_per_proc);
     }
 
     const ServeConfig &sv = serve;
     if (sv.enabled) {
-        if (sv.combine_limit < 2)
-            return csprintf("serve.combine_limit must be >= 2 (a batch "
-                            "of one is not combining), got %d",
-                            sv.combine_limit);
-        if (sv.credit_threshold < 1)
-            return csprintf("serve.credit_threshold must be >= 1, "
-                            "got %d", sv.credit_threshold);
+        if (std::string err = checkRanges(sv); !err.empty())
+            return err;
         if (sv.priority && sv.age_limit == 0)
             return "serve.age_limit must be nonzero when "
                    "serve.priority is enabled (it is the starvation "
@@ -323,36 +472,11 @@ Config::validate() const
     }
 
     const FaultConfig &f = faults;
-    struct { const char *name; double v; } probs[] = {
-        { "faults.msg_jitter_prob", f.msg_jitter_prob },
-        { "faults.resv_drop_prob", f.resv_drop_prob },
-        { "faults.evict_prob", f.evict_prob },
-        { "faults.nack_prob", f.nack_prob },
-    };
-    for (const auto &p : probs) {
-        if (p.v < 0.0 || p.v > 1.0)
-            return csprintf("%s must be in [0, 1], got %g", p.name, p.v);
-    }
+    if (std::string err = checkRanges(f); !err.empty())
+        return err;
     if (f.enabled && f.msg_jitter_prob > 0.0 && f.msg_jitter_max == 0)
         return "faults.msg_jitter_max must be nonzero when "
                "faults.msg_jitter_prob > 0";
-    if (f.msg_jitter_max > FAULT_JITTER_HORIZON)
-        return csprintf("faults.msg_jitter_max must be <= %llu (the "
-                        "event-queue jitter horizon), got %llu",
-                        (unsigned long long)FAULT_JITTER_HORIZON,
-                        (unsigned long long)f.msg_jitter_max);
-    if (f.max_extra_nacks < 0)
-        return csprintf("faults.max_extra_nacks must be >= 0, got %d",
-                        f.max_extra_nacks);
-    if (f.msg_drop_prob < 0.0 || f.msg_drop_prob > 1.0)
-        return csprintf("faults.msg_drop_prob must be in [0, 1], got %g",
-                        f.msg_drop_prob);
-    if (f.flaky_drop_prob < 0.0 || f.flaky_drop_prob > 1.0)
-        return csprintf("faults.flaky_drop_prob must be in [0, 1], "
-                        "got %g", f.flaky_drop_prob);
-    if (f.flaky_links < 0)
-        return csprintf("faults.flaky_links must be >= 0, got %d",
-                        f.flaky_links);
     if (f.flaky_links > 0 &&
         (f.flaky_window == 0 || f.flaky_duration == 0))
         return "faults.flaky_window and faults.flaky_duration must be "
@@ -361,38 +485,16 @@ Config::validate() const
         return "faults.req_timeout must be nonzero when message loss "
                "(msg_drop_prob / flaky_links) is enabled; a lost "
                "message is unrecoverable without retransmission";
-    if (f.quarantine_k < 0)
-        return csprintf("faults.quarantine_k must be >= 0, got %d",
-                        f.quarantine_k);
     if (f.quarantine_k > 0 && f.quarantine_window == 0)
         return "faults.quarantine_window must be nonzero when "
                "faults.quarantine_k > 0";
-    struct { const char *name; double v; } chaos_probs[] = {
-        { "faults.reorder_prob", f.reorder_prob },
-        { "faults.dup_prob", f.dup_prob },
-        { "faults.corrupt_prob", f.corrupt_prob },
-    };
-    for (const auto &p : chaos_probs) {
-        if (p.v < 0.0 || p.v > 1.0)
-            return csprintf("%s must be in [0, 1], got %g", p.name, p.v);
-    }
     if (f.enabled && f.reorder_prob > 0.0 && f.reorder_max == 0)
         return "faults.reorder_max must be nonzero when "
                "faults.reorder_prob > 0";
-    if (f.reorder_max > FAULT_JITTER_HORIZON)
-        return csprintf("faults.reorder_max must be <= %llu (the "
-                        "event-queue jitter horizon), got %llu",
-                        (unsigned long long)FAULT_JITTER_HORIZON,
-                        (unsigned long long)f.reorder_max);
     if (f.enabled && f.dup_prob > 0.0 && f.dup_delay == 0)
         return "faults.dup_delay must be nonzero when "
                "faults.dup_prob > 0 (a replay needs a delay to race "
                "its original)";
-    if (f.dup_delay > FAULT_JITTER_HORIZON)
-        return csprintf("faults.dup_delay must be <= %llu (the "
-                        "event-queue jitter horizon), got %llu",
-                        (unsigned long long)FAULT_JITTER_HORIZON,
-                        (unsigned long long)f.dup_delay);
     if (f.chaosEnabled() && f.req_timeout == 0)
         return "faults.req_timeout must be nonzero when a "
                "faulty-channel axis (reorder_prob / dup_prob / "

@@ -194,6 +194,30 @@ struct TelemetryConfig
 };
 
 /**
+ * A config group set by a comma-separated key=value spec string
+ * (DSM_FAULTS, DSM_OPENLOOP, DSM_SERVE). Each group's keys, preset and
+ * ranges are one constant table in sim/config.cc, which parse(),
+ * summary() and Config::validate() all read.
+ */
+template <typename G>
+struct SpecGroup
+{
+    /**
+     * Replace the config with @p spec: "0" is off, "1"/"on"/"default"
+     * enables the group's preset, and a key=value list enables the
+     * group with the keys given. Integers must be whole numbers that
+     * fit the member, flags 0 or 1, reals decimal; ranges are left to
+     * Config::validate().
+     *
+     * @return "" on success, otherwise an error naming the key.
+     */
+    std::string parse(const std::string &spec);
+
+    /** Canonical key=value spec string (inverse of parse). */
+    std::string summary() const;
+};
+
+/**
  * Open-loop arrival configuration (workloads/openloop.hh). Off by
  * default and free when off: no admission queues are built, no stats
  * registered, and the stats JSON keeps its exact shape. When enabled,
@@ -205,7 +229,7 @@ struct TelemetryConfig
  * seed, preserving the determinism contract: same seed + config =>
  * byte-identical statsJson regardless of --jobs.
  */
-struct OpenLoopConfig
+struct OpenLoopConfig : SpecGroup<OpenLoopConfig>
 {
     bool enabled = false;
     /** Mean arrivals per cycle per processor (offered load). */
@@ -223,26 +247,7 @@ struct OpenLoopConfig
     Tick slo_cycles = 0;
     /** Arrivals offered per processor (the run's stopping criterion). */
     int ops_per_proc = 256;
-
-    /**
-     * Parse a DSM_OPENLOOP-style spec into this config. "1"/"on"/
-     * "default" enables the defaults above with rate=0.001; otherwise
-     * a comma-separated key=value list (rate, burst, queue_cap,
-     * slo_cycles, ops_per_proc).
-     *
-     * @return "" on success, otherwise a descriptive error.
-     */
-    std::string parse(const std::string &spec);
-
-    /** Canonical key=value spec string (inverse of parse). */
-    std::string summary() const;
 };
-
-/**
- * Read $DSM_OPENLOOP into an OpenLoopConfig. Unset, empty, or "0"
- * leaves it disabled; a bad spec is a fatal user error.
- */
-OpenLoopConfig openLoopConfigFromEnv();
 
 /**
  * Overload-protection configuration (mem/home_queue.hh and the serving
@@ -273,7 +278,7 @@ OpenLoopConfig openLoopConfigFromEnv();
  * functions of the observed queue depth (no RNG), and the NACK backoff
  * keeps using the machine's seeded stream.
  */
-struct ServeConfig
+struct ServeConfig : SpecGroup<ServeConfig>
 {
     bool enabled = false;
     /** Coalesce commutative same-line requests at the home. */
@@ -303,27 +308,7 @@ struct ServeConfig
     bool nack_backoff = true;
     /** Maximum doublings of machine.retry_delay (>= the built-in 4). */
     int backoff_cap = 10;
-
-    /**
-     * Parse a DSM_SERVE-style spec into this config. "1"/"on"/
-     * "default" enables all four mechanisms with the defaults above;
-     * otherwise a comma-separated key=value list (combining,
-     * combine_limit, backpressure, credit_threshold, priority,
-     * age_limit, nack_backoff, backoff_cap).
-     *
-     * @return "" on success, otherwise a descriptive error.
-     */
-    std::string parse(const std::string &spec);
-
-    /** Canonical key=value spec string (inverse of parse). */
-    std::string summary() const;
 };
-
-/**
- * Read $DSM_SERVE into a ServeConfig. Unset, empty, or "0" leaves it
- * disabled; a bad spec is a fatal user error.
- */
-ServeConfig serveConfigFromEnv();
 
 /**
  * Upper bound on FaultConfig::msg_jitter_max: keeps injected delays far
@@ -342,7 +327,7 @@ constexpr Tick FAULT_JITTER_HORIZON = 1u << 20;
  * home directory. Runs are reproducible byte-for-byte at a given
  * (machine seed, fault seed) pair, including under parallel sweeps.
  */
-struct FaultConfig
+struct FaultConfig : SpecGroup<FaultConfig>
 {
     bool enabled = false;
     /**
@@ -465,23 +450,13 @@ struct FaultConfig
      * predicate.
      */
     bool reorderPossible() const { return enabled && reorder_prob > 0.0; }
-
-    /**
-     * Parse a DSM_FAULTS-style spec into this config. "1"/"on"/
-     * "default" enables a standard mix; otherwise a comma-separated
-     * key=value list (jitter_prob, jitter_max, resv_drop_prob,
-     * evict_prob, nack_prob, max_extra_nacks, seed, drop_prob,
-     * flaky_links, flaky_window, flaky_duration, flaky_drop_prob,
-     * req_timeout, quarantine_k, quarantine_window, reorder_prob,
-     * reorder_max, dup_prob, dup_delay, corrupt_prob, resv_max_age).
-     *
-     * @return "" on success, otherwise a descriptive error.
-     */
-    std::string parse(const std::string &spec);
-
-    /** Canonical key=value spec string (inverse of parse). */
-    std::string summary() const;
 };
+
+/**
+ * Read $DSM_FAULTS into a FaultConfig. Unset or empty leaves it
+ * disabled, like "0"; a bad spec is a fatal user error.
+ */
+FaultConfig faultConfigFromEnv();
 
 /**
  * Forward-progress watchdog configuration (fault/watchdog.hh). Off by
@@ -556,6 +531,18 @@ struct McConfig
      */
     bool combining = false;
 };
+
+/**
+ * Parse all of @p s as a positive decimal integer of type T (int or
+ * std::uint64_t), the way spec integers parse: a sign, a fraction, an
+ * exponent, hex, spaces and overflow all fail, and so does 0. On
+ * failure dsm_fatal("<what>, got '<s>'").
+ */
+template <typename T>
+T parsePositive(const char *s, const char *what);
+
+/** True when environment variable @p name is set, non-empty and not "0". */
+bool envFlag(const char *name);
 
 /** Complete simulation configuration. */
 struct Config

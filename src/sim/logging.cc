@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <stdexcept>
 
+#include "sim/config.hh"
+
 namespace dsm {
 
 std::string
@@ -25,14 +27,6 @@ csprintf(const char *fmt, ...)
 
 namespace {
 
-bool
-envQuiet()
-{
-    const char *v = std::getenv("DSM_QUIET");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
 // -1 = follow DSM_QUIET; 0/1 = explicit programmatic override.
 int quiet_override = -1;
 
@@ -47,7 +41,7 @@ setLogQuiet(bool quiet)
 bool
 logQuiet()
 {
-    return quiet_override >= 0 ? quiet_override != 0 : envQuiet();
+    return quiet_override >= 0 ? quiet_override != 0 : envFlag("DSM_QUIET");
 }
 
 void

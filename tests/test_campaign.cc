@@ -127,7 +127,8 @@ TEST(Campaign, ArmedAxisMustFire)
 
 TEST(CampaignDeath, SeedsFlagRejectsZeroAndNonNumbers)
 {
-    for (const char *bad : {"0", "x"}) {
+    for (const char *bad : {"0", "x", "-1", "+3", " 3", "2.5", "1e3",
+                            "99999999999"}) {
         const char *argv[] = {"camp", "--seeds", bad};
         EXPECT_EXIT(
             {

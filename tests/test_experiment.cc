@@ -123,6 +123,48 @@ TEST(SweepRunner, ResolveJobsPrefersRequestOverEnv)
     EXPECT_EQ(SweepRunner::resolveJobs(0), 1);
 }
 
+TEST(SweepRunnerDeath, MalformedJobsAreFatal)
+{
+    // Each must be rejected whole: no sign, fraction, exponent, space
+    // or overflow reaches the thread count.
+    for (const char *bad : {"0", "-1", "+4", " 4", "2.5", "1e3",
+                            "99999999999"}) {
+        ::setenv("DSM_JOBS", bad, 1);
+        EXPECT_EXIT(SweepRunner::resolveJobs(0), testing::ExitedWithCode(1),
+                    "DSM_JOBS must be a positive integer");
+        const char *argv[] = {"bench", "--jobs", bad};
+        EXPECT_EXIT(parseJobsFlag(3, const_cast<char **>(argv)),
+                    testing::ExitedWithCode(1),
+                    "--jobs expects a positive integer");
+    }
+    ::unsetenv("DSM_JOBS");
+}
+
+TEST(SweepRunnerDeath, MalformedSeedsAreFatal)
+{
+    for (const char *bad : {"0", "-1", "+7", " 7", "1e3", "0x10",
+                            "18446744073709551616"}) {
+        ::setenv("DSM_SEED", bad, 1);
+        EXPECT_EXIT(seedFromEnv(), testing::ExitedWithCode(1),
+                    "DSM_SEED must be a positive integer");
+        const char *argv[] = {"bench", "--seed", bad};
+        EXPECT_EXIT(parseSeedFlag(3, const_cast<char **>(argv)),
+                    testing::ExitedWithCode(1),
+                    "--seed expects a positive integer");
+    }
+    ::unsetenv("DSM_SEED");
+}
+
+TEST(SweepRunner, SeedFlagKeepsAllSixtyFourBits)
+{
+    const char *argv[] = {"bench", "--seed=18446744073709551615"};
+    EXPECT_EQ(parseSeedFlag(2, const_cast<char **>(argv)),
+              18446744073709551615ull);
+    ::setenv("DSM_SEED", "9007199254740993", 1);
+    EXPECT_EQ(seedFromEnv(), 9007199254740993ull);
+    ::unsetenv("DSM_SEED");
+}
+
 TEST(SweepRunner, ParseJobsFlagForms)
 {
     const char *a1[] = {"bench", "--jobs", "8"};

@@ -96,15 +96,17 @@ TEST(ServeConfig, ValidateRejectsBadKnobs)
 
 TEST(ServeConfig, EnvOverride)
 {
-    ::setenv("DSM_SERVE", "credit_threshold=5,combining=0", 1);
-    ServeConfig c = serveConfigFromEnv();
+    // DSM_SERVE reaches campaigns through their axis; the one spec the
+    // library reads from the environment itself is DSM_FAULTS.
+    ::setenv("DSM_FAULTS", "nack_prob=0.5,max_extra_nacks=2", 1);
+    FaultConfig c = faultConfigFromEnv();
     EXPECT_TRUE(c.enabled);
-    EXPECT_EQ(c.credit_threshold, 5);
-    EXPECT_FALSE(c.combining);
-    ::setenv("DSM_SERVE", "0", 1);
-    EXPECT_FALSE(serveConfigFromEnv().enabled);
-    ::unsetenv("DSM_SERVE");
-    EXPECT_FALSE(serveConfigFromEnv().enabled);
+    EXPECT_DOUBLE_EQ(c.nack_prob, 0.5);
+    EXPECT_EQ(c.max_extra_nacks, 2);
+    ::setenv("DSM_FAULTS", "0", 1);
+    EXPECT_FALSE(faultConfigFromEnv().enabled);
+    ::unsetenv("DSM_FAULTS");
+    EXPECT_FALSE(faultConfigFromEnv().enabled);
 }
 
 // ----- HomeQueue unit behavior -----
