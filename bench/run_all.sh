@@ -25,6 +25,9 @@
 # --overload appends the overload/graceful-degradation campaign
 # (overload_sweep); --overload=SPEC additionally exports DSM_SERVE=SPEC
 # so the sweep replaces its mechanism axis with the given mode.
+#
+# Exits 1, naming them, if any listed bench is missing from the build
+# or exits nonzero; the remaining benches still run.
 set -eu
 
 jobs=
@@ -135,10 +138,24 @@ overload_sweep
 "
 fi
 
+run_bench() {
+    if [ -n "$jobs" ]; then
+        "$1" --jobs "$jobs"
+    else
+        "$1"
+    fi
+}
+
+# Every listed bench must run and exit 0. /bin/sh may be dash, which has
+# no pipefail, so each bench's own exit status leaves the tee pipeline
+# through fd 3 while its output goes to the terminal through fd 4.
+exec 4>&1
+failed=
 for b in $benches; do
     bin="$build_dir/bench/$b"
     if [ ! -x "$bin" ]; then
-        echo "skipping $b (not built)" >&2
+        echo "error: $bin is missing -- build the project first" >&2
+        failed="$failed $b"
         continue
     fi
     echo "==> $b"
@@ -154,15 +171,23 @@ for b in $benches; do
     else
         unset DSM_TIMESERIES || true
     fi
-    if [ -n "$jobs" ]; then
-        "$bin" --jobs "$jobs" | tee "$DSM_BENCH_DIR/$b.txt"
-    else
-        "$bin" | tee "$DSM_BENCH_DIR/$b.txt"
+    status=$({ {
+        rc=0
+        run_bench "$bin" || rc=$?
+        echo "$rc" >&3
+    } | tee "$DSM_BENCH_DIR/$b.txt" >&4; } 3>&1)
+    if [ "$status" != 0 ]; then
+        echo "error: $b exited with status $status" >&2
+        failed="$failed $b"
     fi
     echo
 done
 
 echo "collected reports in $DSM_BENCH_DIR:"
-ls -1 "$DSM_BENCH_DIR"/BENCH_*.json
+ls -1 "$DSM_BENCH_DIR"/BENCH_*.json 2>/dev/null || true
 ls -1 "$DSM_BENCH_DIR"/TRACE_*.json 2>/dev/null || true
 ls -1 "$DSM_BENCH_DIR"/TIMESERIES_* 2>/dev/null || true
+if [ -n "$failed" ]; then
+    echo "error: failed benches:$failed" >&2
+    exit 1
+fi

@@ -98,6 +98,40 @@ Proc::Op::await_suspend(std::coroutine_handle<> h)
 }
 
 void
+Proc::spinIssue(SpinLoad &s)
+{
+    bool is_sync = _sys.isSync(s.addr);
+    Word value = 0;
+    if (!_sys.ctrl(_id).loadHit(s.addr, is_sync, &value)) {
+        issue(AtomicOp::LOAD, s.addr, 0, 0,
+              [this, &s](OpResult r) { spinResult(s, r); });
+        return;
+    }
+    // The hit's completion: what issue()'s completion callback and
+    // Controller::finishNow() do for a load hit, and nothing else.
+    ++_ops_issued;
+    _sys.eq().scheduleIn(
+        _sys.cfg().machine.cache_hit_latency,
+        [this, &s, value, is_sync] {
+            _sys.ctrl(_id).finishLoadHit();
+            if (is_sync)
+                _sys.sharing().recordAccess(s.addr, _id, false);
+            spinResult(s, OpResult{value, true, 0});
+        });
+}
+
+void
+Proc::spinResult(SpinLoad &s, const OpResult &r)
+{
+    if (s.until(r.value)) {
+        s.result = r;
+        s.waiter.resume();
+    } else {
+        spinIssue(s);
+    }
+}
+
+void
 Proc::Delay::await_suspend(std::coroutine_handle<> h)
 {
     Tick d = cycles > 0 ? cycles : 1;

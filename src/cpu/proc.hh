@@ -26,6 +26,46 @@ namespace dsm {
 
 class System;
 
+/**
+ * Exit test of a spin-wait (Proc::spinLoad): a captureless predicate on
+ * the loaded word and one operand, so an iteration allocates nothing.
+ */
+struct SpinUntil
+{
+    bool (*test)(Word value, Word operand);
+    Word operand;
+
+    bool operator()(Word value) const { return test(value, operand); }
+
+    /** Until the word equals @p x. */
+    static SpinUntil
+    eq(Word x)
+    {
+        return {[](Word v, Word o) { return v == o; }, x};
+    }
+
+    /** Until the word differs from @p x. */
+    static SpinUntil
+    ne(Word x)
+    {
+        return {[](Word v, Word o) { return v != o; }, x};
+    }
+
+    /** Until the word is at least @p x. */
+    static SpinUntil
+    atLeast(Word x)
+    {
+        return {[](Word v, Word o) { return v >= o; }, x};
+    }
+
+    /** Until every bit of @p mask is clear in the word. */
+    static SpinUntil
+    clear(Word mask)
+    {
+        return {[](Word v, Word o) { return (v & o) == 0; }, mask};
+    }
+};
+
 /** One simulated processor. */
 class Proc
 {
@@ -120,6 +160,45 @@ class Proc
         return Op{*this, AtomicOp::SCS, a, v, serial};
     }
 
+    /**
+     * Awaitable spin-wait; see spinLoad(). The awaiter lives in the
+     * waiting coroutine's frame, so iterations refer to it in place.
+     */
+    struct SpinLoad
+    {
+        Proc &proc;
+        Addr addr;
+        SpinUntil until;
+        OpResult result{};
+        std::coroutine_handle<> waiter{};
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            waiter = h;
+            proc.spinIssue(*this);
+        }
+
+        OpResult await_resume() const noexcept { return result; }
+    };
+
+    /**
+     * Spin on ordinary loads of @p a until @p until holds for the value
+     * read; the result is that load's. Every iteration keeps the
+     * events, ticks, statistics and cache state of the reference loop
+     * `while (!until((r = co_await load(a)).value)) {}`, which stays
+     * legal. An iteration that hits in the cache while no per-op
+     * observer is on skips the controller's transaction machinery
+     * (Controller::loadHit()); any other takes the ordinary path.
+     */
+    SpinLoad
+    spinLoad(Addr a, SpinUntil until)
+    {
+        return SpinLoad{*this, a, until};
+    }
+
     /** Awaitable local computation delay of a fixed number of cycles. */
     struct Delay
     {
@@ -141,6 +220,7 @@ class Proc
   private:
     friend struct Op;
     friend struct Delay;
+    friend struct SpinLoad;
 
     /** Issue to the controller with sharing-pattern instrumentation. */
     void issue(AtomicOp op, Addr a, Word v, Word exp,
@@ -148,6 +228,11 @@ class Proc
 
     /** Track consecutive failed attempts (spin-loop iterations). */
     void noteResult(AtomicOp op, const OpResult &r);
+
+    /** Issue one spin-wait iteration, on the hit path if it applies. */
+    void spinIssue(SpinLoad &s);
+    /** Finish an iteration: resume the waiter or spin again. */
+    void spinResult(SpinLoad &s, const OpResult &r);
 
     System &_sys;
     NodeId _id;

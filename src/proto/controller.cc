@@ -245,6 +245,45 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
     commit(tf::issue(env(), _st, req));
 }
 
+bool
+Controller::loadHit(Addr addr, bool is_sync, Word *value)
+{
+    if (_sys.faults() != nullptr || _sys.recovery() != nullptr ||
+        _sys.txns().enabled() || _sys.tracer().enabled())
+        return false;
+    if (is_sync && _sys.cfg().sync.policy == SyncPolicy::UNC)
+        return false;
+    // lookup(), not peek(): the slow path's hit moves the LRU stamp,
+    // and other lines of this set are touched while the processor
+    // spins, so a stale stamp would change a later victim choice.
+    const CacheLine *line = _st.cache.lookup(addr);
+    if (line == nullptr)
+        return false;
+    dsm_assert(!_st.txn.active,
+               "processor %d issued LOAD with a transaction outstanding",
+               _id);
+    dsm_assert(addr == wordBase(addr), "unaligned operand address %#llx",
+               static_cast<unsigned long long>(addr));
+    ++_st.cache.stats().hits;
+    _trace_flow = 0;
+    _parked_total = 0;
+    _st.txn = tf::TxnState{};
+    _st.txn.active = true;
+    _st.txn.op = AtomicOp::LOAD;
+    _st.txn.addr = addr;
+    _st.txn.start = now();
+    *value = line->readWord(addr);
+    return true;
+}
+
+void
+Controller::finishLoadHit()
+{
+    dsm_assert(_st.txn.active, "finish without an active transaction");
+    _sys.stats(_id).sampleOp(AtomicOp::LOAD, now() - _st.txn.start, 0);
+    _st.txn.active = false;
+}
+
 void
 Controller::finishNow(Word value, bool success, Word serial)
 {

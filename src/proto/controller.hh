@@ -74,6 +74,23 @@ class Controller : private tf::StepCtx
     void cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
                     DoneFn done);
 
+    /**
+     * Issue-time half of the spin-wait hit path (Proc::spinLoad). When
+     * a LOAD of @p addr would hit -- a valid line under INV or UPD,
+     * never under UNC -- and no per-op observer is on (fault plan,
+     * recovery, transaction tracer, any tracer category), does exactly
+     * what cpuRequest() does for that hit: the cache lookup (moving the
+     * LRU stamp), the hit count and the transaction reset. Stores the
+     * word read in @p value and returns true; the caller then completes
+     * the load cache_hit_latency cycles later with finishLoadHit().
+     * Otherwise changes nothing and returns false.
+     * @param is_sync System::isSync(addr), which selects the policy.
+     */
+    bool loadHit(Addr addr, bool is_sync, Word *value);
+
+    /** Completion of a loadHit() load: what finishNow() does for it. */
+    void finishLoadHit();
+
     /** True while a processor operation is in flight. */
     bool cpuBusy() const { return _st.txn.active; }
 

@@ -6,8 +6,18 @@
  * (a monotonically increasing sequence number breaks ties), which makes
  * every simulation run bit-for-bit reproducible.
  *
- * The pending set is a binary heap of pooled intrusive events: each
- * event embeds a small type-erased callback buffer, so the hot
+ * The pending set is a calendar queue of pooled intrusive events. A
+ * ring of WINDOW per-tick FIFO buckets holds every event due in
+ * [now, now + WINDOW), with an occupancy bitmap to find the next
+ * non-empty tick; events further ahead wait in a (when, seq) min-heap
+ * and move into their buckets, in heap order, as soon as the clock
+ * advance brings them inside the window -- before any event at the new
+ * tick runs. This is exactly (when, seq) order: seq grows with
+ * scheduling order, so appending to a tick's bucket keeps it sorted,
+ * and every far event for tick T was scheduled while T lay outside the
+ * window, hence before any direct insert for T.
+ *
+ * Each event embeds a small type-erased callback buffer, so the hot
  * schedule/fire path performs no per-event heap allocation once the
  * pool is warm (callbacks larger than the inline buffer fall back to
  * one heap allocation). Fired events return to a free list for reuse.
@@ -16,6 +26,7 @@
 #ifndef DSM_SIM_EVENT_QUEUE_HH
 #define DSM_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -42,6 +53,13 @@ class EventQueue
     /** Generic callback type; any callable may be scheduled directly. */
     using Callback = std::function<void()>;
 
+    /**
+     * Ticks covered by the bucket ring (a power of two): events due
+     * within WINDOW ticks of now() go straight to their tick's bucket,
+     * later ones to the far heap.
+     */
+    static constexpr Tick WINDOW = 1024;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -54,10 +72,10 @@ class EventQueue
     std::uint64_t eventsExecuted() const { return _executed; }
 
     /** True if no events remain pending. */
-    bool empty() const { return _heap.empty(); }
+    bool empty() const { return _pending == 0; }
 
     /** Number of pending events. */
-    std::size_t pending() const { return _heap.size(); }
+    std::size_t pending() const { return _pending; }
 
     /**
      * Schedule a callable at an absolute tick.
@@ -76,8 +94,11 @@ class EventQueue
         e->when = when;
         e->seq = _next_seq++;
         bindCallback(e, std::forward<F>(f));
-        _heap.push_back(e);
-        siftUp(_heap.size() - 1);
+        ++_pending;
+        if (when - _now < WINDOW)
+            append(e);
+        else
+            farPush(e);
     }
 
     /** Schedule a callable @p delay cycles from now. */
@@ -122,7 +143,7 @@ class EventQueue
      * Execute the single next event, advancing the clock to it.
      * @return false if the queue was empty.
      */
-    bool step();
+    bool step() { return stepUpTo(MAX_TICK); }
 
     /**
      * Run until the queue drains or @p limit events have executed.
@@ -146,6 +167,8 @@ class EventQueue
     static constexpr std::size_t INLINE_BYTES = 192;
     /** Events per pool chunk. */
     static constexpr std::size_t CHUNK_EVENTS = 256;
+    static constexpr std::size_t BITMAP_WORDS = WINDOW / 64;
+    static constexpr Tick MAX_TICK = ~Tick{0};
 
     struct Event
     {
@@ -155,9 +178,16 @@ class EventQueue
         void (*invoke)(Event *);
         /** Destroy the stored callback without running it. */
         void (*destroy)(Event *);
-        /** Free-list link; meaningful only while the event is free. */
-        Event *next_free;
+        /** Bucket FIFO link while pending, free-list link while free. */
+        Event *next;
         alignas(std::max_align_t) unsigned char store[INLINE_BYTES];
+    };
+
+    /** FIFO of the pending events of one tick, in seq order. */
+    struct Bucket
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
     };
 
     template <typename F>
@@ -203,13 +233,52 @@ class EventQueue
         return a->seq > b->seq;
     }
 
+    /** Append @p e to its tick's bucket; its tick is in the window. */
+    void
+    append(Event *e)
+    {
+        std::size_t slot = e->when & (WINDOW - 1);
+        Bucket &b = _ring[slot];
+        e->next = nullptr;
+        if (b.tail != nullptr) {
+            b.tail->next = e;
+        } else {
+            b.head = e;
+            _occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        }
+        b.tail = e;
+        ++_near;
+    }
+
+    /**
+     * Run the next event if it is due at or before @p limit.
+     * @return false if none is.
+     */
+    bool stepUpTo(Tick limit);
+    /** Bucket slot of the earliest in-window event; requires _near. */
+    std::size_t nextSlot() const;
+    /**
+     * Move the clock to @p t: deliver sampler boundaries up to @p t,
+     * then pull the far events now inside the window into their
+     * buckets in (when, seq) order.
+     */
+    void advanceTo(Tick t);
+
     Event *allocate();
     void release(Event *e);
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    void farPush(Event *e);
+    Event *farPop();
 
-    /** Min-heap of pending events ordered by (when, seq). */
-    std::vector<Event *> _heap;
+    /** Per-tick buckets for [_now, _now + WINDOW), indexed by tick. */
+    std::array<Bucket, WINDOW> _ring{};
+    /** Bit per ring slot: set while its bucket is non-empty. */
+    std::array<std::uint64_t, BITMAP_WORDS> _occupied{};
+    /** Events in the ring. */
+    std::size_t _near = 0;
+    /** Events in the ring and the far heap. */
+    std::size_t _pending = 0;
+    /** Min-heap by (when, seq) of events at or after _now + WINDOW. */
+    std::vector<Event *> _far;
     /** Pool chunks; event addresses are stable for their lifetime. */
     std::vector<std::unique_ptr<Event[]>> _chunks;
     /** Recycled events ready for reuse. */

@@ -1,7 +1,6 @@
 #include "stats/bench_diff.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,58 +11,6 @@
 namespace dsm {
 
 namespace {
-
-/**
- * Per-metric noise model. Only the harmful direction is gated;
- * @c abs_slack absorbs fixed-cost jitter on tiny counts (a NACK count
- * moving 2 -> 3 is +50% but meaningless).
- */
-struct MetricRule
-{
-    const char *name;
-    bool higher_is_bad;
-    double rel_pct;   ///< relative threshold, percent of baseline
-    double abs_slack; ///< ignore changes at or below this magnitude
-};
-
-const MetricRule METRIC_RULES[] = {
-    {"ops", false, 5.0, 16.0},
-    {"mean_latency", true, 5.0, 8.0},
-    {"p50", true, 10.0, 16.0},
-    {"p95", true, 10.0, 16.0},
-    {"p99", true, 10.0, 32.0},
-    // Deep-tail percentiles wobble more than the body of the
-    // distribution: wider relative band, larger fixed slack.
-    {"p999", true, 15.0, 64.0},
-    {"messages", true, 5.0, 64.0},
-    {"flits", true, 5.0, 256.0},
-    {"nacks", true, 10.0, 64.0},
-    {"retries", true, 10.0, 64.0},
-    {"ticks", true, 5.0, 256.0},
-    {"avg_cycles_per_update", true, 5.0, 8.0},
-    // Open-loop serving metrics (openloop_sweep): losing throughput or
-    // growing the sojourn tail is the harmful direction; slo_frac is a
-    // ratio in [0, 1], so gate it on absolute movement only.
-    {"throughput", false, 5.0, 0.0},
-    {"slo_frac", true, 0.0, 0.02},
-    // Overload campaign (overload_sweep): goodput falling or shedding
-    // growing is the harmful direction; shed_frac, like slo_frac, is a
-    // ratio in [0, 1] and gates on absolute movement only.
-    {"goodput", false, 5.0, 0.0},
-    {"shed_frac", true, 0.0, 0.02},
-    {"sojourn_p50", true, 10.0, 32.0},
-    {"sojourn_p99", true, 10.0, 64.0},
-    {"sojourn_p999", true, 15.0, 128.0},
-};
-
-const MetricRule *
-findRule(const std::string &name)
-{
-    for (const MetricRule &r : METRIC_RULES)
-        if (name == r.name)
-            return &r;
-    return nullptr;
-}
 
 /** Row identity: every string-valued field, in order. */
 std::string
@@ -82,6 +29,79 @@ rowLabel(const JsonValue &row, int index)
     return label;
 }
 
+/**
+ * Exact comparison of one result value at field path @p path. Numbers
+ * that differ at all are findings; objects (fields matched by position,
+ * so a key repeated within a row is compared occurrence by occurrence)
+ * and arrays recurse with a dotted/indexed path; a changed string, bool
+ * or null, a changed type and a field added or dropped are errors.
+ */
+void
+compareValue(const std::string &bench, const std::string &label,
+             const std::string &path, const JsonValue &b,
+             const JsonValue &c, DiffResult &res)
+{
+    auto error = [&](const std::string &what) {
+        res.errors.push_back(bench + " [" + label + "]: " + what);
+    };
+    if (b.kind != c.kind) {
+        error("metric " + path + " changed type");
+        return;
+    }
+    switch (b.kind) {
+      case JsonValue::Kind::NUMBER: {
+        ++res.metrics_compared;
+        if (b.number == c.number)
+            return;
+        DiffFinding f;
+        f.bench = bench;
+        f.row = label;
+        f.metric = path;
+        f.base = b.number;
+        f.cand = c.number;
+        double diff = c.number - b.number;
+        f.change_pct = b.number != 0.0 ? 100.0 * diff / b.number
+                                        : (diff > 0 ? 100.0 : -100.0);
+        res.regressions.push_back(std::move(f));
+        return;
+      }
+      case JsonValue::Kind::OBJECT: {
+        std::string prefix = path.empty() ? "" : path + ".";
+        std::size_t n = std::min(b.object.size(), c.object.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::string &key = b.object[i].first;
+            if (key != c.object[i].first) {
+                error("metric " + prefix + key + " replaced by " +
+                      prefix + c.object[i].first + " in the candidate");
+                return;
+            }
+            compareValue(bench, label, prefix + key, b.object[i].second,
+                         c.object[i].second, res);
+        }
+        if (b.object.size() > n)
+            error("metric " + prefix + b.object[n].first +
+                  " missing from candidate");
+        else if (c.object.size() > n)
+            error("metric " + prefix + c.object[n].first +
+                  " is new in the candidate");
+        return;
+      }
+      case JsonValue::Kind::ARRAY:
+        if (b.array.size() != c.array.size()) {
+            error("metric " + path + " changed length");
+            return;
+        }
+        for (std::size_t i = 0; i < b.array.size(); ++i)
+            compareValue(bench, label, csprintf("%s[%zu]", path.c_str(), i),
+                         b.array[i], c.array[i], res);
+        return;
+      default:
+        if (b.string != c.string || b.boolean != c.boolean)
+            error("metric " + path + " changed value");
+        return;
+    }
+}
+
 } // anonymous namespace
 
 void
@@ -89,8 +109,6 @@ DiffResult::merge(const DiffResult &other)
 {
     regressions.insert(regressions.end(), other.regressions.begin(),
                        other.regressions.end());
-    improvements.insert(improvements.end(), other.improvements.begin(),
-                        other.improvements.end());
     errors.insert(errors.end(), other.errors.begin(),
                   other.errors.end());
     rows_compared += other.rows_compared;
@@ -98,8 +116,7 @@ DiffResult::merge(const DiffResult &other)
 }
 
 DiffResult
-diffBenchReports(const JsonValue &base, const JsonValue &cand,
-                 const DiffOptions &opt)
+diffBenchReports(const JsonValue &base, const JsonValue &cand)
 {
     DiffResult res;
     if (base.str("schema") != "dsm-bench-v1" ||
@@ -147,41 +164,7 @@ diffBenchReports(const JsonValue &base, const JsonValue &cand,
             continue;
         }
         ++res.rows_compared;
-
-        for (const auto &[key, bval] : br.object) {
-            const MetricRule *rule = findRule(key);
-            if (rule == nullptr || !bval.isNumber())
-                continue;
-            const JsonValue *cval = cr.find(key);
-            if (cval == nullptr || !cval->isNumber()) {
-                res.errors.push_back(bench + " [" + label +
-                                     "]: metric " + key +
-                                     " missing from candidate");
-                continue;
-            }
-            ++res.metrics_compared;
-            double b = bval.number, c = cval->number;
-            double diff = c - b;
-            if (std::abs(diff) <= rule->abs_slack)
-                continue;
-            double change_pct = b != 0.0
-                                    ? 100.0 * diff / b
-                                    : (diff > 0 ? 100.0 : -100.0);
-            double limit = rule->rel_pct * opt.threshold_scale;
-            bool harmful = rule->higher_is_bad ? diff > 0 : diff < 0;
-            if (std::abs(change_pct) <= limit)
-                continue;
-            DiffFinding f;
-            f.bench = bench;
-            f.row = label;
-            f.metric = key;
-            f.base = b;
-            f.cand = c;
-            f.change_pct = change_pct;
-            f.threshold_pct = limit;
-            (harmful ? res.regressions : res.improvements)
-                .push_back(std::move(f));
-        }
+        compareValue(bench, label, "", br, cr, res);
     }
     return res;
 }
@@ -209,8 +192,7 @@ loadJsonFile(const std::string &path, JsonValue *out, std::string *err)
 } // anonymous namespace
 
 DiffResult
-diffBenchFiles(const std::string &base_path, const std::string &cand_path,
-               const DiffOptions &opt)
+diffBenchFiles(const std::string &base_path, const std::string &cand_path)
 {
     DiffResult res;
     JsonValue base, cand;
@@ -220,12 +202,11 @@ diffBenchFiles(const std::string &base_path, const std::string &cand_path,
         res.errors.push_back(err);
         return res;
     }
-    return diffBenchReports(base, cand, opt);
+    return diffBenchReports(base, cand);
 }
 
 DiffResult
-diffBenchDirs(const std::string &base_dir, const std::string &cand_dir,
-              const DiffOptions &opt)
+diffBenchDirs(const std::string &base_dir, const std::string &cand_dir)
 {
     namespace fs = std::filesystem;
     DiffResult res;
@@ -256,7 +237,7 @@ diffBenchDirs(const std::string &base_dir, const std::string &cand_dir,
                                  cand_dir);
             continue;
         }
-        res.merge(diffBenchFiles(base_dir + "/" + n, cand_path, opt));
+        res.merge(diffBenchFiles(base_dir + "/" + n, cand_path));
     }
     return res;
 }
@@ -267,22 +248,14 @@ renderDiff(const DiffResult &r)
     std::string out;
     for (const std::string &e : r.errors)
         out += "ERROR: " + e + "\n";
-    auto line = [&](const char *tag, const DiffFinding &f) {
-        out += csprintf("%s %s [%s] %s: %g -> %g (%+.1f%%, threshold "
-                        "%.1f%%)\n",
-                        tag, f.bench.c_str(), f.row.c_str(),
-                        f.metric.c_str(), f.base, f.cand, f.change_pct,
-                        f.threshold_pct);
-    };
     for (const DiffFinding &f : r.regressions)
-        line("REGRESSION", f);
-    for (const DiffFinding &f : r.improvements)
-        line("improvement", f);
+        out += csprintf("REGRESSION %s [%s] %s: %.10g -> %.10g (%+.3g%%)\n",
+                        f.bench.c_str(), f.row.c_str(), f.metric.c_str(),
+                        f.base, f.cand, f.change_pct);
     out += csprintf("%d rows, %d metrics compared: %zu regression(s), "
-                    "%zu improvement(s), %zu error(s)\n",
+                    "%zu error(s)\n",
                     r.rows_compared, r.metrics_compared,
-                    r.regressions.size(), r.improvements.size(),
-                    r.errors.size());
+                    r.regressions.size(), r.errors.size());
     return out;
 }
 

@@ -102,9 +102,8 @@ McsLock::acquire(Proc &p)
         // cannot release us first.
         co_await p.store(_locked[me], 1);
         co_await p.store(_next[decode(pred)], encode(me));
-        while ((co_await p.load(_locked[me])).value != 0) {
-            // Spin on the local queue node (ordinary data).
-        }
+        // Spin on the local queue node (ordinary data).
+        co_await p.spinLoad(_locked[me], SpinUntil::eq(0));
     }
     ++_acquisitions;
 }
@@ -123,9 +122,8 @@ McsLock::release(Proc &p)
             if (old_tail == encode(me))
                 co_return; // truly no successor
             Word usurper = co_await swapTail(p, old_tail);
-            while ((succ = (co_await p.load(_next[me])).value) == 0) {
-                // Wait for the in-between enqueuer to link itself.
-            }
+            // Wait for the in-between enqueuer to link itself.
+            succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;
             if (usurper != 0)
                 co_await p.store(_next[decode(usurper)], succ);
             else
@@ -139,15 +137,13 @@ McsLock::release(Proc &p)
                 _tail, 0, _swap_serial[static_cast<std::size_t>(me)]);
             if (s.success)
                 co_return; // no successor
-            while ((succ = (co_await p.load(_next[me])).value) == 0) {
-            }
+            succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;
             co_await p.store(_locked[decode(succ)], 0);
         } else {
             if (co_await casTail(p, encode(me), 0))
                 co_return; // no successor
             // A successor is enqueuing; wait for the link, then pass.
-            while ((succ = (co_await p.load(_next[me])).value) == 0) {
-            }
+            succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;
             co_await p.store(_locked[decode(succ)], 0);
         }
     } else {

@@ -33,15 +33,13 @@ TreeBarrier::arrive(Proc &p)
         int child = ARRIVAL_ARITY * me + k + 1;
         if (child >= _n)
             break;
-        while ((co_await p.load(_ready[child])).value != r) {
-            // Spin on the child's arrival flag.
-        }
+        // Spin on the child's arrival flag.
+        co_await p.spinLoad(_ready[child], SpinUntil::eq(r));
     }
     if (me != 0) {
         co_await p.store(_ready[me], r);
         // Wakeup phase: wait for our binary-tree parent's signal.
-        while ((co_await p.load(_wake[me])).value != r) {
-        }
+        co_await p.spinLoad(_wake[me], SpinUntil::eq(r));
     } else {
         ++_rounds_completed;
     }

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the cross-run perf-regression harness: identical reports
- * pass, a synthetic 10% throughput/latency regression is detected,
- * absolute slack absorbs tiny-count jitter, structural mismatches are
- * errors, and directory comparison matches snapshots by filename. Also
+ * Tests for the golden-results gate: identical reports pass, any move
+ * of any result value fails in either direction, structural mismatches
+ * are errors, and directory comparison matches snapshots by filename. Also
  * covers the provenance (git sha, wall time, host cores) that written
  * dsm-bench-v1 reports carry while toJson() stays byte-stable.
  */
@@ -22,7 +21,6 @@
 namespace {
 
 using dsm::BenchReport;
-using dsm::DiffOptions;
 using dsm::DiffResult;
 
 dsm::JsonValue
@@ -55,7 +53,6 @@ TEST(BenchDiff, IdenticalReportsPass)
     DiffResult res = dsm::diffBenchReports(parsed(doc), parsed(doc));
     EXPECT_TRUE(res.ok());
     EXPECT_TRUE(res.regressions.empty());
-    EXPECT_TRUE(res.improvements.empty());
     EXPECT_EQ(res.rows_compared, 1);
     EXPECT_EQ(res.metrics_compared, 3);
 }
@@ -72,42 +69,79 @@ TEST(BenchDiff, TenPercentThroughputDropIsARegression)
     EXPECT_EQ(res.regressions[0].row, "impl=INV FAP point=c=8");
 }
 
-TEST(BenchDiff, OnlyTheHarmfulDirectionGates)
+TEST(BenchDiff, AMoveInEitherDirectionFails)
 {
-    // Latency up 10% fails; latency down 10% is an improvement only.
+    // Latency up 10% and latency down 10% both fail: the baselines are
+    // golden, so an "improvement" is a change in simulated behaviour.
     DiffResult worse = dsm::diffBenchReports(
         parsed(report(100000, 1000.0, 500)),
         parsed(report(100000, 1100.0, 500)));
     EXPECT_FALSE(worse.ok());
     ASSERT_EQ(worse.regressions.size(), 1u);
     EXPECT_EQ(worse.regressions[0].metric, "mean_latency");
+    EXPECT_NEAR(worse.regressions[0].change_pct, 10.0, 0.01);
 
     DiffResult better = dsm::diffBenchReports(
         parsed(report(100000, 1000.0, 500)),
         parsed(report(100000, 900.0, 500)));
-    EXPECT_TRUE(better.ok());
-    ASSERT_EQ(better.improvements.size(), 1u);
-    EXPECT_EQ(better.improvements[0].metric, "mean_latency");
+    EXPECT_FALSE(better.ok());
+    ASSERT_EQ(better.regressions.size(), 1u);
+    EXPECT_EQ(better.regressions[0].metric, "mean_latency");
+    EXPECT_NEAR(better.regressions[0].change_pct, -10.0, 0.01);
 }
 
-TEST(BenchDiff, AbsoluteSlackAbsorbsTinyCounts)
+TEST(BenchDiff, AOneUnitMoveFails)
 {
-    // 2 -> 40 NACKs is +1900% but only 38 events, inside the slack.
-    DiffResult res = dsm::diffBenchReports(
+    // No slack: 2 -> 3 NACKs fails, and so does one cycle of latency.
+    DiffResult nacks = dsm::diffBenchReports(
         parsed(report(100000, 1000.0, 2)),
-        parsed(report(100000, 1000.0, 40)));
-    EXPECT_TRUE(res.ok());
-    EXPECT_TRUE(res.regressions.empty());
+        parsed(report(100000, 1000.0, 3)));
+    EXPECT_FALSE(nacks.ok());
+    ASSERT_EQ(nacks.regressions.size(), 1u);
+    EXPECT_EQ(nacks.regressions[0].metric, "nacks");
+    EXPECT_EQ(nacks.regressions[0].base, 2.0);
+    EXPECT_EQ(nacks.regressions[0].cand, 3.0);
+
+    DiffResult cycle = dsm::diffBenchReports(
+        parsed(report(100000, 1000.0, 500)),
+        parsed(report(100000, 1001.0, 500)));
+    EXPECT_FALSE(cycle.ok());
+    ASSERT_EQ(cycle.regressions.size(), 1u);
+    EXPECT_EQ(cycle.regressions[0].metric, "mean_latency");
 }
 
-TEST(BenchDiff, ThresholdScaleLoosensTheGate)
+TEST(BenchDiff, EveryFieldIsComparedNestedOnesToo)
 {
-    DiffOptions loose;
-    loose.threshold_scale = 3.0; // ops gate becomes 15%
-    DiffResult res = dsm::diffBenchReports(
-        parsed(report(100000, 1000.0, 500)),
-        parsed(report(90000, 1000.0, 500)), loose);
-    EXPECT_TRUE(res.ok());
+    // No per-metric table: a field of any name is compared, nested
+    // objects by dotted path; a field added or dropped is an error.
+    auto doc = [](std::uint64_t cycles, std::uint64_t get_s,
+                  bool extra) {
+        BenchReport rep("nested");
+        dsm::BenchRow &row = rep.row();
+        row.set("impl", "INV FAP").set("avg_cycles", cycles);
+        row.setRaw("chain",
+                   "{\"GET_S\":" + std::to_string(get_s) + "}");
+        if (extra)
+            row.set("new_field", std::uint64_t{1});
+        return rep.toJson();
+    };
+    DiffResult same = dsm::diffBenchReports(parsed(doc(7, 3, false)),
+                                            parsed(doc(7, 3, false)));
+    EXPECT_TRUE(same.ok());
+    EXPECT_EQ(same.metrics_compared, 2);
+
+    DiffResult moved = dsm::diffBenchReports(parsed(doc(7, 3, false)),
+                                             parsed(doc(8, 4, false)));
+    EXPECT_FALSE(moved.ok());
+    ASSERT_EQ(moved.regressions.size(), 2u);
+    EXPECT_EQ(moved.regressions[0].metric, "avg_cycles");
+    EXPECT_EQ(moved.regressions[1].metric, "chain.GET_S");
+
+    DiffResult added = dsm::diffBenchReports(parsed(doc(7, 3, false)),
+                                             parsed(doc(7, 3, true)));
+    EXPECT_FALSE(added.ok());
+    ASSERT_EQ(added.errors.size(), 1u);
+    EXPECT_NE(added.errors[0].find("new_field"), std::string::npos);
 }
 
 TEST(BenchDiff, RowIdentityMismatchIsAnError)

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -80,6 +82,24 @@ TEST(EventQueue, RunUntilStopsAtBoundaryInclusive)
     EXPECT_EQ(eq.now(), 20u);
     eq.run();
     EXPECT_EQ(fired, 3);
+
+    // Across the bucket window's horizon: a far event at T waits in the
+    // far heap, runUntil(T - 1) brings T inside the window without
+    // running it, and an event scheduled for T afterwards runs after it.
+    const Tick t = eq.now() + 3 * EventQueue::WINDOW + 7;
+    std::vector<int> order;
+    eq.schedule(t, [&] { order.push_back(1); });
+    eq.schedule(t + EventQueue::WINDOW, [&] { order.push_back(3); });
+    eq.runUntil(t - 1);
+    EXPECT_EQ(eq.now(), t - 1);
+    EXPECT_TRUE(order.empty());
+    eq.schedule(t, [&] { order.push_back(2); });
+    eq.runUntil(t);
+    EXPECT_EQ(eq.now(), t);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.runUntil(t + EventQueue::WINDOW);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
@@ -123,29 +143,62 @@ TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 // stable-sort reference model.
 TEST(EventQueuePool, MatchesReferenceOrderUnderRandomSchedule)
 {
-    struct Ref
+    // Delays reach 3x the bucket window, so events land in the ring and
+    // in the far heap, and every third event schedules another from
+    // inside its callback (re-entrant near and far inserts). The
+    // reference is a (tick, seq)-ordered set driven the same way.
+    constexpr Tick SPAN = 3 * EventQueue::WINDOW;
+    struct Driver
     {
-        Tick when;
-        int id;
+        std::uint64_t lcg = 12345;
+        int next_id = 0;
+        int spawned = 0;
+
+        Tick
+        draw()
+        {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            return (lcg >> 33) % SPAN;
+        }
+        bool
+        spawns(int id)
+        {
+            return id % 3 == 0 && spawned++ < 1500;
+        }
     };
+
     EventQueue eq;
-    std::vector<Ref> ref;
+    Driver d;
     std::vector<int> fired;
-    std::uint64_t lcg = 12345;
-    for (int i = 0; i < 2000; ++i) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        Tick when = (lcg >> 33) % 97;
-        ref.push_back({when, i});
-        eq.schedule(when, [&fired, i] { fired.push_back(i); });
-    }
-    std::stable_sort(ref.begin(), ref.end(),
-                     [](const Ref &a, const Ref &b) {
-                         return a.when < b.when;
-                     });
+    std::function<void(Tick, int)> add = [&](Tick when, int id) {
+        eq.schedule(when, [&, id] {
+            fired.push_back(id);
+            if (d.spawns(id))
+                add(eq.now() + d.draw(), d.next_id++);
+        });
+    };
+    for (int i = 0; i < 2000; ++i)
+        add(d.draw(), d.next_id++);
     eq.run();
-    ASSERT_EQ(fired.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_EQ(fired[i], ref[i].id) << "at position " << i;
+
+    Driver rd;
+    std::set<std::tuple<Tick, std::uint64_t, int>> ref;
+    std::uint64_t seq = 0;
+    for (int i = 0; i < 2000; ++i)
+        ref.insert({rd.draw(), seq++, rd.next_id++});
+    std::vector<int> expect;
+    while (!ref.empty()) {
+        auto [when, s, id] = *ref.begin();
+        ref.erase(ref.begin());
+        expect.push_back(id);
+        if (rd.spawns(id))
+            ref.insert({when + rd.draw(), seq++, rd.next_id++});
+    }
+
+    ASSERT_EQ(fired.size(), expect.size());
+    EXPECT_EQ(fired.size(), 3000u);
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(fired[i], expect[i]) << "at position " << i;
 }
 
 // Free-list reuse: events scheduled from inside callbacks reuse pooled
@@ -205,8 +258,11 @@ TEST(EventQueuePool, DestroysPendingCallbacks)
     {
         EventQueue eq;
         eq.schedule(1, [guard] { (void)*guard; });
+        // One in the far heap, beyond the bucket window.
+        eq.schedule(5 * EventQueue::WINDOW, [guard] { (void)*guard; });
         guard.reset();
         EXPECT_FALSE(watch.expired());
+        EXPECT_EQ(eq.pending(), 2u);
     }
     EXPECT_TRUE(watch.expired());
 }

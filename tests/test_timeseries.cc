@@ -100,6 +100,18 @@ TEST(TimeSeriesUnit, EventQueueSamplerFiresPerWindowBoundary)
     eq.runUntil(41);
     EXPECT_EQ(eq.now(), 41u);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30, 40}));
+
+    // An event beyond the event queue's bucket window: every boundary
+    // up to it is delivered, in order, before it runs.
+    Tick far = 41 + 2 * EventQueue::WINDOW + 3;
+    std::size_t before = 0;
+    eq.schedule(far, [&] { before = fired.size(); });
+    eq.run();
+    EXPECT_EQ(eq.now(), far);
+    ASSERT_EQ(before, static_cast<std::size_t>(far / 10));
+    EXPECT_EQ(fired.size(), before);
+    for (std::size_t i = 0; i < fired.size(); ++i)
+        EXPECT_EQ(fired[i], 10 * (i + 1));
 }
 
 // ----- LineProfiler unit behavior -----
