@@ -17,8 +17,9 @@
 # self-contained TIMESERIES_<name>.html report (open it in a browser).
 # --seed S exports DSM_SEED=S so every sweep's simulated machines use
 # seed S (recorded in each report's meta.seed); the campaign binaries
-# (fault_sweep, openloop_sweep, overload_sweep) take S as their base
-# seed, and fault_sweep's K per-point seeds run S..S+K-1.
+# (fault_sweep, chaos_sweep, openloop_sweep, overload_sweep) take S as
+# their base seed, and the K per-point seeds of fault_sweep and
+# chaos_sweep run S..S+K-1.
 # --openloop appends the open-loop serving campaign (openloop_sweep) to
 # the bench list; --openloop=SPEC additionally exports DSM_OPENLOOP=SPEC
 # so the sweep replaces its built-in load axis with the given level.
@@ -126,6 +127,7 @@ ablation_serial_llsc
 ablation_reservations
 ablation_barrier
 fault_sweep
+chaos_sweep
 "
 if [ -n "$openloop" ]; then
     benches="$benches

@@ -4,12 +4,13 @@
  *
  * The open-loop workload engine (workloads/openloop.hh) offers
  * operations to these queues from a seeded arrival process; each node's
- * processor serves its queue in FIFO order. The queues live in System —
- * null-pointer-gated like every other optional subsystem, so a
- * closed-loop run pays nothing and its stats JSON keeps its exact
- * shape — and carry the serving-side counters: offered/admitted/shed
- * arrivals, queue depth seen by each arrival, admission wait, and
- * sojourn time (admission wait + service) against the configured SLO.
+ * processor serves its queue in FIFO order. The queues live in System
+ * and are allocated only when OpenLoopConfig::enabled holds, the gate
+ * every hook tests, so a closed-loop run pays nothing and its stats
+ * JSON keeps its exact shape. They carry the serving-side counters:
+ * offered/admitted/shed arrivals, queue depth seen by each arrival,
+ * admission wait, and sojourn time (admission wait + service) against
+ * the configured SLO.
  */
 
 #ifndef DSM_CPU_ADMISSION_HH
@@ -83,7 +84,6 @@ class AdmissionQueues
     /** An op admitted at @p arrival finished at @p now. */
     void complete(Tick arrival, Tick now);
 
-    const OpenLoopConfig &cfg() const { return _cfg; }
     const OpenLoopStats &stats() const { return _st; }
 
   private:

@@ -33,24 +33,19 @@ System::System(const Config &cfg)
     _mesh.setTracer(&_tracer);
     _txns.configure(_cfg.txn_trace, n);
     _mesh.setTxnTracer(&_txns);
-    _faults.configure(_cfg.faults, _cfg.machine.seed, _cfg.machine);
-    if (_faults.enabled()) {
-        _faults_on = &_faults;
+    if (_cfg.faults.enabled) {
+        _faults.configure(_cfg.faults, _cfg.machine.seed, _cfg.machine);
         _mesh.setFaults(&_faults);
     }
     if (_cfg.faults.recoveryEnabled()) {
         _recovery.configure(*this, _mesh);
-        _recovery_on = &_recovery;
         _mesh.setRecovery(&_recovery, _cfg.faults.quarantine_k,
                           _cfg.faults.quarantine_window);
     }
-    _watchdog.configure(_cfg.watchdog);
-    if (_watchdog.enabled())
-        _watchdog_on = &_watchdog;
-    if (_cfg.openloop.enabled) {
+    if (_cfg.watchdog.enabled)
+        _watchdog.configure(_cfg.watchdog);
+    if (_cfg.openloop.enabled)
         _admission.configure(_cfg.openloop, n);
-        _admission_on = &_admission;
-    }
     if (_cfg.serve.enabled) {
         _home_queues.reserve(n);
         for (int i = 0; i < n; ++i)
@@ -59,8 +54,6 @@ System::System(const Config &cfg)
     _credit_threshold = _cfg.serve.credit_threshold;
     if (_cfg.telemetry.enabled) {
         _telemetry.configure(_cfg.telemetry);
-        _telemetry_on = &_telemetry;
-        _line_prof_on = &_line_prof;
         _mesh.enableLinkCounters();
         registerTelemetrySeries();
         if (_cfg.serve.credit_auto) {
@@ -77,7 +70,7 @@ System::System(const Config &cfg)
     }
     if (_cfg.machine.spurious_resv_period > 0)
         scheduleSpuriousInvalidation();
-    if (_watchdog.enabled() && _cfg.watchdog.max_txn_age > 0)
+    if (_cfg.watchdog.enabled && _cfg.watchdog.max_txn_age > 0)
         scheduleWatchdogScan();
 }
 
@@ -664,7 +657,7 @@ System::telemetryJson()
         w.raw(_txns.attribution().tailJson());
         w.key("exemplars");
         w.raw(_txns.exemplarsJson());
-        if (_admission_on != nullptr) {
+        if (_cfg.openloop.enabled) {
             const OpenLoopStats &os = _admission.stats();
             w.key("openloop");
             w.beginObject();
@@ -698,7 +691,7 @@ System::run(Tick max_ticks)
     RunResult r;
     Tick deadline = _eq.now() + max_ticks;
     while (tasksPending() > 0) {
-        if (_watchdog_on != nullptr && _watchdog.tripped()) {
+        if (_cfg.watchdog.enabled && _watchdog.tripped()) {
             r.livelocked = true;
             r.diagnosis = _watchdog.diagnosis();
             break;

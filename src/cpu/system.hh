@@ -134,63 +134,72 @@ class System
     TxnTracer &txns() { return _txns; }
     const TxnTracer &txns() const { return _txns; }
 
-    /**
-     * The fault injector, or nullptr when fault injection is off —
-     * hot paths pay one branch, like the tracers. Like the
-     * transaction tracer, the plan's RNG stream is not reset by
-     * clearStats() (its counters are, see clearStats()).
-     */
-    FaultPlan *faults() { return _faults_on; }
+    // Optional subsystems. Each is a member that is always present,
+    // allocates only when its Config predicate holds, and is live
+    // exactly then: faults.enabled (faultPlan()),
+    // faults.recoveryEnabled() (recoveryState()), watchdog.enabled
+    // (watchdogState()), openloop.enabled (admissionState()),
+    // serve.enabled (homeQueue(), serveStats()) and telemetry.enabled
+    // (telemetryState(), lineProfiler()). Hooks test the predicate,
+    // never the subsystem; while it is off, the subsystem does nothing
+    // and its counters read zero.
 
-    /** The fault plan itself, for inspection even when disabled. */
+    /**
+     * The fault injector. Like the transaction tracer, the plan's RNG
+     * stream is not reset by clearStats() (its counters are).
+     */
+    FaultPlan &faultPlan() { return _faults; }
     const FaultPlan &faultPlan() const { return _faults; }
 
-    /** The livelock watchdog, or nullptr when disabled. */
-    Watchdog *watchdog() { return _watchdog_on; }
-
-    /** The watchdog itself, for inspection even when disabled. */
+    /** The livelock watchdog. */
+    Watchdog &watchdogState() { return _watchdog; }
     const Watchdog &watchdogState() const { return _watchdog; }
 
     /**
-     * The message-loss recovery layer (requester timers, home dedup,
-     * drop ledger), or nullptr when FaultConfig::req_timeout is 0 —
-     * the null-pointer gate that keeps loss-free runs zero-cost.
+     * The message-loss recovery layer: requester timers, home dedup and
+     * the drop ledger.
      */
-    Recovery *recovery() { return _recovery_on; }
-
-    /** The recovery layer itself, for inspection even when disabled. */
+    Recovery &recoveryState() { return _recovery; }
     const Recovery &recoveryState() const { return _recovery; }
 
     /**
-     * The open-loop admission queues, or nullptr when open-loop
-     * arrivals are off — the usual null-pointer gate (closed-loop runs
-     * pay nothing and keep their exact stats JSON shape). Like the
-     * transaction tracer, the serving counters are cumulative and not
-     * reset by clearStats().
+     * The open-loop admission queues. Like the transaction tracer, the
+     * serving counters are cumulative and not reset by clearStats().
      */
-    AdmissionQueues *admission() { return _admission_on; }
-
-    /** The admission layer itself, for inspection even when disabled. */
+    AdmissionQueues &admissionState() { return _admission; }
     const AdmissionQueues &admissionState() const { return _admission; }
 
     /**
-     * Node @p n's explicit home service queue, or nullptr when the
-     * overload-protection serving layer is off — the usual null-pointer
-     * gate. When on, home-targeted requests buffer here (two service
-     * classes, combining window) instead of in the memory module's
-     * implicit FIFO.
+     * Node @p n's explicit home service queue; the queues exist only
+     * while serve.enabled. Home-targeted requests then buffer here (two
+     * service classes, combining window) instead of in the memory
+     * module's implicit FIFO.
      */
-    HomeQueue *
+    HomeQueue &
     homeQueue(NodeId n)
     {
-        return _home_queues.empty()
-                   ? nullptr
-                   : &_home_queues[static_cast<std::size_t>(n)];
+        return _home_queues[static_cast<std::size_t>(n)];
+    }
+    const HomeQueue &
+    homeQueue(NodeId n) const
+    {
+        return _home_queues[static_cast<std::size_t>(n)];
     }
 
-    /** Machine-wide serving-layer counters (serve.enabled only). */
+    /** Machine-wide serving-layer counters. */
     ServeStats &serveStats() { return _serve_stats; }
     const ServeStats &serveStats() const { return _serve_stats; }
+
+    /**
+     * The time-resolved telemetry sampler. When on, the event queue
+     * drives it at every TelemetryConfig::window boundary.
+     */
+    TimeSeries &telemetryState() { return _telemetry; }
+    const TimeSeries &telemetryState() const { return _telemetry; }
+
+    /** The per-line contention profiler (telemetry.enabled). */
+    LineProfiler &lineProfiler() { return _line_prof; }
+    const LineProfiler &lineProfiler() const { return _line_prof; }
 
     /**
      * Current credit-backpressure threshold under
@@ -202,22 +211,6 @@ class System
      * credit_threshold.
      */
     int adaptiveCreditThreshold() const { return _credit_threshold; }
-
-    /**
-     * The time-resolved telemetry sampler, or nullptr when telemetry
-     * is off — the usual null-pointer gate. When on, the event queue
-     * drives it at every TelemetryConfig::window boundary.
-     */
-    TimeSeries *telemetry() { return _telemetry_on; }
-
-    /** The sampler itself, for inspection even when disabled. */
-    const TimeSeries &telemetryState() const { return _telemetry; }
-
-    /**
-     * The per-line contention profiler, or nullptr when telemetry is
-     * off. Protocol hot paths pay one branch, like the tracers.
-     */
-    LineProfiler *lineProfiler() { return _line_prof_on; }
 
     /**
      * Finalize sampling (records the residual partial window) and
@@ -363,13 +356,6 @@ class System
     ServeStats _serve_stats;
     /** Live credit threshold (serve.credit_threshold=auto). */
     int _credit_threshold = 0;
-    /** Non-null only when the corresponding feature is enabled. */
-    FaultPlan *_faults_on = nullptr;
-    Watchdog *_watchdog_on = nullptr;
-    Recovery *_recovery_on = nullptr;
-    TimeSeries *_telemetry_on = nullptr;
-    LineProfiler *_line_prof_on = nullptr;
-    AdmissionQueues *_admission_on = nullptr;
     SharingTracker _sharing;
     Rng _rng;
 

@@ -23,12 +23,12 @@
 namespace dsm {
 
 /**
- * Run-time fault injector configured from Config::faults. The hooks
- * are cheap and branch-free when the plan is disabled because callers
- * hold a null pointer instead (System::faults() returns nullptr when
- * off), mirroring the tracer discipline. Each probability is
- * pre-scaled to parts-per-million so decisions stay in integer
- * arithmetic on the deterministic Rng.
+ * Run-time fault injector configured from Config::faults. Every hook
+ * site tests FaultConfig::enabled before calling the plan, and the mesh
+ * is handed the plan only when that predicate holds, so a fault-free
+ * run pays one branch per site and never touches the stream. Each
+ * probability is pre-scaled to parts-per-million so decisions stay in
+ * integer arithmetic on the deterministic Rng.
  *
  * Injection sites and their safety arguments:
  *  - Message jitter is added to a network message's head arrival
@@ -98,7 +98,6 @@ class FaultPlan
     void configure(const FaultConfig &cfg, std::uint64_t machine_seed,
                    const MachineConfig &mc);
 
-    bool enabled() const { return _cfg.enabled; }
     /** The seed the RNG stream was actually built from. */
     std::uint64_t resolvedSeed() const { return _seed; }
     const Counters &counters() const { return _ctr; }

@@ -14,9 +14,10 @@
  * so a silently-lost (unrecoverable) message is a checker violation,
  * not a hang.
  *
- * Cost discipline: like the tracers and the fault plan, callers hold a
- * null pointer when the recovery layer is off (System::recovery()), so
- * fault-free runs pay one branch per hook.
+ * Cost discipline: every hook tests FaultConfig::recoveryEnabled()
+ * before touching the ledger, and the mesh is handed the ledger only
+ * when that predicate holds, so fault-free runs pay one branch per
+ * hook.
  */
 
 #ifndef DSM_FAULT_RECOVERY_HH

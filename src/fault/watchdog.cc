@@ -106,7 +106,7 @@ Watchdog::blockedTxnDump(System &sys)
                                (unsigned long long)sys.now());
     // Fault-stream position: a repro at the dumped seed can fast-
     // forward the stream to this draw count to reach the same state.
-    if (sys.faultPlan().enabled())
+    if (sys.cfg().faults.enabled)
         out += csprintf(
             "  fault stream: seed=%llu draws=%llu\n",
             (unsigned long long)sys.faultPlan().resolvedSeed(),

@@ -31,16 +31,14 @@ class System;
 /**
  * Livelock/starvation detector. Trip state is sticky for the run; the
  * run loop polls tripped() and converts it into RunResult::livelocked.
- * The hooks are free when disabled: System::watchdog() returns nullptr
- * and callers take one null-pointer branch, like the tracers.
+ * The hooks are free when disabled: the retry hook, the scan event and
+ * the run loop's poll all test WatchdogConfig::enabled first.
  */
 class Watchdog
 {
   public:
     void configure(const WatchdogConfig &cfg) { _cfg = cfg; }
 
-    bool enabled() const { return _cfg.enabled; }
-    const WatchdogConfig &cfg() const { return _cfg; }
     bool tripped() const { return _tripped; }
     /** Human-readable report of what tripped, "" until then. */
     const std::string &diagnosis() const { return _diag; }

@@ -60,10 +60,9 @@ Controller::send(Msg m)
     // Credit-based backpressure: replies (and NACKs) from a serving
     // home carry its request-queue depth so requesters can throttle
     // before the mesh fills (serve.backpressure).
-    if (HomeQueue *hq = _sys.homeQueue(_id)) {
-        if (_sys.cfg().serve.backpressure && recoverableReply(m.type))
-            m.qdepth = static_cast<int>(hq->depth());
-    }
+    const ServeConfig &sv = _sys.cfg().serve;
+    if (sv.enabled && sv.backpressure && recoverableReply(m.type))
+        m.qdepth = static_cast<int>(_sys.homeQueue(_id).depth());
     _sys.mesh().send(m);
 }
 
@@ -113,13 +112,16 @@ Controller::env() const
 ProtoHooks
 Controller::hooks()
 {
+    const Config &cfg = _sys.cfg();
     ProtoHooks h;
     h.stats = &_sys.stats(_id);
     h.tracer = &_sys.tracer();
     h.txns = &_sys.txns();
-    h.lp = _sys.lineProfiler();
+    if (cfg.telemetry.enabled)
+        h.lp = &_sys.lineProfiler();
     h.dir = &_sys.dir(_id);
-    h.recovery = _sys.recovery();
+    if (cfg.faults.recoveryEnabled())
+        h.recovery = &_sys.recoveryState();
     return h;
 }
 
@@ -194,12 +196,12 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
     // conflict miss evicting the target block just before the
     // operation starts. Both are events the paper's protocols must
     // already survive; the injector just makes them frequent.
-    FaultPlan *fp = _sys.faults();
-    if (fp != nullptr) {
-        if (_st.cache.reservationValid() && fp->dropReservation())
+    if (_sys.cfg().faults.enabled) {
+        FaultPlan &fp = _sys.faultPlan();
+        if (_st.cache.reservationValid() && fp.dropReservation())
             _st.cache.clearReservation();
         const CacheLine *line = _st.cache.peek(addr);
-        if (line != nullptr && fp->forceEviction()) {
+        if (line != nullptr && fp.forceEviction()) {
             Victim v;
             v.valid = true;
             v.base = blockBase(addr);
@@ -248,8 +250,9 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
 bool
 Controller::loadHit(Addr addr, bool is_sync, Word *value)
 {
-    if (_sys.faults() != nullptr || _sys.recovery() != nullptr ||
-        _sys.txns().enabled() || _sys.tracer().enabled())
+    // faults.enabled also covers recovery: recoveryEnabled() implies it.
+    if (_sys.cfg().faults.enabled || _sys.txns().enabled() ||
+        _sys.tracer().enabled())
         return false;
     if (is_sync && _sys.cfg().sync.policy == SyncPolicy::UNC)
         return false;
@@ -319,12 +322,10 @@ Controller::finishNow(Word value, bool success, Word serial)
     }
     DoneFn done = std::move(_done);
     _st.txn.active = false;
-    Recovery *rc = _sys.recovery();
-    if (rc != nullptr) {
-        // The seq is retired: any still-uncovered drops charged to it
-        // can no longer need recovery.
-        rc->coverRequester(_id);
-    }
+    // The seq is retired: any still-uncovered drops charged to it can
+    // no longer need recovery.
+    if (_sys.cfg().faults.recoveryEnabled())
+        _sys.recoveryState().coverRequester(_id);
     done(OpResult{value, success, serial});
 }
 
@@ -335,10 +336,10 @@ Controller::driverRetry()
     // reset the per-attempt response state; the driver owns the
     // watchdog hook, the trace record, ledger coverage, and the
     // backoff RNG draw.
-    Watchdog *wd = _sys.watchdog();
-    if (wd != nullptr)
-        wd->onRetry(_sys, _id, _st.txn.op, _st.txn.addr,
-                    _st.txn.retries);
+    const Config &cfg = _sys.cfg();
+    if (cfg.watchdog.enabled)
+        _sys.watchdogState().onRetry(_sys, _id, _st.txn.op, _st.txn.addr,
+                                     _st.txn.retries);
     Tracer &tr = _sys.tracer();
     if (tr.on(TraceCat::RETRY)) {
         TraceEvent ev;
@@ -351,14 +352,12 @@ Controller::driverRetry()
         ev.flow = _trace_flow;
         tr.record(ev);
     }
-    Recovery *rc = _sys.recovery();
-    if (rc != nullptr) {
-        // The NACK retires this seq (the retry will draw a fresh one),
-        // so cover any drops still charged to it.
-        rc->coverRequester(_id);
-    }
-    const MachineConfig &mc = _sys.cfg().machine;
-    const ServeConfig &sv = _sys.cfg().serve;
+    // The NACK retires this seq (the retry will draw a fresh one), so
+    // cover any drops still charged to it.
+    if (cfg.faults.recoveryEnabled())
+        _sys.recoveryState().coverRequester(_id);
+    const MachineConfig &mc = cfg.machine;
+    const ServeConfig &sv = cfg.serve;
     // Capped exponential backoff on retries: under heavy contention a
     // fixed retry delay floods the home memory module with requests
     // that will only be NACKed again. serve.nack_backoff raises the
@@ -416,11 +415,11 @@ Controller::recoveryTimeout(std::uint64_t seq, int attempt)
     if (!_st.txn.active || !_st.txn.waiting || _st.txn.resp_seen ||
         _st.txn.seq != seq || _st.txn.attempt != attempt)
         return;
-    Recovery *rc = _sys.recovery();
-    ++rc->counters().retransmits;
+    Recovery &rc = _sys.recoveryState();
+    ++rc.counters().retransmits;
     // A retransmission is the recovery event that covers every drop
     // charged to this seq so far (the resend supersedes them all).
-    rc->coverRequester(_id);
+    rc.coverRequester(_id);
     commit(tf::retransmit(env(), _st));
 }
 
@@ -504,8 +503,8 @@ Controller::noteCredit(int qdepth)
     // Propagate to the edge: the open-loop admission queue sheds
     // arrivals outright while this node is throttled, so overload is
     // rejected cheaply instead of queueing into the mesh.
-    if (AdmissionQueues *adm = _sys.admission())
-        adm->setThrottledUntil(_id, until);
+    if (_sys.cfg().openloop.enabled)
+        _sys.admissionState().setThrottledUntil(_id, until);
 }
 
 void
@@ -515,16 +514,16 @@ Controller::homeEnqueue(const Msg &m)
                "%s for block %#llx delivered to non-home node %d",
                toString(m.type), static_cast<unsigned long long>(m.addr),
                _id);
-    if (HomeQueue *hq = _sys.homeQueue(_id)) {
-        // Overload-protection path (serve.enabled): buffer in the
-        // explicit two-level queue and pump one memory service slot at
-        // a time, so a slot can serve a whole combining batch and the
-        // scheduler can prefer foreground over retry traffic. Only
-        // retryable requests may ride low: write-backs, drop notices,
-        // and owner replies resolve directory busy states and must
-        // never wait behind foreground traffic.
+    if (_sys.cfg().serve.enabled) {
+        // Overload-protection path: buffer in the explicit two-level
+        // queue and pump one memory service slot at a time, so a slot
+        // can serve a whole combining batch and the scheduler can
+        // prefer foreground over retry traffic. Only retryable requests
+        // may ride low: write-backs, drop notices, and owner replies
+        // resolve directory busy states and must never wait behind
+        // foreground traffic.
         bool low = m.prio == 1 && recoverableRequest(m.type);
-        hq->push(m, now(), low);
+        _sys.homeQueue(_id).push(m, now(), low);
         homePump();
         return;
     }
@@ -539,8 +538,8 @@ Controller::noteHomeService(const Msg &m, Tick enq, Tick when)
 {
     // Telemetry: attribute this request and its full home cost (queue
     // wait plus service) to the block it targets.
-    if (LineProfiler *lp = _sys.lineProfiler())
-        lp->noteService(m.addr, when - enq);
+    if (_sys.cfg().telemetry.enabled)
+        _sys.lineProfiler().noteService(m.addr, when - enq);
     // An injected duplicate replay still burns the bank slot (hence
     // the line-profiler attribution above), but its transaction has
     // already been serviced by the original delivery — a second
@@ -563,8 +562,7 @@ Controller::noteHomeService(const Msg &m, Tick enq, Tick when)
 void
 Controller::homePump()
 {
-    HomeQueue *hq = _sys.homeQueue(_id);
-    if (_slot_scheduled || hq->empty())
+    if (_slot_scheduled || _sys.homeQueue(_id).empty())
         return;
     // Reserve the slot now (the bank is busy for it either way) but
     // defer head selection and batch formation to the slot itself:
@@ -580,30 +578,15 @@ void
 Controller::homeServiceSlot(Tick when)
 {
     _slot_scheduled = false;
-    HomeQueue *hq = _sys.homeQueue(_id);
-    dsm_assert(hq != nullptr && !hq->empty(),
-               "home service slot fired with an empty queue");
+    HomeQueue &hq = _sys.homeQueue(_id);
+    dsm_assert(!hq.empty(), "home service slot fired with an empty queue");
     ServeStats &sst = _sys.serveStats();
     const ServeConfig &sv = _sys.cfg().serve;
-    HomeQueue::Entry lead = hq->pop(now(), sst);
+    HomeQueue::Entry lead = hq.pop(now(), sst);
     noteHomeService(lead.msg, lead.enq, when);
 
-    // Recovery dedup and fault injection hit the leader exactly as on
-    // the legacy path; a consumed leader spends the slot.
-    if (!_st.dedup.empty() && recoverableRequest(lead.msg.type) &&
-        lead.msg.seq != 0) {
-        tf::Outcome o;
-        bool handled = tf::tryDedup(env(), _st, lead.msg, o);
-        commit(o);
-        if (handled) {
-            homePump();
-            return;
-        }
-    }
-    FaultPlan *fp = _sys.faults();
-    if (fp != nullptr && recoverableRequest(lead.msg.type) &&
-        fp->injectNack(lead.msg.src)) {
-        commit(tf::injectNack(env(), _st, lead.msg));
+    // A leader consumed by dedup or an injected NACK spends the slot.
+    if (homeFilter(lead.msg)) {
         homePump();
         return;
     }
@@ -631,7 +614,7 @@ Controller::homeServiceSlot(Tick when)
         }
         if (lead_ok) {
             std::vector<HomeQueue::Entry> followers =
-                hq->extractCombinable(lead.msg, sv.combine_limit - 1);
+                hq.extractCombinable(lead.msg, sv.combine_limit - 1);
             std::vector<Msg> batch;
             batch.push_back(lead.msg);
             for (const HomeQueue::Entry &f : followers) {
@@ -670,45 +653,40 @@ Controller::homeServiceSlot(Tick when)
     homePump();
 }
 
-void
-Controller::homeService(const Msg &m)
+bool
+Controller::homeFilter(const Msg &m)
 {
+    // Only requests that carry retry machinery are filtered. Never
+    // write-backs, drop notifications, or owner replies: they have no
+    // retry path, and NACKing them would wedge the directory's
+    // busy-state machine.
+    if (!recoverableRequest(m.type))
+        return false;
     // Recovery layer: filter duplicate requests (timeout
     // retransmissions) before any directory action or fault hook, so a
     // request is never serviced twice unless re-execution is provably
     // idempotent. Runs after the memory-queue delay on purpose — a
     // duplicate costs real memory bandwidth, like any other request.
-    if (!_st.dedup.empty() && recoverableRequest(m.type) && m.seq != 0) {
+    if (!_st.dedup.empty() && m.seq != 0) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, m, o);
         commit(o);
         if (handled)
-            return;
+            return true;
     }
-    // Fault injection: an extra NACK round for request types that
-    // already carry retry machinery. Never for write-backs, drop
-    // notifications, or owner replies — those have no retry path and
-    // NACKing them would wedge the directory's busy-state machine.
-    FaultPlan *fp = _sys.faults();
-    if (fp != nullptr) {
-        switch (m.type) {
-          case MsgType::GET_S:
-          case MsgType::GET_X:
-          case MsgType::UPGRADE:
-          case MsgType::CAS_HOME:
-          case MsgType::SC_REQ:
-          case MsgType::UNC_REQ:
-          case MsgType::UPD_REQ:
-            if (fp->injectNack(m.src)) {
-                commit(tf::injectNack(env(), _st, m));
-                return;
-            }
-            break;
-          default:
-            break;
-        }
+    // Fault injection: an extra NACK round.
+    if (_sys.cfg().faults.enabled && _sys.faultPlan().injectNack(m.src)) {
+        commit(tf::injectNack(env(), _st, m));
+        return true;
     }
-    commit(tf::deliver(env(), _st, m));
+    return false;
+}
+
+void
+Controller::homeService(const Msg &m)
+{
+    if (!homeFilter(m))
+        commit(tf::deliver(env(), _st, m));
 }
 
 } // namespace dsm

@@ -174,8 +174,15 @@ class Controller : private tf::StepCtx
 
     /** Queue a home-targeted message behind the memory module. */
     void homeEnqueue(const Msg &m);
-    /** Home service after the memory access: dedup, faults, deliver. */
+    /** Home service after the memory access: filter, then deliver. */
     void homeService(const Msg &m);
+    /**
+     * Recovery dedup, then an injected NACK, for a recoverable request
+     * at its home service point.
+     * @return true when the request was consumed and must not be
+     *         delivered.
+     */
+    bool homeFilter(const Msg &m);
 
     /** @name Overload-protection serving (serve.enabled). @{ */
     /** Reserve the next memory service slot when work is queued. */

@@ -25,8 +25,9 @@ struct SysStats;
 
 /**
  * Hook sinks for one node. Null pointers are skipped (the tracer and
- * txn tracer are always present but cheap when off; the profiler and
- * recovery ledger exist only when their feature is enabled).
+ * txn tracer are always present but cheap when off; the driver fills
+ * the profiler and recovery ledger only while their Config predicate
+ * holds: telemetry.enabled and faults.recoveryEnabled()).
  */
 struct ProtoHooks
 {

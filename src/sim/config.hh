@@ -172,10 +172,10 @@ struct TxnTraceConfig
 /**
  * Time-resolved telemetry configuration (stats/timeseries.hh and
  * stats/line_profiler.hh). Off by default and free when off: the event
- * loop pays one branch per event, every protocol hook one null-pointer
- * test, and the stats JSON keeps its exact shape. When enabled, the
- * simulator samples windowed deltas of the registered counters every
- * @c window cycles into bounded ring-buffered series, attributes
+ * loop pays one branch per event, every protocol hook one test of
+ * @c enabled, and the stats JSON keeps its exact shape. When enabled,
+ * the simulator samples windowed deltas of the registered counters
+ * every @c window cycles into bounded ring-buffered series, attributes
  * traffic per cache line, and counts flits per directed mesh link.
  */
 struct TelemetryConfig
@@ -319,8 +319,8 @@ constexpr Tick FAULT_JITTER_HORIZON = 1u << 20;
 
 /**
  * Deterministic fault-injection configuration (fault/fault.hh). Off by
- * default and free when off (a single null-pointer branch per hook, the
- * same discipline as the tracers). When enabled, a dedicated RNG stream
+ * default and free when off (one test of @c enabled per hook, the same
+ * discipline as the tracers). When enabled, a dedicated RNG stream
  * — independent of the protocol's backoff stream — draws bounded
  * per-message latency jitter in the mesh, spurious reservation drops
  * and forced evictions at operation issue, and extra NACK rounds at the

@@ -10,9 +10,9 @@
  * export identifies e.g. the lock-free counter's line as the #1 hotspot
  * under contention.
  *
- * Gating follows the fault/recovery discipline: System::lineProfiler()
- * returns nullptr when telemetry is off, so every hook costs a single
- * null-pointer branch.
+ * Gating follows the fault/recovery discipline: every hook tests
+ * TelemetryConfig::enabled before calling in, so with telemetry off a
+ * hook costs a single branch and the profiler stays empty.
  */
 
 #ifndef DSM_STATS_LINE_PROFILER_HH
@@ -55,7 +55,7 @@ struct LineProfile
 class LineProfiler
 {
   public:
-    /** @name Protocol hooks (callers null-gate on System). @{ */
+    /** @name Protocol hooks (callers gate on telemetry.enabled). @{ */
 
     void
     noteService(Addr block, Tick service_cycles)

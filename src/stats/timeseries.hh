@@ -42,7 +42,6 @@ class TimeSeries
     /** Apply a TelemetryConfig; must precede registration/sampling. */
     void configure(const TelemetryConfig &cfg);
 
-    bool enabled() const { return _enabled; }
     Tick window() const { return _window; }
 
     /**

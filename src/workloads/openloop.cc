@@ -101,8 +101,8 @@ struct Park
 void
 arrivalEvent(System &sys, OpenLoopState &st, std::size_t i)
 {
-    const OpenLoopConfig &cfg = sys.admission()->cfg();
-    AdmissionQueues &adm = *sys.admission();
+    const OpenLoopConfig &cfg = sys.cfg().openloop;
+    AdmissionQueues &adm = sys.admissionState();
     Rng &rng = st.rng[i];
 
     // Uniform batch in [1, 2*burst-1] has mean burst; the gap mean is
@@ -135,7 +135,7 @@ Task
 serverThread(System &sys, Proc &p, OpenLoopState &st,
              LockFreeCounter &counter)
 {
-    AdmissionQueues &adm = *sys.admission();
+    AdmissionQueues &adm = sys.admissionState();
     NodeId id = p.id();
     std::size_t i = static_cast<std::size_t>(id);
     for (;;) {
@@ -160,10 +160,9 @@ serverThread(System &sys, Proc &p, OpenLoopState &st,
 OpenLoopResult
 runOpenLoop(System &sys, Primitive prim)
 {
-    AdmissionQueues *adm = sys.admission();
-    dsm_assert(adm != nullptr,
+    dsm_assert(sys.cfg().openloop.enabled,
                "runOpenLoop requires cfg.openloop.enabled");
-    const OpenLoopConfig &cfg = adm->cfg();
+    const OpenLoopConfig &cfg = sys.cfg().openloop;
 
     LockFreeCounter counter(sys, prim);
 
@@ -194,7 +193,7 @@ runOpenLoop(System &sys, Primitive prim)
     }
     RunResult rr = sys.run();
 
-    const OpenLoopStats &os = adm->stats();
+    const OpenLoopStats &os = sys.admissionState().stats();
     OpenLoopResult res;
     res.offered = os.offered;
     res.admitted = os.admitted;

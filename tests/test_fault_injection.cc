@@ -101,8 +101,8 @@ TEST(FaultInjection, ZeroCostWhenOff)
     CounterAppResult r = runCounter(sys, Primitive::FAP, 4, 4);
     ASSERT_TRUE(r.completed);
     EXPECT_TRUE(r.correct);
-    EXPECT_EQ(sys.faults(), nullptr);
-    EXPECT_EQ(sys.watchdog(), nullptr);
+    EXPECT_EQ(sys.faultPlan().draws(), 0u);
+    EXPECT_FALSE(sys.watchdogState().tripped());
     const FaultPlan::Counters &c = sys.faultPlan().counters();
     EXPECT_EQ(c.jitter_applied + c.jitter_cycles + c.resv_drops +
                   c.forced_evictions + c.nacks_injected,

@@ -438,7 +438,7 @@ TEST(OpenLoopOff, LeavesStatsJsonShapeUntouched)
     sys.spawn(doStore(sys.proc(0), a, 7));
     runAll(sys);
 
-    EXPECT_EQ(sys.admission(), nullptr);
+    EXPECT_EQ(sys.admissionState().stats().offered, 0u);
     std::string stats = sys.statsJson();
     EXPECT_EQ(stats.find("openloop"), std::string::npos);
     EXPECT_EQ(stats.find("txn.tail"), std::string::npos);

@@ -94,7 +94,7 @@ TEST(Recovery, ZeroCostWhenOff)
     spawnAdders(sys, a, 4, 8);
     runAll(sys);
     EXPECT_EQ(sys.debugRead(a), 32u);
-    EXPECT_EQ(sys.recovery(), nullptr);
+    EXPECT_EQ(sys.recoveryState().pendingDrops(), 0u);
     const Recovery::Counters &rc = sys.recoveryState().counters();
     EXPECT_EQ(rc.drops + rc.retransmits + rc.dup_requests +
                   rc.stale_replies + rc.links_quarantined,
@@ -107,13 +107,13 @@ TEST(Recovery, ZeroCostWhenOff)
 TEST(Recovery, LegacyFaultMixLeavesRecoveryOff)
 {
     // The pre-existing fault mix has no loss and no timeout: the
-    // recovery layer must stay null-gated and its stats absent, so
-    // legacy fault campaigns keep their exact JSON shape.
+    // recovery layer must stay off and its stats absent, so legacy
+    // fault campaigns keep their exact JSON shape.
     Config cfg = smallConfig(SyncPolicy::INV, 8);
     EXPECT_EQ(cfg.faults.parse("default"), "");
     System sys(cfg);
-    EXPECT_NE(sys.faults(), nullptr);
-    EXPECT_EQ(sys.recovery(), nullptr);
+    EXPECT_TRUE(sys.cfg().faults.enabled);
+    EXPECT_FALSE(sys.cfg().faults.recoveryEnabled());
     EXPECT_EQ(sys.statsJson().find("recovery."), std::string::npos);
 }
 

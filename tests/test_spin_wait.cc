@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,7 +87,7 @@ finish(System &sys)
     p.stats = sys.statsJson();
     p.end = sys.now();
     p.events = sys.eq().eventsExecuted();
-    if (sys.telemetry() != nullptr)
+    if (sys.cfg().telemetry.enabled)
         p.timeseries = sys.telemetryJson();
     return p;
 }
@@ -422,6 +423,17 @@ struct FlagCase
     Impl impl;
     bool sync_flag;
 };
+
+/**
+ * Without a printer gtest dumps the case's raw bytes, whose `name`
+ * pointer moves with ASLR, so the listed (and ctest-discovered) test
+ * names would change from one run to the next.
+ */
+void
+PrintTo(const FlagCase &c, std::ostream *os)
+{
+    *os << c.impl.name << (c.sync_flag ? " sync flag" : " data flag");
+}
 
 std::vector<FlagCase>
 flagCases()

@@ -170,20 +170,19 @@ TEST(Telemetry, WindowDeltasSumToAggregates)
     ASSERT_TRUE(r.completed);
     EXPECT_TRUE(r.correct);
 
-    TimeSeries *ts = sys.telemetry();
-    ASSERT_NE(ts, nullptr);
-    ts->finalize(sys.now());
-    EXPECT_GT(ts->windowsSampled(), 1u);
+    TimeSeries &ts = sys.telemetryState();
+    ts.finalize(sys.now());
+    EXPECT_GT(ts.windowsSampled(), 1u);
 
     // Every per-window delta, summed over all windows (including any
     // evicted ones), equals the end-of-run aggregate exactly.
     SysStats agg = sys.stats();
     const MeshStats &ms = sys.mesh().stats();
-    EXPECT_EQ(ts->seriesTotal("nacks"), agg.nacks);
-    EXPECT_EQ(ts->seriesTotal("retries"), agg.retries);
-    EXPECT_EQ(ts->seriesTotal("invalidations"), agg.invalidations);
-    EXPECT_EQ(ts->seriesTotal("messages"), ms.messages);
-    EXPECT_EQ(ts->seriesTotal("flits"), ms.flits);
+    EXPECT_EQ(ts.seriesTotal("nacks"), agg.nacks);
+    EXPECT_EQ(ts.seriesTotal("retries"), agg.retries);
+    EXPECT_EQ(ts.seriesTotal("invalidations"), agg.invalidations);
+    EXPECT_EQ(ts.seriesTotal("messages"), ms.messages);
+    EXPECT_EQ(ts.seriesTotal("flits"), ms.flits);
 }
 
 TEST(Telemetry, SumToAggregateSurvivesEviction)
@@ -202,16 +201,15 @@ TEST(Telemetry, SumToAggregateSurvivesEviction)
     CounterAppResult r = runCounterApp(sys, app);
     ASSERT_TRUE(r.completed);
 
-    TimeSeries *ts = sys.telemetry();
-    ASSERT_NE(ts, nullptr);
-    ts->finalize(sys.now());
-    EXPECT_GT(ts->windowsEvicted(), 0u);
+    TimeSeries &ts = sys.telemetryState();
+    ts.finalize(sys.now());
+    EXPECT_GT(ts.windowsEvicted(), 0u);
 
     SysStats agg = sys.stats();
     const MeshStats &ms = sys.mesh().stats();
-    EXPECT_EQ(ts->seriesTotal("nacks"), agg.nacks);
-    EXPECT_EQ(ts->seriesTotal("messages"), ms.messages);
-    EXPECT_EQ(ts->seriesTotal("flits"), ms.flits);
+    EXPECT_EQ(ts.seriesTotal("nacks"), agg.nacks);
+    EXPECT_EQ(ts.seriesTotal("messages"), ms.messages);
+    EXPECT_EQ(ts.seriesTotal("flits"), ms.flits);
 }
 
 TEST(Telemetry, ClearStatsRebaselinesDeltas)
@@ -236,13 +234,12 @@ TEST(Telemetry, ClearStatsRebaselinesDeltas)
     sys.clearStats();
     contend(); // measured region
 
-    TimeSeries *ts = sys.telemetry();
-    ASSERT_NE(ts, nullptr);
-    ts->finalize(sys.now());
+    TimeSeries &ts = sys.telemetryState();
+    ts.finalize(sys.now());
     // Post-clear windows sum to the post-clear aggregates, exactly as
     // the paper-figure benches (warmup + clearStats + measure) need.
-    EXPECT_EQ(ts->seriesTotal("nacks"), sys.stats().nacks);
-    EXPECT_EQ(ts->seriesTotal("retries"), sys.stats().retries);
+    EXPECT_EQ(ts.seriesTotal("nacks"), sys.stats().nacks);
+    EXPECT_EQ(ts.seriesTotal("retries"), sys.stats().retries);
 }
 
 TEST(Telemetry, HotLineRankingIdentifiesContendedCounter)
@@ -270,10 +267,9 @@ TEST(Telemetry, HotLineRankingIdentifiesContendedCounter)
     runAll(sys);
     EXPECT_EQ(sys.debugRead(hot), 128u);
 
-    LineProfiler *lp = sys.lineProfiler();
-    ASSERT_NE(lp, nullptr);
-    EXPECT_GT(lp->linesTracked(), 1u);
-    std::vector<LineProfiler::Ranked> top = lp->ranked(4);
+    const LineProfiler &lp = sys.lineProfiler();
+    EXPECT_GT(lp.linesTracked(), 1u);
+    std::vector<LineProfiler::Ranked> top = lp.ranked(4);
     ASSERT_FALSE(top.empty());
     EXPECT_EQ(top[0].addr, blockBase(hot));
     EXPECT_GT(top[0].prof.requests, 0u);
@@ -289,8 +285,8 @@ TEST(Telemetry, ZeroCostWhenOff)
     Addr a = sys.allocSyncAt(1);
     runOp(sys, 0, AtomicOp::FAA, a, 1);
 
-    EXPECT_EQ(sys.telemetry(), nullptr);
-    EXPECT_EQ(sys.lineProfiler(), nullptr);
+    EXPECT_EQ(sys.telemetryState().numSeries(), 0u);
+    EXPECT_EQ(sys.lineProfiler().linesTracked(), 0u);
     EXPECT_FALSE(sys.mesh().linkCountersEnabled());
 
     // The registry JSON keeps its pre-telemetry shape: no timeseries

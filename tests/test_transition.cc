@@ -8,9 +8,9 @@
  *  - stat-shape stability: the statsJson of a fixed Table 1-style
  *    counter run is byte-identical to the committed baseline, pinning
  *    the refactored driver's counters to the event-driven engine's.
- *    A second baseline pins a run with every optional stats group on.
- *    Regenerate with DSM_REGEN_BASELINES=1 after an *intended* stats
- *    change.
+ *    A second baseline pins a run with every optional stats group on,
+ *    and a third that run's telemetry export. Regenerate with
+ *    DSM_REGEN_BASELINES=1 after an *intended* stats change.
  */
 
 #include <gtest/gtest.h>
@@ -234,13 +234,21 @@ baselineRunJson()
     return sys.statsJson();
 }
 
+/** The two documents the all-groups run renders, in render order. */
+struct AllGroupsJson
+{
+    std::string stats;
+    std::string telemetry;
+};
+
 /**
  * A p=16 open-loop serving run with every optional stats group on:
  * serve "1", the chaos_sweep "moderate" faults with loss recovery, the
  * watchdog, transaction tracing, telemetry, and an event-trace ring
- * small enough to wrap.
+ * small enough to wrap. statsJson is rendered first: telemetryJson()
+ * finalizes the sampler, which adds the residual window.
  */
-std::string
+AllGroupsJson
 allGroupsRunJson()
 {
     Config cfg;
@@ -270,7 +278,10 @@ allGroupsRunJson()
     OpenLoopResult r = runOpenLoop(sys, Primitive::FAP);
     EXPECT_TRUE(r.completed_run);
     EXPECT_TRUE(r.correct);
-    return sys.statsJson();
+    AllGroupsJson out;
+    out.stats = sys.statsJson();
+    out.telemetry = sys.telemetryJson();
+    return out;
 }
 
 /** Compare @p json with tests/baselines/@p name, or rewrite it under
@@ -293,7 +304,7 @@ expectMatchesBaseline(const std::string &name, const std::string &json)
     std::stringstream buf;
     buf << in.rdbuf();
     EXPECT_EQ(json, buf.str())
-        << "statsJson drifted from the committed baseline; if the "
+        << "the JSON drifted from the committed baseline; if the "
            "change is intended, regenerate with DSM_REGEN_BASELINES=1";
 }
 
@@ -306,11 +317,24 @@ TEST(Transition, StatsJsonMatchesCommittedBaseline)
 
 TEST(Transition, AllGroupsStatsJsonMatchesCommittedBaseline)
 {
-    std::string json = allGroupsRunJson();
+    std::string json = allGroupsRunJson().stats;
     // Anti-vacuous: every optional group is present in the document.
     for (const char *group : {"\"fault\":", "\"recovery\":", "\"txn\":",
                               "\"openloop\":", "\"serve\":",
                               "\"timeseries\":", "\"trace\":"})
         EXPECT_NE(json.find(group), std::string::npos) << group;
     expectMatchesBaseline("statsjson_all_groups.json", json);
+}
+
+TEST(Transition, AllGroupsTelemetryJsonMatchesCommittedBaseline)
+{
+    std::string json = allGroupsRunJson().telemetry;
+    // Anti-vacuous: the gated series and sections are all present.
+    for (const char *part :
+         {"\"recovery_drops\"", "\"recovery_retransmits\"",
+          "\"openloop_admitted\"", "\"openloop_queue_depth\"",
+          "\"hot_lines\":[{", "\"links\":", "\"tail\":",
+          "\"openloop\":{"})
+        EXPECT_NE(json.find(part), std::string::npos) << part;
+    expectMatchesBaseline("telemetryjson_all_groups.json", json);
 }
