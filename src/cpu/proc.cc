@@ -37,26 +37,9 @@ Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done)
          done = std::move(done)](OpResult r) {
             if (is_attempt)
                 sys->sharing().endAttempt(addr, id);
-            if (is_sync) {
-                bool is_write = false;
-                switch (the_op) {
-                  case AtomicOp::STORE:
-                  case AtomicOp::TAS:
-                  case AtomicOp::FAA:
-                  case AtomicOp::FAS:
-                  case AtomicOp::FAO:
-                    is_write = true;
-                    break;
-                  case AtomicOp::CAS:
-                  case AtomicOp::SC:
-                  case AtomicOp::SCS:
-                    is_write = r.success;
-                    break;
-                  default:
-                    break;
-                }
-                sys->sharing().recordAccess(addr, id, is_write);
-            }
+            if (is_sync)
+                sys->sharing().recordAccess(addr, id,
+                                            effectiveWrite(the_op, r.success));
             self->noteResult(the_op, r);
             done(r);
         });

@@ -12,15 +12,6 @@ SyncBarrier::SyncBarrier(System &sys, int participants)
 }
 
 void
-SyncBarrier::setParticipants(int participants)
-{
-    dsm_assert(_waiting.empty(),
-               "cannot resize a barrier while threads wait at it");
-    dsm_assert(participants > 0, "barrier needs at least one participant");
-    _participants = participants;
-}
-
-void
 SyncBarrier::Waiter::await_suspend(std::coroutine_handle<> h)
 {
     barrier.arrived(h);

@@ -35,9 +35,6 @@ class SyncBarrier
      */
     SyncBarrier(System &sys, int participants);
 
-    /** Change the participant count (only while nobody is waiting). */
-    void setParticipants(int participants);
-
     /** Number of times the barrier has released a full round. */
     std::uint64_t rounds() const { return _rounds; }
 

@@ -608,7 +608,8 @@ System::report() const
 std::string
 System::telemetryJson()
 {
-    _telemetry.finalize(_eq.now());
+    if (_cfg.telemetry.enabled)
+        _telemetry.finalize(_eq.now());
     JsonWriter w;
     w.beginObject();
     w.key("timeseries");

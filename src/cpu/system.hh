@@ -115,7 +115,8 @@ class System
         // again sum exactly to the post-clear aggregates. The line
         // profiler and link-flit matrix stay cumulative, like the
         // transaction tracer.
-        _telemetry.rebaseline();
+        if (_cfg.telemetry.enabled)
+            _telemetry.rebaseline();
     }
 
     /** The hierarchical stats registry (per-node and global entries). */

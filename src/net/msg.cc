@@ -1,6 +1,26 @@
 #include "net/msg.hh"
 
+#include "sim/logging.hh"
+
 namespace dsm {
+
+Word
+applyOp(AtomicOp op, Word old, Word operand)
+{
+    switch (op) {
+      case AtomicOp::STORE:
+      case AtomicOp::FAS:
+        return operand;
+      case AtomicOp::TAS:
+        return 1;
+      case AtomicOp::FAA:
+        return old + operand;
+      case AtomicOp::FAO:
+        return old | operand;
+      default:
+        dsm_panic("applyOp on non-modifying op %s", toString(op));
+    }
+}
 
 const char *
 toString(AtomicOp op)

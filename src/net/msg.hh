@@ -54,6 +54,17 @@ isAtomic(AtomicOp op)
            op == AtomicOp::SC || op == AtomicOp::SCS;
 }
 
+/** True if @p op, with verdict @p success, wrote memory. */
+constexpr bool
+effectiveWrite(AtomicOp op, bool success)
+{
+    return op == AtomicOp::STORE || isFetchAndPhi(op) ||
+           (isAtomic(op) && success);
+}
+
+/** The word a store or fetch_and_Phi @p op writes over @p old. */
+Word applyOp(AtomicOp op, Word old, Word operand);
+
 const char *toString(AtomicOp op);
 
 /** Protocol message types. */
@@ -130,6 +141,27 @@ recoverableReply(MsgType t)
            t == MsgType::CAS_FAIL || t == MsgType::CAS_FAIL_S ||
            t == MsgType::UNC_RESP || t == MsgType::UPD_RESP ||
            t == MsgType::SC_RESP;
+}
+
+/** True for an owner's reply to a request the home forwarded to it. */
+constexpr bool
+ownerReply(MsgType t)
+{
+    return t == MsgType::OWNER_DATA_S || t == MsgType::OWNER_DATA_X ||
+           t == MsgType::CAS_OWNER_FAIL || t == MsgType::CAS_OWNER_FAIL_S ||
+           t == MsgType::FWD_NACK_RETRY || t == MsgType::FWD_NACK_WB;
+}
+
+/**
+ * True for the messages a block's home node serves behind its memory
+ * module: the recoverable requests, write-backs, drop notifications and
+ * owner replies.
+ */
+constexpr bool
+homeTargeted(MsgType t)
+{
+    return recoverableRequest(t) || t == MsgType::WB_DATA ||
+           t == MsgType::DROP_NOTIFY || ownerReply(t);
 }
 
 /** A protocol message. Fields beyond type/src/dst are type-dependent. */

@@ -446,34 +446,16 @@ Controller::handleMsg(const Msg &m)
             std::fprintf(stderr, "           data0=%llu\n",
                          static_cast<unsigned long long>(m.data[0]));
     }
-    switch (m.type) {
-      // Home-targeted messages queue behind the memory module.
-      case MsgType::GET_S:
-      case MsgType::GET_X:
-      case MsgType::UPGRADE:
-      case MsgType::CAS_HOME:
-      case MsgType::SC_REQ:
-      case MsgType::UNC_REQ:
-      case MsgType::UPD_REQ:
-      case MsgType::WB_DATA:
-      case MsgType::DROP_NOTIFY:
-      case MsgType::OWNER_DATA_S:
-      case MsgType::OWNER_DATA_X:
-      case MsgType::CAS_OWNER_FAIL:
-      case MsgType::CAS_OWNER_FAIL_S:
-      case MsgType::FWD_NACK_RETRY:
-      case MsgType::FWD_NACK_WB:
+    // Home-targeted messages queue behind the memory module.
+    if (homeTargeted(m.type)) {
         homeEnqueue(m);
-        break;
-
-      // Everything else acts immediately at this node (responses to
-      // the local requester, invalidations, updates, forwards).
-      default:
-        if (m.qdepth >= 0 && _sys.cfg().serve.backpressure)
-            noteCredit(m.qdepth);
-        commit(tf::deliver(env(), _st, m));
-        break;
+        return;
     }
+    // Everything else acts immediately at this node (responses to the
+    // local requester, invalidations, updates, forwards).
+    if (m.qdepth >= 0 && _sys.cfg().serve.backpressure)
+        noteCredit(m.qdepth);
+    commit(tf::deliver(env(), _st, m));
 }
 
 void
@@ -547,15 +529,9 @@ Controller::noteHomeService(const Msg &m, Tick enq, Tick when)
     if (m.txn_id != 0 && !m.replayed) {
         // Owner replies re-enter the home queue: their transit leg
         // belongs to the reply path, not the request path.
-        bool reply_leg = m.type == MsgType::OWNER_DATA_S ||
-                         m.type == MsgType::OWNER_DATA_X ||
-                         m.type == MsgType::CAS_OWNER_FAIL ||
-                         m.type == MsgType::CAS_OWNER_FAIL_S ||
-                         m.type == MsgType::FWD_NACK_RETRY ||
-                         m.type == MsgType::FWD_NACK_WB;
         _sys.txns().markService(m.txn_id, _id, enq,
                                 when - _sys.cfg().machine.mem_service_time,
-                                when, reply_leg);
+                                when, ownerReply(m.type));
     }
 }
 

@@ -17,43 +17,6 @@ namespace tf {
 
 namespace detail {
 
-Word
-applyOp(AtomicOp op, Word old, Word operand)
-{
-    switch (op) {
-      case AtomicOp::STORE:
-      case AtomicOp::FAS:
-        return operand;
-      case AtomicOp::TAS:
-        return 1;
-      case AtomicOp::FAA:
-        return old + operand;
-      case AtomicOp::FAO:
-        return old | operand;
-      default:
-        dsm_panic("applyOp on non-modifying op %s", toString(op));
-    }
-}
-
-bool
-effectiveWrite(AtomicOp op, bool success)
-{
-    switch (op) {
-      case AtomicOp::STORE:
-      case AtomicOp::TAS:
-      case AtomicOp::FAA:
-      case AtomicOp::FAS:
-      case AtomicOp::FAO:
-        return true;
-      case AtomicOp::CAS:
-      case AtomicOp::SC:
-      case AtomicOp::SCS:
-        return success;
-      default:
-        return false;
-    }
-}
-
 void
 emitSend(Outcome &o, const Msg &m, Tick delay)
 {
@@ -375,41 +338,12 @@ deliver(const Env &env, CtrlState &s, const Msg &m)
     dsm_assert(m.dst == env.self, "message for node %d delivered to %d",
                m.dst, env.self);
     Outcome o;
-    switch (m.type) {
-      // Home-targeted messages (post memory-module queue).
-      case MsgType::GET_S:
-      case MsgType::GET_X:
-      case MsgType::UPGRADE:
-      case MsgType::CAS_HOME:
-      case MsgType::SC_REQ:
-      case MsgType::UNC_REQ:
-      case MsgType::UPD_REQ:
-      case MsgType::WB_DATA:
-      case MsgType::DROP_NOTIFY:
-      case MsgType::OWNER_DATA_S:
-      case MsgType::OWNER_DATA_X:
-      case MsgType::CAS_OWNER_FAIL:
-      case MsgType::CAS_OWNER_FAIL_S:
-      case MsgType::FWD_NACK_RETRY:
-      case MsgType::FWD_NACK_WB:
+    if (homeTargeted(m.type)) {
+        // Home-targeted messages, past the memory-module queue.
         homeDispatch(env, s, o, m);
-        break;
-
-      // Responses addressed to this node as the requester.
-      case MsgType::DATA_S:
-      case MsgType::DATA_X:
-      case MsgType::UPG_ACK:
-      case MsgType::NACK:
-      case MsgType::CAS_FAIL:
-      case MsgType::CAS_FAIL_S:
-      case MsgType::UNC_RESP:
-      case MsgType::UPD_RESP:
-      case MsgType::SC_RESP:
-      case MsgType::INV_ACK:
-      case MsgType::UPDATE_ACK:
-        cpuResponse(env, s, o, m);
-        break;
-
+        return o;
+    }
+    switch (m.type) {
       // Third-party coherence actions.
       case MsgType::INV:
         handleInv(env, s, o, m);
@@ -421,6 +355,11 @@ deliver(const Env &env, CtrlState &s, const Msg &m)
       case MsgType::FWD_GET_X:
       case MsgType::FWD_CAS:
         handleFwd(env, s, o, m);
+        break;
+
+      // Responses addressed to this node as the requester.
+      default:
+        cpuResponse(env, s, o, m);
         break;
     }
     return o;

@@ -85,6 +85,53 @@ retryTxn(CtrlState &s, Outcome &o)
     emitRetry(o);
 }
 
+/**
+ * Execute the active operation on the exclusive line @p line and
+ * complete it after @p delay. The one place an INV processor applies
+ * load_exclusive, a store or fetch_and_Phi, compare_and_swap or
+ * store_conditional to its own copy, whether the line hit in the cache
+ * (beginInv) or ownership just arrived (completeExclusive).
+ */
+void
+executeExclusive(CtrlState &s, Outcome &o, CacheLine &line, Tick delay)
+{
+    Addr a = s.txn.addr;
+    Word old = line.readWord(a);
+    switch (s.txn.op) {
+      case AtomicOp::LOAD_EXCL:
+        emitComplete(o, delay, old, true);
+        break;
+      case AtomicOp::STORE:
+      case AtomicOp::TAS:
+      case AtomicOp::FAA:
+      case AtomicOp::FAS:
+      case AtomicOp::FAO:
+        line.writeWord(a, applyOp(s.txn.op, old, s.txn.value));
+        emitComplete(o, delay, s.txn.op == AtomicOp::STORE ? 0 : old,
+                     true);
+        break;
+      case AtomicOp::CAS: {
+        // For the INVd/INVs paths the home/owner already verified
+        // equality, so this local comparison succeeds; for plain INV it
+        // decides the verdict.
+        bool ok = old == s.txn.expected;
+        if (ok)
+            line.writeWord(a, s.txn.value);
+        emitComplete(o, delay, old, ok);
+        break;
+      }
+      case AtomicOp::SC:
+        line.writeWord(a, s.txn.value);
+        s.cache.clearReservation();
+        emitTraceResv(o, blockBase(a), true);
+        emitComplete(o, delay, 0, true);
+        break;
+      default:
+        dsm_panic("unexpected exclusive completion for %s",
+                  toString(s.txn.op));
+    }
+}
+
 void
 beginInv(const Env &env, CtrlState &s, Outcome &o)
 {
@@ -118,28 +165,20 @@ beginInv(const Env &env, CtrlState &s, Outcome &o)
         break;
 
       case AtomicOp::LOAD_EXCL:
-        if (line != nullptr && line->state == LineState::EXCLUSIVE) {
-            ++s.cache.stats().hits;
-            emitComplete(o, hit, line->readWord(a), true);
-        } else if (line != nullptr) {
-            sendReq(env, s, o, MsgType::UPGRADE);
-        } else {
-            ++s.cache.stats().misses;
-            sendReq(env, s, o, MsgType::GET_X);
-        }
-        break;
-
       case AtomicOp::STORE:
       case AtomicOp::TAS:
       case AtomicOp::FAA:
       case AtomicOp::FAS:
       case AtomicOp::FAO:
+      case AtomicOp::CAS:
         if (line != nullptr && line->state == LineState::EXCLUSIVE) {
             ++s.cache.stats().hits;
-            Word old = line->readWord(a);
-            line->writeWord(a, applyOp(s.txn.op, old, s.txn.value));
-            emitComplete(o, hit,
-                         s.txn.op == AtomicOp::STORE ? 0 : old, true);
+            executeExclusive(s, o, *line, hit);
+        } else if (s.txn.op == AtomicOp::CAS && env.ctx->isSync(a) &&
+                   env.cfg->sync.cas_variant != CasVariant::PLAIN) {
+            // INVd/INVs: the comparison happens at the home or owner.
+            // Ordinary (non-sync) data always uses the plain INV flavour.
+            sendReq(env, s, o, MsgType::CAS_HOME);
         } else if (line != nullptr) {
             sendReq(env, s, o, MsgType::UPGRADE);
         } else {
@@ -147,32 +186,6 @@ beginInv(const Env &env, CtrlState &s, Outcome &o)
             sendReq(env, s, o, MsgType::GET_X);
         }
         break;
-
-      case AtomicOp::CAS: {
-        // Ordinary (non-sync) data always uses the plain INV flavour.
-        CasVariant variant = env.ctx->isSync(a)
-                                 ? env.cfg->sync.cas_variant
-                                 : CasVariant::PLAIN;
-        if (line != nullptr && line->state == LineState::EXCLUSIVE) {
-            ++s.cache.stats().hits;
-            Word old = line->readWord(a);
-            bool ok = old == s.txn.expected;
-            if (ok)
-                line->writeWord(a, s.txn.value);
-            emitComplete(o, hit, old, ok);
-        } else if (variant == CasVariant::PLAIN) {
-            if (line != nullptr) {
-                sendReq(env, s, o, MsgType::UPGRADE);
-            } else {
-                ++s.cache.stats().misses;
-                sendReq(env, s, o, MsgType::GET_X);
-            }
-        } else {
-            // INVd/INVs: the comparison happens at the home or owner.
-            sendReq(env, s, o, MsgType::CAS_HOME);
-        }
-        break;
-      }
 
       case AtomicOp::SC: {
         bool reserved = s.cache.reservationValid() &&
@@ -195,10 +208,7 @@ beginInv(const Env &env, CtrlState &s, Outcome &o)
         } else if (line != nullptr &&
                    line->state == LineState::EXCLUSIVE) {
             ++s.cache.stats().hits;
-            line->writeWord(a, s.txn.value);
-            s.cache.clearReservation();
-            emitTraceResv(o, blockBase(a), true);
-            emitComplete(o, hit, 0, true);
+            executeExclusive(s, o, *line, hit);
         } else {
             dsm_assert(line != nullptr,
                        "valid reservation without a cached line");
@@ -360,49 +370,10 @@ completeUpd(CtrlState &s, Outcome &o)
 void
 completeExclusive(CtrlState &s, Outcome &o)
 {
-    Addr a = s.txn.addr;
-    CacheLine *line = s.cache.lookup(a);
+    CacheLine *line = s.cache.lookup(s.txn.addr);
     dsm_assert(line != nullptr && line->state == LineState::EXCLUSIVE,
                "exclusive completion without an exclusive line");
-
-    switch (s.txn.op) {
-      case AtomicOp::LOAD_EXCL:
-        emitComplete(o, 0, line->readWord(a), true);
-        break;
-      case AtomicOp::STORE:
-        line->writeWord(a, s.txn.value);
-        emitComplete(o, 0, 0, true);
-        break;
-      case AtomicOp::TAS:
-      case AtomicOp::FAA:
-      case AtomicOp::FAS:
-      case AtomicOp::FAO: {
-        Word old = line->readWord(a);
-        line->writeWord(a, applyOp(s.txn.op, old, s.txn.value));
-        emitComplete(o, 0, old, true);
-        break;
-      }
-      case AtomicOp::CAS: {
-        // For the INVd/INVs paths the home/owner already verified
-        // equality, so this local comparison succeeds; for plain INV it
-        // decides the verdict.
-        Word old = line->readWord(a);
-        bool ok = old == s.txn.expected;
-        if (ok)
-            line->writeWord(a, s.txn.value);
-        emitComplete(o, 0, old, ok);
-        break;
-      }
-      case AtomicOp::SC:
-        line->writeWord(a, s.txn.value);
-        s.cache.clearReservation();
-        emitTraceResv(o, blockBase(a), true);
-        emitComplete(o, 0, 0, true);
-        break;
-      default:
-        dsm_panic("unexpected exclusive completion for %s",
-                  toString(s.txn.op));
-    }
+    executeExclusive(s, o, *line, 0);
 }
 
 void

@@ -400,25 +400,14 @@ memoryOp(const Env &env, DirEntry &e, Outcome &o, const Msg &m)
         break;
       }
       case AtomicOp::STORE:
-        writeWord(m.value);
-        wrote = true;
-        result = 0;
-        break;
       case AtomicOp::TAS:
-        writeWord(1);
-        wrote = true;
-        break;
       case AtomicOp::FAA:
-        writeWord(old + m.value);
-        wrote = true;
-        break;
       case AtomicOp::FAS:
-        writeWord(m.value);
-        wrote = true;
-        break;
       case AtomicOp::FAO:
-        writeWord(old | m.value);
+        writeWord(applyOp(m.op, old, m.value));
         wrote = true;
+        if (m.op == AtomicOp::STORE)
+            result = 0;
         break;
       case AtomicOp::CAS:
         if (old == m.expected) {
@@ -892,6 +881,10 @@ homeDispatch(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
                "%s for block %#llx delivered to non-home node %d",
                toString(m.type), static_cast<unsigned long long>(m.addr),
                env.self);
+    if (ownerReply(m.type)) {
+        homeOwnerReply(env, s, o, m);
+        return;
+    }
     switch (m.type) {
       case MsgType::GET_S:
         homeGetS(env, s, o, m);
@@ -919,14 +912,6 @@ homeDispatch(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         break;
       case MsgType::DROP_NOTIFY:
         homeDropNotify(env, s, o, m);
-        break;
-      case MsgType::OWNER_DATA_S:
-      case MsgType::OWNER_DATA_X:
-      case MsgType::CAS_OWNER_FAIL:
-      case MsgType::CAS_OWNER_FAIL_S:
-      case MsgType::FWD_NACK_RETRY:
-      case MsgType::FWD_NACK_WB:
-        homeOwnerReply(env, s, o, m);
         break;
       default:
         dsm_panic("non-home message %s at home", toString(m.type));

@@ -21,11 +21,6 @@ chainNext(int parent, NodeId src, NodeId dst)
     return parent + (src != dst ? 1 : 0);
 }
 
-/** New value of a fetch_and_Phi/store on @p old with @p operand. */
-Word applyOp(AtomicOp op, Word old, Word operand);
-/** True if @p op (with verdict @p success) wrote memory. */
-bool effectiveWrite(AtomicOp op, bool success);
-
 /** @name Effect emitters (append to o.effects in call order). @{ */
 void emitSend(Outcome &o, const Msg &m, Tick delay = 0);
 void emitTraceLine(Outcome &o, Addr block, LineState from, LineState to);

@@ -1,6 +1,5 @@
 #include "stats/stat_set.hh"
 
-#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace dsm {
@@ -62,48 +61,6 @@ SysStats::report() const
                         (unsigned long long)lat.max);
     }
     return out;
-}
-
-void
-SysStats::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.kv("nacks", nacks);
-    w.kv("retries", retries);
-    w.kv("invalidations", invalidations);
-    w.kv("updates", updates);
-    w.kv("writebacks", writebacks);
-    w.kv("drop_notifies", drop_notifies);
-    w.kv("sc_successes", sc_successes);
-    w.kv("sc_failures", sc_failures);
-    w.kv("sc_local_failures", sc_local_failures);
-    w.kv("cas_successes", cas_successes);
-    w.kv("cas_failures", cas_failures);
-    w.key("ops");
-    w.beginObject();
-    for (int i = 0; i < NUM_ATOMIC_OPS; ++i) {
-        if (op_count[i] == 0)
-            continue;
-        const LatencyStat &lat = op_latency[i];
-        w.key(toString(static_cast<AtomicOp>(i)));
-        w.beginObject();
-        w.kv("count", op_count[i]);
-        w.kv("mean_latency", lat.mean());
-        w.kv("p50", static_cast<std::uint64_t>(lat.p50()));
-        w.kv("p95", static_cast<std::uint64_t>(lat.p95()));
-        w.kv("p99", static_cast<std::uint64_t>(lat.p99()));
-        w.kv("p999", static_cast<std::uint64_t>(lat.p999()));
-        w.kv("max_latency", static_cast<std::uint64_t>(lat.max));
-        w.endObject();
-    }
-    w.endObject();
-    w.key("chain_length");
-    w.beginObject();
-    w.kv("samples", chain_length.samples());
-    w.kv("mean", chain_length.mean());
-    w.kv("max", chain_length.max());
-    w.endObject();
-    w.endObject();
 }
 
 } // namespace dsm

@@ -19,8 +19,6 @@
 
 namespace dsm {
 
-class JsonWriter;
-
 /**
  * Sum/count/max accumulator for latencies, with a bucketed sample
  * distribution for percentile reporting.
@@ -141,9 +139,6 @@ struct SysStats
 
     /** Multi-line human-readable dump. */
     std::string report() const;
-
-    /** Emit this instance as one JSON object value on @p w. */
-    void writeJson(JsonWriter &w) const;
 };
 
 } // namespace dsm

@@ -9,7 +9,6 @@ void
 TimeSeries::configure(const TelemetryConfig &cfg)
 {
     dsm_assert(_series.empty(), "configure() after series registration");
-    _enabled = cfg.enabled;
     _window = cfg.window;
     _cap = cfg.max_windows;
 }
@@ -17,7 +16,7 @@ TimeSeries::configure(const TelemetryConfig &cfg)
 void
 TimeSeries::addDelta(std::string name, Getter get)
 {
-    dsm_assert(_enabled, "series registration with telemetry off");
+    dsm_assert(_cap > 0, "series registration before configure()");
     Series s;
     s.name = std::move(name);
     s.get = std::move(get);
@@ -28,7 +27,7 @@ TimeSeries::addDelta(std::string name, Getter get)
 void
 TimeSeries::addGauge(std::string name, Getter get)
 {
-    dsm_assert(_enabled, "series registration with telemetry off");
+    dsm_assert(_cap > 0, "series registration before configure()");
     Series s;
     s.name = std::move(name);
     s.get = std::move(get);
@@ -77,7 +76,7 @@ TimeSeries::sampleAll()
 void
 TimeSeries::sample(Tick boundary)
 {
-    if (!_enabled || _finalized)
+    if (_finalized)
         return;
     _last_boundary = boundary;
     sampleAll();
@@ -86,7 +85,7 @@ TimeSeries::sample(Tick boundary)
 void
 TimeSeries::finalize(Tick now)
 {
-    if (!_enabled || _finalized)
+    if (_finalized)
         return;
     _finalized = true;
     _final_tick = now;
@@ -99,8 +98,6 @@ TimeSeries::finalize(Tick now)
 void
 TimeSeries::rebaseline()
 {
-    if (!_enabled)
-        return;
     _finalized = false;
     _final_tick = 0;
     _windows_sampled = 0;

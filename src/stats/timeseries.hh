@@ -39,10 +39,12 @@ class TimeSeries
   public:
     using Getter = std::function<std::uint64_t()>;
 
-    /** Apply a TelemetryConfig; must precede registration/sampling. */
+    /**
+     * Apply a TelemetryConfig; must precede registration/sampling. The
+     * owner configures, samples, finalizes and rebaselines the sampler
+     * only while telemetry.enabled holds.
+     */
     void configure(const TelemetryConfig &cfg);
-
-    Tick window() const { return _window; }
 
     /**
      * Register a series over a monotonically increasing counter; each
@@ -114,7 +116,6 @@ class TimeSeries
     void sampleAll();
     const Series *findSeries(const std::string &name) const;
 
-    bool _enabled = false;
     bool _finalized = false;
     Tick _window = 0;
     std::size_t _cap = 0;

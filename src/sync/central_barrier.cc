@@ -2,6 +2,7 @@
 
 #include "cpu/system.hh"
 #include "sim/logging.hh"
+#include "sync/primitives.hh"
 
 namespace dsm {
 
@@ -15,38 +16,12 @@ CentralBarrier::CentralBarrier(System &sys, Primitive prim,
                "bad participant count %d", participants);
 }
 
-CoTask<Word>
-CentralBarrier::bumpCount(Proc &p)
-{
-    switch (_prim) {
-      case Primitive::FAP:
-        co_return (co_await p.fetchAdd(_count, 1)).value;
-      case Primitive::CAS: {
-        const SyncConfig &sc = _sys.cfg().sync;
-        for (;;) {
-            OpResult r = sc.use_load_exclusive
-                             ? co_await p.loadExclusive(_count)
-                             : co_await p.load(_count);
-            if ((co_await p.cas(_count, r.value, r.value + 1)).success)
-                co_return r.value;
-        }
-      }
-      case Primitive::LLSC: {
-        for (;;) {
-            OpResult r = co_await p.ll(_count);
-            if ((co_await p.sc(_count, r.value + 1)).success)
-                co_return r.value;
-        }
-      }
-    }
-    dsm_panic("unreachable");
-}
-
 CoTask<void>
 CentralBarrier::arrive(Proc &p)
 {
     Word round = ++_local_sense[static_cast<std::size_t>(p.id())];
-    Word arrivals = co_await bumpCount(p);
+    Word arrivals =
+        co_await fetchAndPhi(p, _prim, AtomicOp::FAA, _count, 1);
     if (arrivals + 1 == static_cast<Word>(_n)) {
         // Last arriver: reset the counter and release the round.
         ++_rounds;

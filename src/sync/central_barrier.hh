@@ -34,9 +34,6 @@ class CentralBarrier
     std::uint64_t roundsCompleted() const { return _rounds; }
 
   private:
-    /** fetch_and_add(count, 1) via the configured primitive. */
-    CoTask<Word> bumpCount(Proc &p);
-
     System &_sys;
     Primitive _prim;
     int _n;

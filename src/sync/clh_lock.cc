@@ -2,6 +2,7 @@
 
 #include "cpu/system.hh"
 #include "sim/logging.hh"
+#include "sync/primitives.hh"
 
 namespace dsm {
 
@@ -20,33 +21,6 @@ ClhLock::ClhLock(System &sys, Primitive prim)
     sys.writeInit(_tail, static_cast<Word>(n) + 1);
 }
 
-CoTask<Word>
-ClhLock::swapTail(Proc &p, Word v)
-{
-    switch (_prim) {
-      case Primitive::FAP:
-        co_return (co_await p.fetchStore(_tail, v)).value;
-      case Primitive::CAS: {
-        const SyncConfig &sc = _sys.cfg().sync;
-        for (;;) {
-            OpResult r = sc.use_load_exclusive
-                             ? co_await p.loadExclusive(_tail)
-                             : co_await p.load(_tail);
-            if ((co_await p.cas(_tail, r.value, v)).success)
-                co_return r.value;
-        }
-      }
-      case Primitive::LLSC: {
-        for (;;) {
-            OpResult r = co_await p.ll(_tail);
-            if ((co_await p.sc(_tail, v)).success)
-                co_return r.value;
-        }
-      }
-    }
-    dsm_panic("unreachable");
-}
-
 CoTask<void>
 ClhLock::acquire(Proc &p)
 {
@@ -55,7 +29,8 @@ ClhLock::acquire(Proc &p)
     // Mark our node locked, publish it as the tail, spin on the
     // predecessor's node.
     co_await p.store(_node[static_cast<std::size_t>(mine)], 1);
-    Word pred = co_await swapTail(p, static_cast<Word>(mine) + 1);
+    Word pred = co_await fetchAndPhi(p, _prim, AtomicOp::FAS, _tail,
+                                     static_cast<Word>(mine) + 1);
     dsm_assert(pred != 0, "CLH tail was uninitialized");
     int pred_node = static_cast<int>(pred) - 1;
     _my_pred[me] = pred_node;

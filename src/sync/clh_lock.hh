@@ -36,9 +36,6 @@ class ClhLock
     std::uint64_t acquisitions() const { return _acquisitions; }
 
   private:
-    /** Atomic swap of the tail via the configured primitive. */
-    CoTask<Word> swapTail(Proc &p, Word v);
-
     System &_sys;
     Primitive _prim;
     Addr _tail; ///< sync variable; holds the current tail node id + 1

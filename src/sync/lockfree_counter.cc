@@ -2,7 +2,7 @@
 
 #include "cpu/system.hh"
 #include "sim/logging.hh"
-#include "sync/backoff.hh"
+#include "sync/primitives.hh"
 
 namespace dsm {
 
@@ -49,49 +49,10 @@ LockFreeCounter::reset(Word v)
 CoTask<Word>
 LockFreeCounter::fetchAdd(Proc &p, Word delta)
 {
-    const SyncConfig &sc = _sys.cfg().sync;
-    Word old = 0;
-
-    switch (_prim) {
-      case Primitive::FAP: {
-        old = (co_await p.fetchAdd(_addr, delta)).value;
-        break;
-      }
-      case Primitive::CAS: {
-        Backoff backoff = contentionBackoff(_sys.cfg());
-        for (;;) {
-            OpResult r = sc.use_load_exclusive
-                             ? co_await p.loadExclusive(_addr)
-                             : co_await p.load(_addr);
-            OpResult c = co_await p.cas(_addr, r.value, r.value + delta);
-            if (c.success) {
-                old = r.value;
-                break;
-            }
-            ++_failed_attempts;
-            if (backoff.currentBound() > 0)
-                co_await p.compute(backoff.next(_sys.rng()));
-        }
-        break;
-      }
-      case Primitive::LLSC: {
-        Backoff backoff = contentionBackoff(_sys.cfg());
-        for (;;) {
-            OpResult r = co_await p.ll(_addr);
-            OpResult s = co_await p.sc(_addr, r.value + delta);
-            if (s.success) {
-                old = r.value;
-                break;
-            }
-            ++_failed_attempts;
-            if (backoff.currentBound() > 0)
-                co_await p.compute(backoff.next(_sys.rng()));
-        }
-        break;
-      }
-    }
-
-    if (sc.use_drop_copy)
+    Word old = co_await fetchAndPhi(p, _prim, AtomicOp::FAA, _addr, delta,
+                                    contentionBackoff(_sys.cfg()),
+                                    &_failed_attempts);
+    if (_sys.cfg().sync.use_drop_copy)
         co_await p.dropCopy(_addr);
     co_return old;
 }

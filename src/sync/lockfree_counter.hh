@@ -3,11 +3,10 @@
  * Lock-free shared counter, the paper's first synthetic application and
  * the work-distribution mechanism of its Transitive Closure program.
  *
- * The counter is updated with the configured universal primitive:
- *  - FAP: a single native fetch_and_add;
- *  - CAS: a load (or load_exclusive, Section 3) / compare_and_swap retry
- *    loop ("the case in which CAS simulates fetch_and_Phi");
- *  - LLSC: a load_linked / store_conditional retry loop.
+ * The counter is updated by fetch_and_add through the configured
+ * universal primitive: natively under FAP, or by the CAS or LL/SC
+ * simulation of sync/primitives.hh, with contention backoff between
+ * failed attempts when the serving layer arms it.
  *
  * When the drop_copy auxiliary instruction is enabled, the cached copy is
  * dropped after each successful update (Section 4.3.1).

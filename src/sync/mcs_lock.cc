@@ -2,6 +2,7 @@
 
 #include "cpu/system.hh"
 #include "sim/logging.hh"
+#include "sync/primitives.hh"
 
 namespace dsm {
 
@@ -28,67 +29,18 @@ McsLock::McsLock(System &sys, Primitive prim, bool use_serial_sc)
 }
 
 CoTask<Word>
-McsLock::swapTail(Proc &p, Word v)
+McsLock::serialSwapTail(Proc &p, Word v)
 {
-    switch (_prim) {
-      case Primitive::FAP:
-        co_return (co_await p.fetchStore(_tail, v)).value;
-      case Primitive::CAS: {
-        const SyncConfig &sc = _sys.cfg().sync;
-        for (;;) {
-            OpResult r = sc.use_load_exclusive
-                             ? co_await p.loadExclusive(_tail)
-                             : co_await p.load(_tail);
-            if ((co_await p.cas(_tail, r.value, v)).success)
-                co_return r.value;
+    for (;;) {
+        OpResult r = co_await p.llSerial(_tail);
+        OpResult s = co_await p.scSerial(_tail, v, r.serial);
+        if (s.success) {
+            // Remember the serial our swap produced; the release's bare
+            // SC checks against it.
+            _swap_serial[static_cast<std::size_t>(p.id())] = s.serial;
+            co_return r.value;
         }
-      }
-      case Primitive::LLSC: {
-        if (_use_serial_sc) {
-            for (;;) {
-                OpResult r = co_await p.llSerial(_tail);
-                OpResult s = co_await p.scSerial(_tail, v, r.serial);
-                if (s.success) {
-                    // Remember the serial our swap produced; the
-                    // release's bare SC checks against it.
-                    _swap_serial[static_cast<std::size_t>(p.id())] =
-                        s.serial;
-                    co_return r.value;
-                }
-            }
-        }
-        for (;;) {
-            OpResult r = co_await p.ll(_tail);
-            if ((co_await p.sc(_tail, v)).success)
-                co_return r.value;
-        }
-      }
     }
-    dsm_panic("unreachable");
-}
-
-CoTask<bool>
-McsLock::casTail(Proc &p, Word expected, Word v)
-{
-    switch (_prim) {
-      case Primitive::CAS:
-        co_return (co_await p.cas(_tail, expected, v)).success;
-      case Primitive::LLSC: {
-        // LL/SC simulation of compare_and_swap (Section 2.2): retry only
-        // on spurious store_conditional failure.
-        for (;;) {
-            OpResult r = co_await p.ll(_tail);
-            if (r.value != expected)
-                co_return false;
-            if ((co_await p.sc(_tail, v)).success)
-                co_return true;
-        }
-      }
-      case Primitive::FAP:
-        dsm_panic("fetch_and_Phi cannot simulate compare_and_swap "
-                  "(Herlihy's hierarchy); use the swap-only release");
-    }
-    dsm_panic("unreachable");
 }
 
 CoTask<void>
@@ -96,7 +48,12 @@ McsLock::acquire(Proc &p)
 {
     NodeId me = p.id();
     co_await p.store(_next[me], 0);
-    Word pred = co_await swapTail(p, encode(me));
+    Word pred;
+    if (_use_serial_sc)
+        pred = co_await serialSwapTail(p, encode(me));
+    else
+        pred = co_await fetchAndPhi(p, _prim, AtomicOp::FAS, _tail,
+                                    encode(me));
     if (pred != 0) {
         // Mark ourselves waiting *before* linking so the predecessor
         // cannot release us first.
@@ -118,10 +75,10 @@ McsLock::release(Proc &p)
         if (_prim == Primitive::FAP) {
             // The swap-only release of [20]: detach the queue, then
             // splice any "usurper" that slipped in between the swaps.
-            Word old_tail = co_await swapTail(p, 0);
+            Word old_tail = (co_await p.fetchStore(_tail, 0)).value;
             if (old_tail == encode(me))
                 co_return; // truly no successor
-            Word usurper = co_await swapTail(p, old_tail);
+            Word usurper = (co_await p.fetchStore(_tail, old_tail)).value;
             // Wait for the in-between enqueuer to link itself.
             succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;
             if (usurper != 0)
@@ -140,7 +97,7 @@ McsLock::release(Proc &p)
             succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;
             co_await p.store(_locked[decode(succ)], 0);
         } else {
-            if (co_await casTail(p, encode(me), 0))
+            if (co_await compareAndSwap(p, _prim, _tail, encode(me), 0))
                 co_return; // no successor
             // A successor is enqueuing; wait for the link, then pass.
             succ = (co_await p.spinLoad(_next[me], SpinUntil::ne(0))).value;

@@ -7,7 +7,7 @@
  *
  * The lock tail is the synchronization variable; queue nodes are
  * ordinary shared data (each processor spins only on its own node).
- * Primitive mapping:
+ * Primitive mapping (the simulations are sync/primitives.hh's):
  *  - CAS: native fetch_and_store is unavailable at level 2 only in
  *    theory; here CAS simulates the swap with a load/CAS retry loop and
  *    performs the release compare directly;
@@ -58,10 +58,8 @@ class McsLock
     std::uint64_t acquisitions() const { return _acquisitions; }
 
   private:
-    /** Atomic swap of the tail via the configured primitive. */
-    CoTask<Word> swapTail(Proc &p, Word v);
-    /** Atomic compare-and-swap of the tail via CAS or LL/SC. */
-    CoTask<bool> casTail(Proc &p, Word expected, Word v);
+    /** Swap the tail with serial-number LL/SC (Section 3.1). */
+    CoTask<Word> serialSwapTail(Proc &p, Word v);
 
     /** Queue-node encoding: node of processor i is the value i+1. */
     static Word encode(NodeId n) { return static_cast<Word>(n) + 1; }

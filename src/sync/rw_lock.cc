@@ -1,29 +1,14 @@
 #include "sync/rw_lock.hh"
 
 #include "cpu/system.hh"
-#include "sim/logging.hh"
 #include "sync/backoff.hh"
+#include "sync/primitives.hh"
 
 namespace dsm {
 
 RwLock::RwLock(System &sys, Primitive prim)
     : _sys(sys), _prim(prim), _state(sys.allocSync())
 {
-}
-
-CoTask<bool>
-RwLock::casState(Proc &p, Word expected, Word desired)
-{
-    if (_prim == Primitive::CAS)
-        co_return (co_await p.cas(_state, expected, desired)).success;
-    dsm_assert(_prim == Primitive::LLSC, "casState needs CAS or LL/SC");
-    for (;;) {
-        OpResult r = co_await p.ll(_state);
-        if (r.value != expected)
-            co_return false;
-        if ((co_await p.sc(_state, desired)).success)
-            co_return true;
-    }
 }
 
 CoTask<void>
@@ -43,7 +28,8 @@ RwLock::readerAcquire(Proc &p)
     for (;;) {
         Word v = (co_await p.load(_state)).value;
         if ((v & WRITER_BIT) == 0 &&
-            co_await casState(p, v, v + READER_UNIT))
+            co_await compareAndSwap(p, _prim, _state, v,
+                                    v + READER_UNIT))
             co_return;
         co_await p.compute(backoff.next(_sys.rng()));
     }
@@ -58,7 +44,7 @@ RwLock::readerRelease(Proc &p)
     }
     for (;;) {
         Word v = (co_await p.load(_state)).value;
-        if (co_await casState(p, v, v - READER_UNIT))
+        if (co_await compareAndSwap(p, _prim, _state, v, v - READER_UNIT))
             co_return;
     }
 }
@@ -83,7 +69,8 @@ RwLock::writerAcquire(Proc &p)
     // CAS/LLSC: transition 0 -> WRITER_BIT.
     for (;;) {
         Word v = (co_await p.load(_state)).value;
-        if (v == 0 && co_await casState(p, 0, WRITER_BIT))
+        if (v == 0 &&
+            co_await compareAndSwap(p, _prim, _state, 0, WRITER_BIT))
             co_return;
         co_await p.compute(backoff.next(_sys.rng()));
     }
@@ -101,7 +88,7 @@ RwLock::writerRelease(Proc &p)
     }
     for (;;) {
         Word v = (co_await p.load(_state)).value;
-        if (co_await casState(p, v, v & ~WRITER_BIT))
+        if (co_await compareAndSwap(p, _prim, _state, v, v & ~WRITER_BIT))
             co_return;
     }
 }

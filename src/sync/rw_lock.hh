@@ -41,9 +41,6 @@ class RwLock
     static constexpr Word WRITER_BIT = 1;
     static constexpr Word READER_UNIT = 2;
 
-    /** CAS on the state via CAS or LL/SC. @return success. */
-    CoTask<bool> casState(Proc &p, Word expected, Word desired);
-
     System &_sys;
     Primitive _prim;
     Addr _state; ///< sync variable

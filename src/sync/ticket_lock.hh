@@ -35,9 +35,6 @@ class TicketLock
     Addr nowServingAddr() const { return _now_serving; }
 
   private:
-    /** fetch_and_add(next_ticket, 1) via the configured primitive. */
-    CoTask<Word> takeTicket(Proc &p);
-
     System &_sys;
     Primitive _prim;
     Addr _next_ticket;  ///< sync variable

@@ -51,9 +51,8 @@ class TreiberStack
 
     /** Read a node's stored value (host-side, for checking). */
     Word nodeValue(int node_id) const;
-    /** Node link/value addresses (for directed ABA tests). */
+    /** Node link address (for directed ABA tests). */
     Addr nodeNextAddr(int node_id) const { return _next[node_id]; }
-    Addr nodeValueAddr(int node_id) const { return _value[node_id]; }
 
   private:
     static Word encode(int node_id) { return static_cast<Word>(node_id) + 1; }

@@ -163,17 +163,23 @@ barrierLoop(Proc &p, Barrier &b, Addr tally)
     }
 }
 
+/**
+ * The library's machine; @p load_exclusive selects the load_exclusive
+ * flavour of the CAS simulation of fetch_and_Phi (Section 3).
+ */
 Config
-libConfig(SyncPolicy pol)
+libConfig(SyncPolicy pol, bool load_exclusive = false)
 {
-    return smallConfig(pol, LIB_PROCS);
+    Config cfg = smallConfig(pol, LIB_PROCS);
+    cfg.sync.use_load_exclusive = load_exclusive;
+    return cfg;
 }
 
 template <typename Lock, typename... Args>
 RunPrint
-runLock(SyncPolicy pol, Args... args)
+runLock(const Config &cfg, Args... args)
 {
-    System sys(libConfig(pol));
+    System sys(cfg);
     Lock lock(sys, args...);
     Addr counter = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
     for (int i = 0; i < LIB_PROCS; ++i)
@@ -184,10 +190,10 @@ runLock(SyncPolicy pol, Args... args)
 }
 
 RunPrint
-runTicket()
+runTicket(const Config &cfg, Primitive prim)
 {
-    System sys(libConfig(SyncPolicy::INV));
-    TicketLock lock(sys, Primitive::FAP);
+    System sys(cfg);
+    TicketLock lock(sys, prim);
     Addr counter = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
     for (int i = 0; i < LIB_PROCS; ++i)
         sys.spawn(ticketLoop(sys.proc(i), lock, counter));
@@ -197,10 +203,10 @@ runTicket()
 }
 
 RunPrint
-runRw()
+runRw(const Config &cfg, Primitive prim)
 {
-    System sys(libConfig(SyncPolicy::INV));
-    RwLock lock(sys, Primitive::FAP);
+    System sys(cfg);
+    RwLock lock(sys, prim);
     Addr counter = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
     for (int i = 0; i < LIB_PROCS; ++i)
         sys.spawn(rwLoop(sys.proc(i), lock, counter));
@@ -211,9 +217,9 @@ runRw()
 
 template <typename Barrier, typename... Args>
 RunPrint
-runBarrier(SyncPolicy pol, Args... args)
+runBarrier(const Config &cfg, Args... args)
 {
-    System sys(libConfig(pol));
+    System sys(cfg);
     Barrier b(sys, args...);
     Addr tally = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
     for (int i = 0; i < LIB_PROCS; ++i)
@@ -225,52 +231,124 @@ runBarrier(SyncPolicy pol, Args... args)
 
 TEST(SpinWaitLibrary, TtsLockDigest)
 {
-    EXPECT_EQ(runLock<TtsLock>(SyncPolicy::INV, Primitive::FAP).digest(),
+    EXPECT_EQ(runLock<TtsLock>(libConfig(SyncPolicy::INV), Primitive::FAP)
+                  .digest(),
               0x36bb569fd449188cull);
 }
 
 TEST(SpinWaitLibrary, TicketLockDigest)
 {
-    EXPECT_EQ(runTicket().digest(), 0x4ae4879159779835ull);
+    EXPECT_EQ(runTicket(libConfig(SyncPolicy::INV), Primitive::FAP).digest(),
+              0x4ae4879159779835ull);
 }
 
 TEST(SpinWaitLibrary, McsLockDigests)
 {
-    EXPECT_EQ(runLock<McsLock>(SyncPolicy::INV, Primitive::FAP).digest(),
+    const Config inv = libConfig(SyncPolicy::INV);
+    EXPECT_EQ(runLock<McsLock>(inv, Primitive::FAP).digest(),
               0x921c718e1a8d3756ull);
-    EXPECT_EQ(runLock<McsLock>(SyncPolicy::INV, Primitive::CAS).digest(),
+    EXPECT_EQ(runLock<McsLock>(inv, Primitive::CAS).digest(),
               0xdb2f2a05ec2add0eull);
-    EXPECT_EQ(
-        runLock<McsLock>(SyncPolicy::INV, Primitive::LLSC).digest(),
-        0x7dada8a4b66b2b78ull);
-    EXPECT_EQ(
-        runLock<McsLock>(SyncPolicy::UPD, Primitive::LLSC, true).digest(),
-        0x404eb818f4c0f045ull);
+    EXPECT_EQ(runLock<McsLock>(inv, Primitive::LLSC).digest(),
+              0x7dada8a4b66b2b78ull);
+    EXPECT_EQ(runLock<McsLock>(libConfig(SyncPolicy::UPD), Primitive::LLSC,
+                               true)
+                  .digest(),
+              0x404eb818f4c0f045ull);
 }
 
 TEST(SpinWaitLibrary, ClhLockDigest)
 {
-    EXPECT_EQ(runLock<ClhLock>(SyncPolicy::INV, Primitive::FAP).digest(),
+    EXPECT_EQ(runLock<ClhLock>(libConfig(SyncPolicy::INV), Primitive::FAP)
+                  .digest(),
               0x8539bc8be094224bull);
 }
 
 TEST(SpinWaitLibrary, RwLockDigest)
 {
-    EXPECT_EQ(runRw().digest(), 0x3ebe7deb8a66d81full);
+    EXPECT_EQ(runRw(libConfig(SyncPolicy::INV), Primitive::FAP).digest(),
+              0x3ebe7deb8a66d81full);
 }
 
 TEST(SpinWaitLibrary, BarrierDigests)
 {
-    EXPECT_EQ(runBarrier<TreeBarrier>(SyncPolicy::INV, LIB_PROCS).digest(),
-              0x3e2820bc1819ab75ull);
-    EXPECT_EQ(runBarrier<CentralBarrier>(SyncPolicy::INV, Primitive::FAP,
-                                         LIB_PROCS)
+    EXPECT_EQ(
+        runBarrier<TreeBarrier>(libConfig(SyncPolicy::INV), LIB_PROCS)
+            .digest(),
+        0x3e2820bc1819ab75ull);
+    EXPECT_EQ(runBarrier<CentralBarrier>(libConfig(SyncPolicy::INV),
+                                         Primitive::FAP, LIB_PROCS)
                   .digest(),
               0x23656ab803522568ull);
-    EXPECT_EQ(runBarrier<CentralBarrier>(SyncPolicy::UPD, Primitive::FAP,
-                                         LIB_PROCS)
+    EXPECT_EQ(runBarrier<CentralBarrier>(libConfig(SyncPolicy::UPD),
+                                         Primitive::FAP, LIB_PROCS)
                   .digest(),
               0x39892c491184647eull);
+}
+
+// The same objects built on the Section 2.2 simulations instead of a
+// native fetch_and_Phi: a load/compare_and_swap loop (plain load, then
+// load_exclusive) and a load_linked/store_conditional loop. Recorded
+// before the simulations were shared by every object.
+
+TEST(SpinWaitLibrary, TicketLockSimulationDigests)
+{
+    EXPECT_EQ(runTicket(libConfig(SyncPolicy::INV), Primitive::CAS).digest(),
+              0x7b2099ac1ac1178cull);
+    EXPECT_EQ(
+        runTicket(libConfig(SyncPolicy::INV, true), Primitive::CAS).digest(),
+        0xb78fe0597c6f411eull);
+    EXPECT_EQ(
+        runTicket(libConfig(SyncPolicy::INV), Primitive::LLSC).digest(),
+        0x302e333322272739ull);
+}
+
+TEST(SpinWaitLibrary, ClhLockSimulationDigests)
+{
+    EXPECT_EQ(runLock<ClhLock>(libConfig(SyncPolicy::INV), Primitive::CAS)
+                  .digest(),
+              0x13aeeb0e08fd474bull);
+    EXPECT_EQ(
+        runLock<ClhLock>(libConfig(SyncPolicy::INV, true), Primitive::CAS)
+            .digest(),
+        0x1404feec55e56eb8ull);
+    EXPECT_EQ(runLock<ClhLock>(libConfig(SyncPolicy::INV), Primitive::LLSC)
+                  .digest(),
+              0x7627829afea0d2ffull);
+}
+
+TEST(SpinWaitLibrary, McsLockLoadExclusiveDigest)
+{
+    EXPECT_EQ(
+        runLock<McsLock>(libConfig(SyncPolicy::INV, true), Primitive::CAS)
+            .digest(),
+        0xd6fe5dd9bb899d30ull);
+}
+
+TEST(SpinWaitLibrary, RwLockSimulationDigests)
+{
+    EXPECT_EQ(runRw(libConfig(SyncPolicy::INV), Primitive::CAS).digest(),
+              0x2ecbbbdaddd48afeull);
+    EXPECT_EQ(runRw(libConfig(SyncPolicy::INV, true), Primitive::CAS).digest(),
+              0x2ecbbbdaddd48afeull);
+    EXPECT_EQ(runRw(libConfig(SyncPolicy::INV), Primitive::LLSC).digest(),
+              0x617606f766f19e01ull);
+}
+
+TEST(SpinWaitLibrary, CentralBarrierSimulationDigests)
+{
+    EXPECT_EQ(runBarrier<CentralBarrier>(libConfig(SyncPolicy::INV),
+                                         Primitive::CAS, LIB_PROCS)
+                  .digest(),
+              0xb0e59050e844620eull);
+    EXPECT_EQ(runBarrier<CentralBarrier>(libConfig(SyncPolicy::INV, true),
+                                         Primitive::CAS, LIB_PROCS)
+                  .digest(),
+              0xa4e3e6bd36622c2cull);
+    EXPECT_EQ(runBarrier<CentralBarrier>(libConfig(SyncPolicy::INV),
+                                         Primitive::LLSC, LIB_PROCS)
+                  .digest(),
+              0x83dc276376e5bfa1ull);
 }
 
 // ----- differential cases: spinLoad against the plain loop -----
