@@ -8,7 +8,8 @@
 # (schema dsm-bench-v1) into the output directory. The output directory
 # defaults to $DSM_BENCH_DIR if set, else ./bench-results; an explicit
 # output-dir argument overrides both. --jobs N (or DSM_JOBS) is passed through to
-# the binaries so each sweep runs its points on N host threads.
+# the binaries so each sweep runs its points on N host threads
+# (mc_explore, the model checker's exhaustive sweep, runs serially).
 # --trace BENCH runs that benchmark with transaction tracing on
 # (DSM_TXN_TRACE=1), writing TRACE_<name>.json next to its
 # BENCH_<name>.json; open it at https://ui.perfetto.dev.
@@ -128,6 +129,7 @@ ablation_reservations
 ablation_barrier
 fault_sweep
 chaos_sweep
+mc_explore
 "
 if [ -n "$openloop" ]; then
     benches="$benches

@@ -3,10 +3,10 @@
  * Controller driver: feeds delivered messages and processor requests to
  * the pure transition functions (proto/transition.hh) and commits their
  * outcomes — memory/directory writes, stat deltas, and ordered effects
- * (sends, trace records via ProtoHooks, completions, retries, recovery
- * timers). Everything impure lives here: the event queue, the mesh, the
- * memory-module queue, RNG draws, fault injection, and the completion
- * callback.
+ * (sends, Tracer/TxnTracer/LineProfiler records, completions, retries,
+ * recovery timers). Everything impure lives here: the event queue, the
+ * mesh, the memory-module queue, RNG draws, fault injection, and the
+ * completion callback.
  */
 
 #include "proto/controller.hh"
@@ -19,7 +19,6 @@
 #include "fault/recovery.hh"
 #include "fault/watchdog.hh"
 #include "mem/home_queue.hh"
-#include "proto/hooks.hh"
 #include "proto/transition_impl.hh"
 #include "sim/logging.hh"
 #include "stats/attribution.hh"
@@ -34,6 +33,22 @@ traceEnabled()
 {
     static const bool on = envFlag("DSM_TRACE");
     return on;
+}
+
+/** The tracer category of a TRACE_* effect. */
+TraceCat
+traceCat(const tf::Effect &ef)
+{
+    switch (ef.kind) {
+      case tf::EffectKind::TRACE_LINE:
+        return TraceCat::LINE_STATE;
+      case tf::EffectKind::TRACE_DIR:
+        return TraceCat::DIR_STATE;
+      case tf::EffectKind::TRACE_RESV:
+        return ef.a != 0 ? TraceCat::RESV_CLEAR : TraceCat::RESV_SET;
+      default:
+        return TraceCat::NACK;
+    }
 }
 
 } // namespace
@@ -109,22 +124,6 @@ Controller::env() const
     return e;
 }
 
-ProtoHooks
-Controller::hooks()
-{
-    const Config &cfg = _sys.cfg();
-    ProtoHooks h;
-    h.stats = &_sys.stats(_id);
-    h.tracer = &_sys.tracer();
-    h.txns = &_sys.txns();
-    if (cfg.telemetry.enabled)
-        h.lp = &_sys.lineProfiler();
-    h.dir = &_sys.dir(_id);
-    if (cfg.faults.recoveryEnabled())
-        h.recovery = &_sys.recoveryState();
-    return h;
-}
-
 // ===================== Outcome commit ====================================
 
 void
@@ -138,12 +137,85 @@ Controller::commit(const tf::Outcome &o)
     }
     for (const tf::DirWrite &dw : o.dir_writes)
         _sys.dir(_id).entry(dw.addr) = dw.entry;
-    ProtoHooks h = hooks();
-    h.applyStats(o.stats);
+
+    const Config &cfg = _sys.cfg();
+    const tf::StatDelta &d = o.stats;
+    SysStats &st = _sys.stats(_id);
+    st.nacks += d.nacks;
+    st.retries += d.retries;
+    st.invalidations += d.invalidations;
+    st.updates += d.updates;
+    st.writebacks += d.writebacks;
+    st.drop_notifies += d.drop_notifies;
+    st.sc_local_failures += d.sc_local_failures;
+    if (cfg.faults.recoveryEnabled()) {
+        Recovery::Counters &c = _sys.recoveryState().counters();
+        c.dup_requests += d.dup_requests;
+        c.dup_stale += d.dup_stale;
+        c.dup_in_progress += d.dup_in_progress;
+        c.dup_reprocessed += d.dup_reprocessed;
+        c.dup_replayed += d.dup_replayed;
+        c.nacks_replayed += d.nacks_replayed;
+        c.nacks_stale += d.nacks_stale;
+        c.stale_replies += d.stale_replies;
+        c.dups_absorbed += d.dups_absorbed;
+    }
+
+    Tracer &tr = _sys.tracer();
     for (const tf::Effect &ef : o.effects) {
-        if (h.applyEffect(ef, _id, now()))
-            continue;
         switch (ef.kind) {
+          case tf::EffectKind::TRACE_DIR:
+            // Emitted only on an actual stable-state change; the
+            // transition counter is unconditional, the trace record is
+            // mask-gated.
+            _sys.dir(_id).noteTransition();
+            [[fallthrough]];
+          case tf::EffectKind::TRACE_LINE:
+          case tf::EffectKind::TRACE_RESV:
+          case tf::EffectKind::TRACE_NACK: {
+            TraceCat cat = traceCat(ef);
+            if (!tr.on(cat))
+                break;
+            TraceEvent ev;
+            ev.tick = now();
+            ev.cat = cat;
+            ev.node = static_cast<std::int16_t>(_id);
+            ev.addr = ef.addr;
+            if (ef.kind == tf::EffectKind::TRACE_NACK) {
+                ev.peer = static_cast<std::int16_t>(ef.node);
+                ev.op = ef.a;
+            } else if (ef.kind != tf::EffectKind::TRACE_RESV) {
+                ev.arg_a = ef.a;
+                ev.arg_b = ef.b;
+            }
+            tr.record(ev);
+            break;
+          }
+          case tf::EffectKind::LP_NACK:
+            if (cfg.telemetry.enabled)
+                _sys.lineProfiler().noteNack(ef.addr);
+            break;
+          case tf::EffectKind::LP_OWNER:
+            if (cfg.telemetry.enabled)
+                _sys.lineProfiler().noteOwner(ef.addr, ef.node);
+            break;
+          case tf::EffectKind::LP_SHARER_JOIN:
+            if (cfg.telemetry.enabled)
+                _sys.lineProfiler().noteSharerJoin(ef.addr);
+            break;
+          case tf::EffectKind::LP_INVALIDATION:
+            if (cfg.telemetry.enabled)
+                _sys.lineProfiler().noteInvalidation(ef.addr);
+            break;
+          case tf::EffectKind::TXN_MARK:
+            _sys.txns().mark(ef.id, static_cast<TxnPhase>(ef.a),
+                             now() + ef.delay, ef.node);
+            break;
+          case tf::EffectKind::TXN_SERVICE:
+            _sys.txns().service(ef.id, _id, ef.facts.dir_state,
+                                ef.facts.sharers, ef.facts.forwarded,
+                                ef.facts.owner, ef.facts.fanout_mask);
+            break;
           case tf::EffectKind::SEND:
             if (ef.delay == 0) {
                 send(ef.msg);
@@ -171,9 +243,6 @@ Controller::commit(const tf::Outcome &o)
           case tf::EffectKind::ARM_TIMER:
             armRecoveryTimer();
             break;
-          default:
-            dsm_panic("unhandled effect kind %d",
-                      static_cast<int>(ef.kind));
         }
     }
 }

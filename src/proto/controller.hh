@@ -8,11 +8,11 @@
  * the protocol itself). The driver owns everything a pure transition
  * cannot: the event queue, the mesh, the memory-module queue, RNG draws
  * (retry backoff jitter), fault injection, the completion callback, and
- * the Tracer/TxnTracer/LineProfiler/Recovery hook sinks bundled in a
- * ProtoHooks. A delivered message becomes a tf::deliver() call whose
- * Outcome is then committed: memory and directory writes applied, stat
- * deltas folded in, and effects walked in order (sends scheduled,
- * trace records emitted, completions/retries/timers armed).
+ * the Tracer/TxnTracer/LineProfiler/Recovery sinks. A delivered message
+ * becomes a tf::deliver() call whose Outcome is then committed: memory
+ * and directory writes applied, stat deltas folded in, and effects
+ * walked in order (sends scheduled, trace records emitted,
+ * completions/retries/timers armed).
  *
  * The protocol is DASH-style: requests to a busy directory entry are
  * NACKed and retried; invalidation acknowledgements are collected by the
@@ -34,7 +34,6 @@
 namespace dsm {
 
 class System;
-struct ProtoHooks;
 
 /** Result of a completed processor operation. */
 struct OpResult
@@ -149,15 +148,14 @@ class Controller : private tf::StepCtx
     /** Per-call environment handed to every transition function. */
     tf::Env env() const;
 
-    /** The hook sink bundle for this node (see proto/hooks.hh). */
-    ProtoHooks hooks();
-
     /**
      * Commit one transition outcome: apply memory writes, directory
-     * writes, and the stat delta, then walk the effects in order —
-     * trace/profiler/txn records go through ProtoHooks; SEND, COMPLETE,
-     * RETRY, and ARM_TIMER are driver-owned (scheduling, RNG, the
-     * completion callback).
+     * writes, and the stat delta (the recovery ledger's share only while
+     * faults.recoveryEnabled()), then walk the effects in order: trace
+     * records (each gated by its tracer category), line-profiler notes
+     * (while telemetry.enabled), transaction-tracer marks, and the
+     * driver-owned SEND, COMPLETE, RETRY and ARM_TIMER (scheduling, RNG,
+     * the completion callback).
      */
     void commit(const tf::Outcome &o);
 

@@ -153,21 +153,36 @@ captureReply(CtrlState &s, NodeId requester, std::uint64_t seq,
     de.reply = resp;
 }
 
-void
-reply(const Env &env, CtrlState &s, Outcome &o, const Msg &req,
-      Msg resp)
+Msg
+derive(const Env &env, const Msg &cause, MsgType t, NodeId dst,
+       NodeId requester, bool with_attempt)
 {
-    resp.dst = req.src;
-    resp.requester = req.src;
-    resp.addr = req.addr;
-    resp.word_addr = req.word_addr;
-    resp.chain = chainNext(req.chain, env.self, req.src);
-    resp.txn_id = req.txn_id;
-    resp.seq = req.seq;
-    resp.attempt = req.attempt;
-    if (!s.dedup.empty() && recoverableRequest(req.type) && req.seq != 0)
-        captureReply(s, req.src, req.seq, resp);
-    emitSend(o, resp);
+    Msg m;
+    m.type = t;
+    m.dst = dst;
+    m.requester = requester;
+    m.addr = cause.addr;
+    m.word_addr = cause.word_addr;
+    m.chain = chainNext(cause.chain, env.self, dst);
+    m.txn_id = cause.txn_id;
+    m.seq = cause.seq;
+    if (with_attempt)
+        m.attempt = cause.attempt;
+    return m;
+}
+
+Msg
+replyTo(const Env &env, const Msg &req, MsgType t)
+{
+    return derive(env, req, t, req.src, req.src, true);
+}
+
+void
+reply(CtrlState &s, Outcome &o, const Msg &r)
+{
+    if (!s.dedup.empty() && r.seq != 0)
+        captureReply(s, r.requester, r.seq, r);
+    emitSend(o, r);
 }
 
 void
@@ -176,9 +191,7 @@ sendNack(const Env &env, CtrlState &s, Outcome &o, const Msg &req)
     ++o.stats.nacks;
     emitLp(o, EffectKind::LP_NACK, req.addr);
     emitTraceNack(o, req.src, req.addr, req.type);
-    Msg n;
-    n.type = MsgType::NACK;
-    reply(env, s, o, req, n);
+    reply(s, o, replyTo(env, req, MsgType::NACK));
 }
 
 void
@@ -332,16 +345,18 @@ injectNack(const Env &env, CtrlState &s, const Msg &m)
     return o;
 }
 
-Outcome
-deliver(const Env &env, CtrlState &s, const Msg &m)
+namespace {
+
+/** Deliver @p m to this node, appending to @p o (deliver() and step()). */
+void
+deliverInto(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
 {
     dsm_assert(m.dst == env.self, "message for node %d delivered to %d",
                m.dst, env.self);
-    Outcome o;
     if (homeTargeted(m.type)) {
         // Home-targeted messages, past the memory-module queue.
         homeDispatch(env, s, o, m);
-        return o;
+        return;
     }
     switch (m.type) {
       // Third-party coherence actions.
@@ -362,6 +377,15 @@ deliver(const Env &env, CtrlState &s, const Msg &m)
         cpuResponse(env, s, o, m);
         break;
     }
+}
+
+} // namespace
+
+Outcome
+deliver(const Env &env, CtrlState &s, const Msg &m)
+{
+    Outcome o;
+    deliverInto(env, s, o, m);
     return o;
 }
 
@@ -369,36 +393,13 @@ StepResult
 step(const Env &env, const CtrlState &s, const Msg &m)
 {
     StepResult r{s, Outcome{}};
-    bool home_req = recoverableRequest(m.type);
-    if (home_req && !r.next.dedup.empty() && m.seq != 0 &&
+    if (recoverableRequest(m.type) && !r.next.dedup.empty() && m.seq != 0 &&
         tryDedup(env, r.next, m, r.out))
         return r;
-    Outcome d = deliver(env, r.next, m);
-    // Merge after a dedup miss (re-execution path keeps its counters).
-    for (auto &mw : d.mem_writes)
-        r.out.mem_writes.push_back(mw);
-    for (auto &dw : d.dir_writes)
-        r.out.dir_writes.push_back(dw);
-    const StatDelta &a = d.stats;
-    StatDelta &b = r.out.stats;
-    b.nacks += a.nacks;
-    b.retries += a.retries;
-    b.invalidations += a.invalidations;
-    b.updates += a.updates;
-    b.writebacks += a.writebacks;
-    b.drop_notifies += a.drop_notifies;
-    b.sc_local_failures += a.sc_local_failures;
-    b.dup_requests += a.dup_requests;
-    b.dup_stale += a.dup_stale;
-    b.dup_in_progress += a.dup_in_progress;
-    b.dup_reprocessed += a.dup_reprocessed;
-    b.dup_replayed += a.dup_replayed;
-    b.nacks_replayed += a.nacks_replayed;
-    b.nacks_stale += a.nacks_stale;
-    b.stale_replies += a.stale_replies;
-    b.dups_absorbed += a.dups_absorbed;
-    for (auto &ef : d.effects)
-        r.out.effects.push_back(ef);
+    // After a dedup miss (a new request or a re-execution) delivery
+    // appends to the dedup outcome: tryDedup wrote no memory and no
+    // directory entry, only counters and effects that precede these.
+    deliverInto(env, r.next, r.out, m);
     return r;
 }
 

@@ -22,9 +22,9 @@
  *  - Controller (proto/controller.{hh,cc}) is the event-driven driver:
  *    it feeds delivered messages to deliver()/tryDedup(), then commits
  *    the outcome (applies writes, schedules sends and completions,
- *    fires the Tracer/TxnTracer/LineProfiler/fault hooks bundled in a
- *    ProtoHooks). Issue-time fault injection and all RNG draws
- *    (retry backoff jitter) stay in the driver.
+ *    records into the Tracer, TxnTracer, LineProfiler and recovery
+ *    ledger). Issue-time fault injection and all RNG draws (retry
+ *    backoff jitter) stay in the driver.
  *  - The model checker (mc/explorer.{hh,cc}) drives the same
  *    transitions over explicit message-interleaving choices, with
  *    outcome effects applied to its own world state.

@@ -132,6 +132,75 @@ executeExclusive(CtrlState &s, Outcome &o, CacheLine &line, Tick delay)
     }
 }
 
+/**
+ * A load (or INV load_linked) served by a shared copy: a hit completes
+ * now, a load_linked taking its reservation; a miss fetches the block
+ * with GET_S.
+ */
+void
+readShared(const Env &env, CtrlState &s, Outcome &o, const CacheLine *line)
+{
+    Addr a = s.txn.addr;
+    if (line == nullptr) {
+        ++s.cache.stats().misses;
+        sendReq(env, s, o, MsgType::GET_S);
+        return;
+    }
+    ++s.cache.stats().hits;
+    if (s.txn.op == AtomicOp::LL) {
+        s.cache.setReservation(a, s.txn.start);
+        emitTraceResv(o, blockBase(a), false);
+    }
+    emitComplete(o, hitLatency(env), line->readWord(a), true);
+}
+
+/**
+ * drop_copy: give up the cached copy @p line, if any. A shared copy is
+ * announced to the home with DROP_NOTIFY; an exclusive one is written
+ * back.
+ */
+void
+dropCopy(const Env &env, CtrlState &s, Outcome &o, const CacheLine *line)
+{
+    Addr a = s.txn.addr;
+    if (line != nullptr) {
+        if (line->state == LineState::SHARED) {
+            ++o.stats.drop_notifies;
+            Msg d;
+            d.type = MsgType::DROP_NOTIFY;
+            d.dst = env.homeOf(a);
+            d.requester = env.self;
+            d.addr = blockBase(a);
+            d.word_addr = a;
+            d.chain = 1;
+            emitSend(o, d);
+        } else {
+            evictVictim(env, s, o,
+                        Victim{true, blockBase(a), line->state,
+                               line->data}); // sends the write-back
+        }
+        s.cache.invalidate(a);
+    }
+    emitComplete(o, hitLatency(env), 0, true);
+}
+
+/**
+ * The store_conditional of a load_linked the home denied a reservation
+ * (limited-reservation option) is doomed: it fails locally without any
+ * network traffic (Section 3.1). Returns true when it did.
+ */
+bool
+failDeniedSc(const Env &env, CtrlState &s, Outcome &o)
+{
+    if (s.txn.op != AtomicOp::SC || !s.resv_denied ||
+        s.resv_denied_block != blockBase(s.txn.addr))
+        return false;
+    s.resv_denied = false;
+    ++o.stats.sc_local_failures;
+    emitComplete(o, hitLatency(env), 0, false);
+    return true;
+}
+
 void
 beginInv(const Env &env, CtrlState &s, Outcome &o)
 {
@@ -141,27 +210,10 @@ beginInv(const Env &env, CtrlState &s, Outcome &o)
 
     switch (s.txn.op) {
       case AtomicOp::LOAD:
-        if (line != nullptr) {
-            ++s.cache.stats().hits;
-            emitComplete(o, hit, line->readWord(a), true);
-        } else {
-            ++s.cache.stats().misses;
-            sendReq(env, s, o, MsgType::GET_S);
-        }
-        break;
-
       case AtomicOp::LL:
         // load_linked obtains a *shared* copy; an exclusive load_linked
         // would invite livelock (Section 4.3.2).
-        if (line != nullptr) {
-            ++s.cache.stats().hits;
-            s.cache.setReservation(a, s.txn.start);
-            emitTraceResv(o, blockBase(a), false);
-            emitComplete(o, hit, line->readWord(a), true);
-        } else {
-            ++s.cache.stats().misses;
-            sendReq(env, s, o, MsgType::GET_S);
-        }
+        readShared(env, s, o, line);
         break;
 
       case AtomicOp::LOAD_EXCL:
@@ -225,28 +277,7 @@ beginInv(const Env &env, CtrlState &s, Outcome &o)
         break;
 
       case AtomicOp::DROP_COPY:
-        if (line != nullptr) {
-            Victim v;
-            v.valid = true;
-            v.base = blockBase(a);
-            v.state = line->state;
-            v.data = line->data;
-            if (line->state == LineState::SHARED) {
-                ++o.stats.drop_notifies;
-                Msg d;
-                d.type = MsgType::DROP_NOTIFY;
-                d.dst = env.homeOf(a);
-                d.requester = env.self;
-                d.addr = blockBase(a);
-                d.word_addr = a;
-                d.chain = 1;
-                emitSend(o, d);
-            } else {
-                evictVictim(env, s, o, v); // sends the write-back
-            }
-            s.cache.invalidate(a);
-        }
-        emitComplete(o, hit, 0, true);
+        dropCopy(env, s, o, line);
         break;
     }
 }
@@ -259,16 +290,8 @@ beginUnc(const Env &env, CtrlState &s, Outcome &o)
         emitComplete(o, hitLatency(env), 0, true);
         return;
     }
-    if (s.txn.op == AtomicOp::SC && s.resv_denied &&
-        s.resv_denied_block == blockBase(s.txn.addr)) {
-        // The load_linked was denied a reservation (limited-reservation
-        // option): the store_conditional is doomed, so it fails locally
-        // without causing any network traffic (Section 3.1).
-        s.resv_denied = false;
-        ++o.stats.sc_local_failures;
-        emitComplete(o, hitLatency(env), 0, false);
+    if (failDeniedSc(env, s, o))
         return;
-    }
     // Every access goes to the memory at the home node.
     sendReq(env, s, o, MsgType::UNC_REQ);
 }
@@ -276,54 +299,25 @@ beginUnc(const Env &env, CtrlState &s, Outcome &o)
 void
 beginUpd(const Env &env, CtrlState &s, Outcome &o)
 {
-    const Tick hit = hitLatency(env);
-    Addr a = s.txn.addr;
-    CacheLine *line = s.cache.lookup(a);
+    const CacheLine *line = s.cache.lookup(s.txn.addr);
 
     switch (s.txn.op) {
       case AtomicOp::LOAD:
       case AtomicOp::LOAD_EXCL:
         // UPD lines are only ever shared; load_exclusive degenerates to
         // an ordinary load.
-        if (line != nullptr) {
-            ++s.cache.stats().hits;
-            emitComplete(o, hit, line->readWord(a), true);
-        } else {
-            ++s.cache.stats().misses;
-            sendReq(env, s, o, MsgType::GET_S);
-        }
+        readShared(env, s, o, line);
         break;
 
       case AtomicOp::DROP_COPY:
-        if (line != nullptr) {
-            ++o.stats.drop_notifies;
-            Msg d;
-            d.type = MsgType::DROP_NOTIFY;
-            d.dst = env.homeOf(a);
-            d.requester = env.self;
-            d.addr = blockBase(a);
-            d.word_addr = a;
-            d.chain = 1;
-            emitSend(o, d);
-            s.cache.invalidate(a);
-        }
-        emitComplete(o, hit, 0, true);
-        break;
-
-      case AtomicOp::SC:
-        if (s.resv_denied && s.resv_denied_block == blockBase(a)) {
-            s.resv_denied = false;
-            ++o.stats.sc_local_failures;
-            emitComplete(o, hit, 0, false);
-            break;
-        }
-        sendReq(env, s, o, MsgType::UPD_REQ);
+        dropCopy(env, s, o, line);
         break;
 
       default:
         // All writes and atomic operations -- and load_linked, which must
         // set its reservation at the memory -- go to the home node.
-        sendReq(env, s, o, MsgType::UPD_REQ);
+        if (!failDeniedSc(env, s, o))
+            sendReq(env, s, o, MsgType::UPD_REQ);
         break;
     }
 }
@@ -504,10 +498,20 @@ cpuResponse(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         maybeComplete(env, s, o);
         break;
 
+      case MsgType::SC_RESP:
+        if (!m.success) {
+            s.cache.clearReservation();
+            emitTraceResv(o, m.addr, true);
+            s.txn.waiting = false;
+            emitComplete(o, 0, 0, false);
+            break;
+        }
+        [[fallthrough]];
       case MsgType::UPG_ACK: {
+        // Ownership granted to the shared copy held here.
         CacheLine *line = s.cache.lookup(s.txn.addr);
         dsm_assert(line != nullptr && line->state == LineState::SHARED,
-                   "upgrade granted without a shared copy");
+                   "%s granted without a shared copy", toString(m.type));
         line->state = LineState::EXCLUSIVE;
         emitTraceLine(o, m.addr, LineState::SHARED,
                       LineState::EXCLUSIVE);
@@ -516,26 +520,6 @@ cpuResponse(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         maybeComplete(env, s, o);
         break;
       }
-
-      case MsgType::SC_RESP:
-        if (!m.success) {
-            s.cache.clearReservation();
-            emitTraceResv(o, m.addr, true);
-            s.txn.waiting = false;
-            emitComplete(o, 0, 0, false);
-        } else {
-            CacheLine *line = s.cache.lookup(s.txn.addr);
-            dsm_assert(line != nullptr &&
-                       line->state == LineState::SHARED,
-                       "SC success without a shared copy");
-            line->state = LineState::EXCLUSIVE;
-            emitTraceLine(o, m.addr, LineState::SHARED,
-                          LineState::EXCLUSIVE);
-            s.txn.resp_seen = true;
-            s.txn.acks_needed = m.ack_count;
-            maybeComplete(env, s, o);
-        }
-        break;
 
       case MsgType::CAS_FAIL:
         s.txn.waiting = false;

@@ -4,12 +4,23 @@
  * execution of atomic primitives (UNC and UPD implementations, and the
  * home-side comparisons of the INVd/INVs compare_and_swap variants).
  *
+ * Each directory action behind Table 1's message chains is one
+ * function, shared by every flow that takes it: grantShared (a shared
+ * copy), grantExclusive (an exclusive copy, invalidating the other
+ * sharers), forwardToOwner (the request goes on to the exclusive
+ * owner) and sendUpdates (the UPD fan-out after a write at the
+ * memory). The per-message bodies work on the caller's copy of the
+ * block's directory entry; homeDispatch and deliverCombined read it
+ * once and write it back once.
+ *
  * The memory-module queueing that serializes these actions is the
  * driver's job (Controller::homeEnqueue); by the time a transition
  * runs the message has already paid its memory latency.
  */
 
 #include "proto/transition_impl.hh"
+
+#include <span>
 
 #include "mem/home_queue.hh"
 #include "sim/logging.hh"
@@ -28,13 +39,13 @@ bit(NodeId n)
     return 1ULL << n;
 }
 
-/** Facts helper for the unforwarded (home-serviced) cases. */
+/** Facts of a request the home serves itself, from entry @p e. */
 ServiceFacts
-homeFacts(std::uint8_t dir_state, int sharers, std::uint64_t fanout_mask)
+homeFacts(const DirEntry &e, std::uint64_t fanout_mask)
 {
     ServiceFacts f;
-    f.dir_state = dir_state;
-    f.sharers = sharers;
+    f.dir_state = static_cast<std::uint8_t>(e.state);
+    f.sharers = e.numSharers();
     f.forwarded = false;
     f.owner = INVALID_NODE;
     f.fanout_mask = fanout_mask;
@@ -49,304 +60,231 @@ dirWrite(Outcome &o, Addr addr, const DirEntry &e)
     o.dir_writes.push_back(DirWrite{addr, e});
 }
 
-void
-sendInvalidations(const Env &env, CtrlState &s, Outcome &o,
-                  std::uint64_t targets, const Msg &req)
+/** The reply of type @p t to @p req carrying the block from memory. */
+Msg
+dataReply(const Env &env, const Msg &req, MsgType t)
 {
-    (void)s;
+    Msg r = replyTo(env, req, t);
+    r.data = env.ctx->memBlock(req.addr);
+    r.has_data = true;
+    return r;
+}
+
+/**
+ * A write to the block, or a successful store_conditional, clears the
+ * reservation vector (Section 3) and bumps the block's write serial
+ * number.
+ */
+void
+noteWrite(Outcome &o, DirEntry &e, Addr block)
+{
+    if (e.reservations != 0)
+        emitTraceResv(o, block, true);
+    e.clearReservations();
+    e.bumpSerial();
+}
+
+void
+sendInvalidations(const Env &env, Outcome &o, std::uint64_t targets,
+                  const Msg &req)
+{
     for (NodeId n = 0; n < env.numProcs(); ++n) {
         if (!(targets & bit(n)))
             continue;
         ++o.stats.invalidations;
         emitLp(o, EffectKind::LP_INVALIDATION, req.addr);
-        Msg inv;
-        inv.type = MsgType::INV;
-        inv.dst = n;
-        inv.requester = req.src;
-        inv.addr = req.addr;
-        inv.word_addr = req.word_addr;
-        inv.chain = chainNext(req.chain, env.self, n);
-        inv.txn_id = req.txn_id;
-        inv.seq = req.seq;
-        emitSend(o, inv);
+        emitSend(o, derive(env, req, MsgType::INV, n, req.src, false));
     }
 }
 
-void
-homeGetS(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+/**
+ * Send the word update @p value caused by @p req to every sharer
+ * outside @p skip (the requesters, who get the block in their reply).
+ * @return the nodes updated.
+ */
+std::uint64_t
+sendUpdates(const Env &env, Outcome &o, const DirEntry &e, const Msg &req,
+            std::uint64_t skip, Word value)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
-    if (e.busy) {
-        sendNack(env, s, o, m);
-        dirWrite(o, m.addr, e);
-        return;
+    std::uint64_t updated = 0;
+    for (NodeId n = 0; n < env.numProcs(); ++n) {
+        if ((skip & bit(n)) != 0 || !e.isSharer(n))
+            continue;
+        ++o.stats.updates;
+        updated |= bit(n);
+        Msg u = derive(env, req, MsgType::UPDATE, n, req.src, false);
+        u.result = value;
+        emitSend(o, u);
     }
-    switch (e.state) {
-      case DirState::UNCACHED:
-      case DirState::SHARED: {
-        emitTxnService(o, m.txn_id,
-                       homeFacts(static_cast<std::uint8_t>(e.state),
-                                 e.numSharers(), 0));
-        setDirState(o, e, m.addr, DirState::SHARED);
-        e.addSharer(m.src);
-        emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-        Msg r;
-        r.type = MsgType::DATA_S;
-        r.data = env.ctx->memBlock(m.addr);
-        r.has_data = true;
-        reply(env, s, o, m, r);
-        break;
-      }
-      case DirState::EXCLUSIVE: {
-        if (e.owner == m.src) {
-            // The owner's write-back is in flight; retry resolves it.
-            sendNack(env, s, o, m);
-            dirWrite(o, m.addr, e);
-            return;
-        }
-        e.busy = true;
-        e.pending_requester = m.src;
-        Msg f;
-        f.type = MsgType::FWD_GET_S;
-        f.dst = e.owner;
-        f.requester = m.src;
-        f.addr = m.addr;
-        f.word_addr = m.word_addr;
-        f.chain = chainNext(m.chain, env.self, e.owner);
-        f.txn_id = m.txn_id;
-        f.seq = m.seq;
-        f.attempt = m.attempt;
-        emitSend(o, f);
-        break;
-      }
-    }
-    dirWrite(o, m.addr, e);
+    return updated;
 }
 
+/**
+ * Give @p m's requester a shared copy and send it @p r. @p facts are
+ * the request's service facts (a combined UPD batch reports the entry
+ * as it was before the batch for every member).
+ */
 void
-homeGetX(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+grantShared(CtrlState &s, Outcome &o, DirEntry &e, const Msg &m,
+            const ServiceFacts &facts, const Msg &r)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
-    if (e.busy) {
-        sendNack(env, s, o, m);
-        dirWrite(o, m.addr, e);
-        return;
-    }
-    switch (e.state) {
-      case DirState::UNCACHED: {
-        emitTxnService(o, m.txn_id,
-                       homeFacts(static_cast<std::uint8_t>(e.state), 0,
-                                 0));
-        setDirState(o, e, m.addr, DirState::EXCLUSIVE);
-        e.owner = m.src;
-        emitLp(o, EffectKind::LP_OWNER, m.addr, m.src);
-        Msg r;
-        r.type = MsgType::DATA_X;
-        r.data = env.ctx->memBlock(m.addr);
-        r.has_data = true;
-        r.ack_count = 0;
-        reply(env, s, o, m, r);
-        break;
-      }
-      case DirState::SHARED: {
-        std::uint64_t others = e.sharers & ~bit(m.src);
-        emitTxnService(o, m.txn_id,
-                       homeFacts(static_cast<std::uint8_t>(e.state),
-                                 e.numSharers(), others));
-        setDirState(o, e, m.addr, DirState::EXCLUSIVE);
-        e.owner = m.src;
-        e.sharers = 0;
-        emitLp(o, EffectKind::LP_OWNER, m.addr, m.src);
-        Msg r;
-        r.type = MsgType::DATA_X;
-        r.data = env.ctx->memBlock(m.addr);
-        r.has_data = true;
-        r.ack_count = __builtin_popcountll(others);
-        reply(env, s, o, m, r);
-        sendInvalidations(env, s, o, others, m);
-        break;
-      }
-      case DirState::EXCLUSIVE: {
-        if (e.owner == m.src) {
-            sendNack(env, s, o, m);
-            dirWrite(o, m.addr, e);
-            return;
-        }
-        e.busy = true;
-        e.pending_requester = m.src;
-        Msg f;
-        f.type = MsgType::FWD_GET_X;
-        f.dst = e.owner;
-        f.requester = m.src;
-        f.addr = m.addr;
-        f.word_addr = m.word_addr;
-        f.chain = chainNext(m.chain, env.self, e.owner);
-        f.txn_id = m.txn_id;
-        f.seq = m.seq;
-        f.attempt = m.attempt;
-        emitSend(o, f);
-        break;
-      }
-    }
-    dirWrite(o, m.addr, e);
+    emitTxnService(o, m.txn_id, facts);
+    setDirState(o, e, m.addr, DirState::SHARED);
+    e.addSharer(m.src);
+    emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
+    reply(s, o, r);
 }
 
+/**
+ * Give @p m's requester the exclusive copy of an uncached or shared
+ * block: send it @p r with the number of invalidation acks to collect,
+ * then invalidate the other sharers. A granted store_conditional is a
+ * write to the block.
+ */
 void
-homeUpgrade(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+grantExclusive(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+               const Msg &m, Msg r)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
-    if (e.busy || e.state != DirState::SHARED || !e.isSharer(m.src)) {
-        // The requester's copy was (or is being) invalidated; it will
-        // retry, re-inspect its cache, and fall back to GET_X.
-        sendNack(env, s, o, m);
-        dirWrite(o, m.addr, e);
-        return;
-    }
+    dsm_assert(e.state == DirState::SHARED || e.sharers == 0,
+               "%s block %#llx has sharers %#llx", toString(e.state),
+               static_cast<unsigned long long>(m.addr),
+               static_cast<unsigned long long>(e.sharers));
     std::uint64_t others = e.sharers & ~bit(m.src);
-    emitTxnService(o, m.txn_id,
-                   homeFacts(static_cast<std::uint8_t>(e.state),
-                             e.numSharers(), others));
+    emitTxnService(o, m.txn_id, homeFacts(e, others));
     setDirState(o, e, m.addr, DirState::EXCLUSIVE);
     e.owner = m.src;
     e.sharers = 0;
     emitLp(o, EffectKind::LP_OWNER, m.addr, m.src);
-    Msg r;
-    r.type = MsgType::UPG_ACK;
+    if (m.type == MsgType::SC_REQ)
+        noteWrite(o, e, m.addr);
     r.ack_count = __builtin_popcountll(others);
-    reply(env, s, o, m, r);
-    sendInvalidations(env, s, o, others, m);
-    dirWrite(o, m.addr, e);
+    reply(s, o, r);
+    sendInvalidations(env, o, others, m);
+}
+
+/**
+ * The exclusive owner holds the current copy: forward @p m to it as
+ * @p t and keep the entry busy until the owner answers. A requester
+ * that owns the line itself is NACKed instead: its write-back is in
+ * flight, and the retry resolves it.
+ */
+void
+forwardToOwner(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+               const Msg &m, MsgType t)
+{
+    if (e.owner == m.src) {
+        sendNack(env, s, o, m);
+        return;
+    }
+    e.busy = true;
+    e.pending_requester = m.src;
+    Msg f = derive(env, m, t, e.owner, m.src, true);
+    if (t == MsgType::FWD_CAS) {
+        f.value = m.value;
+        f.expected = m.expected;
+    }
+    emitSend(o, f);
+}
+
+/**
+ * The forwarded transfer ended with the line written back: the block is
+ * uncached again and the waiting requester is NACKed to retry.
+ */
+void
+endTransferUncached(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+                    Addr block)
+{
+    NodeId req = e.pending_requester;
+    setDirState(o, e, block, DirState::UNCACHED);
+    e.owner = INVALID_NODE;
+    e.busy = false;
+    e.await_wb = false;
+    e.wb_received = false;
+    e.pending_requester = INVALID_NODE;
+    nackNode(env, s, o, req, block);
 }
 
 void
-homeCasHome(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeGetS(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+         const Msg &m)
+{
+    if (e.state == DirState::EXCLUSIVE)
+        forwardToOwner(env, s, o, e, m, MsgType::FWD_GET_S);
+    else
+        grantShared(s, o, e, m, homeFacts(e, 0),
+                    dataReply(env, m, MsgType::DATA_S));
+}
+
+void
+homeGetX(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+         const Msg &m)
+{
+    if (e.state == DirState::EXCLUSIVE)
+        forwardToOwner(env, s, o, e, m, MsgType::FWD_GET_X);
+    else
+        grantExclusive(env, s, o, e, m, dataReply(env, m, MsgType::DATA_X));
+}
+
+void
+homeUpgrade(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+            const Msg &m)
+{
+    if (e.state != DirState::SHARED || !e.isSharer(m.src)) {
+        // The requester's copy was (or is being) invalidated; it will
+        // retry, re-inspect its cache, and fall back to GET_X.
+        sendNack(env, s, o, m);
+        return;
+    }
+    grantExclusive(env, s, o, e, m, replyTo(env, m, MsgType::UPG_ACK));
+}
+
+void
+homeCasHome(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+            const Msg &m)
 {
     CasVariant variant = env.cfg->sync.cas_variant;
     dsm_assert(variant != CasVariant::PLAIN,
                "CAS_HOME under the plain INV variant");
-    DirEntry e = env.ctx->dirEntry(m.addr);
-    if (e.busy) {
-        sendNack(env, s, o, m);
-        dirWrite(o, m.addr, e);
+    if (e.state == DirState::EXCLUSIVE) {
+        // The owner has the most up-to-date copy; forward the comparison.
+        forwardToOwner(env, s, o, e, m, MsgType::FWD_CAS);
         return;
     }
-    switch (e.state) {
-      case DirState::UNCACHED:
-      case DirState::SHARED: {
-        // Memory holds the most up-to-date copy; compare here.
-        std::uint8_t dir_before = static_cast<std::uint8_t>(e.state);
-        int sharers_before = e.numSharers();
-        Word old = env.ctx->memWord(m.word_addr);
-        if (old == m.expected) {
-            // Equality: behave like INV; grant an exclusive copy and let
-            // the requester perform the swap locally.
-            std::uint64_t others =
-                e.state == DirState::SHARED ? e.sharers & ~bit(m.src) : 0;
-            emitTxnService(o, m.txn_id,
-                           homeFacts(dir_before, sharers_before, others));
-            setDirState(o, e, m.addr, DirState::EXCLUSIVE);
-            e.owner = m.src;
-            e.sharers = 0;
-            emitLp(o, EffectKind::LP_OWNER, m.addr, m.src);
-            Msg r;
-            r.type = MsgType::DATA_X;
-            r.data = env.ctx->memBlock(m.addr);
-            r.has_data = true;
-            r.ack_count = __builtin_popcountll(others);
-            r.success = true;
-            reply(env, s, o, m, r);
-            sendInvalidations(env, s, o, others, m);
-        } else if (variant == CasVariant::DENY) {
-            emitTxnService(o, m.txn_id,
-                           homeFacts(dir_before, sharers_before, 0));
-            Msg r;
-            r.type = MsgType::CAS_FAIL;
-            r.result = old;
-            reply(env, s, o, m, r);
-        } else { // CasVariant::SHARE
-            emitTxnService(o, m.txn_id,
-                           homeFacts(dir_before, sharers_before, 0));
-            setDirState(o, e, m.addr, DirState::SHARED);
-            e.addSharer(m.src);
-            emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-            Msg r;
-            r.type = MsgType::CAS_FAIL_S;
-            r.result = old;
-            r.data = env.ctx->memBlock(m.addr);
-            r.has_data = true;
-            reply(env, s, o, m, r);
-        }
-        break;
-      }
-      case DirState::EXCLUSIVE: {
-        if (e.owner == m.src) {
-            sendNack(env, s, o, m);
-            dirWrite(o, m.addr, e);
-            return;
-        }
-        // The owner has the most up-to-date copy; forward the comparison.
-        e.busy = true;
-        e.pending_requester = m.src;
-        Msg f;
-        f.type = MsgType::FWD_CAS;
-        f.dst = e.owner;
-        f.requester = m.src;
-        f.addr = m.addr;
-        f.word_addr = m.word_addr;
-        f.value = m.value;
-        f.expected = m.expected;
-        f.chain = chainNext(m.chain, env.self, e.owner);
-        f.txn_id = m.txn_id;
-        f.seq = m.seq;
-        f.attempt = m.attempt;
-        emitSend(o, f);
-        break;
-      }
+    // Memory holds the most up-to-date copy; compare here.
+    Word old = env.ctx->memWord(m.word_addr);
+    if (old == m.expected) {
+        // Equality: behave like INV; grant an exclusive copy and let
+        // the requester perform the swap locally.
+        Msg r = dataReply(env, m, MsgType::DATA_X);
+        r.success = true;
+        grantExclusive(env, s, o, e, m, r);
+    } else if (variant == CasVariant::DENY) {
+        emitTxnService(o, m.txn_id, homeFacts(e, 0));
+        Msg r = replyTo(env, m, MsgType::CAS_FAIL);
+        r.result = old;
+        reply(s, o, r);
+    } else { // CasVariant::SHARE
+        Msg r = dataReply(env, m, MsgType::CAS_FAIL_S);
+        r.result = old;
+        grantShared(s, o, e, m, homeFacts(e, 0), r);
     }
-    dirWrite(o, m.addr, e);
 }
 
 void
-homeScReq(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeScReq(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+          const Msg &m)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
-    if (e.busy) {
-        sendNack(env, s, o, m);
-        dirWrite(o, m.addr, e);
-        return;
-    }
+    Msg r = replyTo(env, m, MsgType::SC_RESP);
     if (e.state == DirState::SHARED && e.isSharer(m.src)) {
         // Success: the requester still holds a valid copy. Grant
         // exclusivity and invalidate the other holders (Section 3).
-        std::uint64_t others = e.sharers & ~bit(m.src);
-        emitTxnService(o, m.txn_id,
-                       homeFacts(static_cast<std::uint8_t>(e.state),
-                                 e.numSharers(), others));
-        setDirState(o, e, m.addr, DirState::EXCLUSIVE);
-        e.owner = m.src;
-        e.sharers = 0;
-        emitLp(o, EffectKind::LP_OWNER, m.addr, m.src);
-        if (e.reservations != 0)
-            emitTraceResv(o, m.addr, true);
-        e.clearReservations();
-        e.bumpSerial();
-        Msg r;
-        r.type = MsgType::SC_RESP;
         r.success = true;
-        r.ack_count = __builtin_popcountll(others);
-        reply(env, s, o, m, r);
-        sendInvalidations(env, s, o, others, m);
+        grantExclusive(env, s, o, e, m, r);
     } else {
         // Exclusive elsewhere or uncached: fail.
-        emitTxnService(o, m.txn_id,
-                       homeFacts(static_cast<std::uint8_t>(e.state),
-                                 e.numSharers(), 0));
-        Msg r;
-        r.type = MsgType::SC_RESP;
-        r.success = false;
-        reply(env, s, o, m, r);
+        emitTxnService(o, m.txn_id, homeFacts(e, 0));
+        reply(s, o, r);
     }
-    dirWrite(o, m.addr, e);
 }
 
 /** Outcome of a memory-executed operation. */
@@ -443,96 +381,80 @@ memoryOp(const Env &env, DirEntry &e, Outcome &o, const Msg &m)
         dsm_panic("memoryOp on %s", toString(m.op));
     }
 
-    if (wrote) {
-        // Any write or successful SC clears the reservation vector
-        // (Section 3) and bumps the block's write serial number.
-        if (e.reservations != 0)
-            emitTraceResv(o, m.addr, true);
-        e.clearReservations();
-        e.bumpSerial();
-    }
+    if (wrote)
+        noteWrite(o, e, m.addr);
     return {result, success, e.serial};
 }
 
-void
-homeUncReq(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+/** The reply of type @p t to @p req reporting memory operation @p out. */
+Msg
+memReply(const Env &env, const Msg &req, MsgType t, const MemOpOut &out)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
+    Msg r = replyTo(env, req, t);
+    r.result = out.result;
+    r.success = out.success;
+    r.serial = out.serial;
+    return r;
+}
+
+void
+homeUncReq(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+           const Msg &m)
+{
     dsm_assert(e.state == DirState::UNCACHED && !e.busy,
                "UNC access to a block with cached copies");
-    emitTxnService(o, m.txn_id,
-                   homeFacts(static_cast<std::uint8_t>(e.state), 0, 0));
+    emitTxnService(o, m.txn_id, homeFacts(e, 0));
     MemOpOut out = memoryOp(env, e, o, m);
-    Msg r;
-    r.type = MsgType::UNC_RESP;
-    r.result = out.result;
-    r.success = out.success;
-    r.serial = out.serial;
-    reply(env, s, o, m, r);
-    dirWrite(o, m.addr, e);
+    reply(s, o, memReply(env, m, MsgType::UNC_RESP, out));
 }
 
+/**
+ * UPD requests to one word — a single request, or a combined batch of
+ * fetch&adds that one read-modify-write pass serves (memoryOp reads
+ * through this outcome's pending writes, so each member sees its exact
+ * prefix sum). One UPDATE fan-out carries the final value, attributed
+ * to the first request (its chain, seq, acks and fan-out facts); every
+ * requester gets a shared copy with the final block in its UPD_RESP.
+ */
 void
-homeUpdReq(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeUpdReq(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+           std::span<const Msg> reqs)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
     dsm_assert(e.state != DirState::EXCLUSIVE && !e.busy,
                "UPD region block is exclusive");
-    std::uint8_t dir_before = static_cast<std::uint8_t>(e.state);
-    int sharers_before = e.numSharers();
-    Word before = readWordAfter(env, o, m.word_addr);
-    MemOpOut out = memoryOp(env, e, o, m);
-    Word newval = readWordAfter(env, o, m.word_addr);
+    const Msg &lead = reqs.front();
+    ServiceFacts facts = homeFacts(e, 0);
+    Word before = readWordAfter(env, o, lead.word_addr);
+    InlineVec<MemOpOut, 1> outs;
+    std::uint64_t requesters = 0;
+    for (const Msg &m : reqs) {
+        outs.push_back(memoryOp(env, e, o, m));
+        requesters |= bit(m.src);
+    }
+    Word newval = readWordAfter(env, o, lead.word_addr);
 
-    int nupdates = 0;
-    std::uint64_t upd_mask = 0;
     // "Only successful writes cause updates" (Section 4.3.1): a write
     // that leaves the word unchanged (e.g. a failed test_and_set
-    // storing 1 over 1) sends no update messages.
-    if (effectiveWrite(m.op, out.success) && newval != before) {
-        for (NodeId n = 0; n < env.numProcs(); ++n) {
-            if (n == m.src || !e.isSharer(n))
-                continue;
-            ++o.stats.updates;
-            ++nupdates;
-            upd_mask |= bit(n);
-            Msg u;
-            u.type = MsgType::UPDATE;
-            u.dst = n;
-            u.requester = m.src;
-            u.addr = m.addr;
-            u.word_addr = m.word_addr;
-            u.result = newval;
-            u.chain = chainNext(m.chain, env.self, n);
-            u.txn_id = m.txn_id;
-            u.seq = m.seq;
-            emitSend(o, u);
-        }
+    // storing 1 over 1, or adding zero) sends no update messages.
+    std::uint64_t updated = 0;
+    if (effectiveWrite(lead.op, outs.begin()->success) && newval != before)
+        updated = sendUpdates(env, o, e, lead, requesters, newval);
+
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const Msg &m = reqs[i];
+        facts.fanout_mask = i == 0 ? updated : 0;
+        Msg r = memReply(env, m, MsgType::UPD_RESP, outs.begin()[i]);
+        r.ack_count = __builtin_popcountll(facts.fanout_mask);
+        r.data = readBlockAfter(env, o, m.addr);
+        r.has_data = true;
+        grantShared(s, o, e, m, facts, r);
     }
-    emitTxnService(o, m.txn_id,
-                   homeFacts(dir_before, sharers_before, upd_mask));
-
-    // The requester retains (or obtains) a shared copy.
-    setDirState(o, e, m.addr, DirState::SHARED);
-    e.addSharer(m.src);
-    emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-
-    Msg r;
-    r.type = MsgType::UPD_RESP;
-    r.result = out.result;
-    r.success = out.success;
-    r.serial = out.serial;
-    r.ack_count = nupdates;
-    r.data = readBlockAfter(env, o, m.addr);
-    r.has_data = true;
-    reply(env, s, o, m, r);
-    dirWrite(o, m.addr, e);
 }
 
 void
-homeWbData(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeWbData(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+           const Msg &m)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
     dsm_assert(e.state == DirState::EXCLUSIVE && e.owner == m.src,
                "write-back of %#llx from non-owner %d (state %s)",
                static_cast<unsigned long long>(m.addr), m.src,
@@ -545,7 +467,6 @@ homeWbData(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
     if (!e.busy) {
         setDirState(o, e, m.addr, DirState::UNCACHED);
         e.owner = INVALID_NODE;
-        dirWrite(o, m.addr, e);
         return;
     }
     // A forward to the (former) owner is outstanding; it will bounce
@@ -553,36 +474,25 @@ homeWbData(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
     e.wb_received = true;
     if (e.await_wb) {
         // The bounce already arrived; finish the transaction now.
-        NodeId req = e.pending_requester;
-        setDirState(o, e, m.addr, DirState::UNCACHED);
-        e.owner = INVALID_NODE;
-        e.busy = false;
-        e.await_wb = false;
-        e.wb_received = false;
-        e.pending_requester = INVALID_NODE;
-        nackNode(env, s, o, req, m.addr);
+        endTransferUncached(env, s, o, e, m.addr);
     }
-    dirWrite(o, m.addr, e);
 }
 
 void
-homeDropNotify(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeDropNotify(Outcome &o, DirEntry &e, const Msg &m)
 {
-    (void)s;
-    DirEntry e = env.ctx->dirEntry(m.addr);
     if (e.state == DirState::SHARED && e.isSharer(m.src)) {
         e.removeSharer(m.src);
         if (e.sharers == 0)
             setDirState(o, e, m.addr, DirState::UNCACHED);
     }
     // Otherwise the notification raced with a state change; ignore it.
-    dirWrite(o, m.addr, e);
 }
 
 void
-homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
+homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
+               const Msg &m)
 {
-    DirEntry e = env.ctx->dirEntry(m.addr);
     dsm_assert(e.busy && e.state == DirState::EXCLUSIVE &&
                e.owner == m.src,
                "%s from %d out of protocol", toString(m.type), m.src);
@@ -601,22 +511,11 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         emitTxnService(o, m.txn_id, f);
     }
 
-    auto respond = [&](Msg r) {
-        r.dst = req;
-        r.requester = req;
-        r.addr = m.addr;
-        r.word_addr = m.word_addr;
-        r.chain = chainNext(m.chain, env.self, req);
-        r.txn_id = m.txn_id;
-        r.seq = m.seq;
-        r.attempt = m.attempt;
-        if (!s.dedup.empty() && m.seq != 0)
-            captureReply(s, req, m.seq, r);
-        emitSend(o, r);
-    };
-
     switch (m.type) {
-      case MsgType::OWNER_DATA_S: {
+      case MsgType::OWNER_DATA_S:
+      case MsgType::CAS_OWNER_FAIL_S: {
+        // The owner downgraded in place (after a GET_S, or an INVs
+        // failed compare_and_swap); both nodes share the line.
         MemWrite mw;
         mw.is_block = true;
         mw.addr = m.addr;
@@ -627,13 +526,16 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         e.owner = INVALID_NODE;
         e.busy = false;
         e.pending_requester = INVALID_NODE;
-        // The former owner downgraded in place; only req is new.
+        // Only req is a new sharer.
         emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-        Msg r;
-        r.type = MsgType::DATA_S;
+        bool cas = m.type == MsgType::CAS_OWNER_FAIL_S;
+        Msg r = derive(env, m, cas ? MsgType::CAS_FAIL_S : MsgType::DATA_S,
+                       req, req, true);
+        if (cas)
+            r.result = m.result;
         r.data = m.data;
         r.has_data = true;
-        respond(r);
+        reply(s, o, r);
         break;
       }
       case MsgType::OWNER_DATA_X: {
@@ -641,44 +543,21 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         e.busy = false;
         e.pending_requester = INVALID_NODE;
         emitLp(o, EffectKind::LP_OWNER, m.addr, req);
-        Msg r;
-        r.type = MsgType::DATA_X;
+        Msg r = derive(env, m, MsgType::DATA_X, req, req, true);
         r.data = m.data;
         r.has_data = true;
         r.ack_count = 0;
         r.success = true;
-        respond(r);
+        reply(s, o, r);
         break;
       }
       case MsgType::CAS_OWNER_FAIL: {
         // INVd: the owner keeps its exclusive copy.
         e.busy = false;
         e.pending_requester = INVALID_NODE;
-        Msg r;
-        r.type = MsgType::CAS_FAIL;
+        Msg r = derive(env, m, MsgType::CAS_FAIL, req, req, true);
         r.result = m.result;
-        respond(r);
-        break;
-      }
-      case MsgType::CAS_OWNER_FAIL_S: {
-        // INVs: the owner downgraded; both nodes share the line.
-        MemWrite mw;
-        mw.is_block = true;
-        mw.addr = m.addr;
-        mw.block = m.data;
-        o.mem_writes.push_back(mw);
-        setDirState(o, e, m.addr, DirState::SHARED);
-        e.sharers = bit(m.src) | bit(req);
-        e.owner = INVALID_NODE;
-        e.busy = false;
-        e.pending_requester = INVALID_NODE;
-        emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-        Msg r;
-        r.type = MsgType::CAS_FAIL_S;
-        r.result = m.result;
-        r.data = m.data;
-        r.has_data = true;
-        respond(r);
+        reply(s, o, r);
         break;
       }
       case MsgType::FWD_NACK_RETRY: {
@@ -688,22 +567,15 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         break;
       }
       case MsgType::FWD_NACK_WB: {
-        if (e.wb_received) {
-            setDirState(o, e, m.addr, DirState::UNCACHED);
-            e.owner = INVALID_NODE;
-            e.busy = false;
-            e.wb_received = false;
-            e.pending_requester = INVALID_NODE;
-            nackNode(env, s, o, req, m.addr);
-        } else {
+        if (e.wb_received)
+            endTransferUncached(env, s, o, e, m.addr);
+        else
             e.await_wb = true;
-        }
         break;
       }
       default:
         dsm_panic("unexpected owner reply %s", toString(m.type));
     }
-    dirWrite(o, m.addr, e);
 }
 
 } // namespace
@@ -725,123 +597,29 @@ deliverCombined(const Env &env, CtrlState &s,
                    "batch member %zu does not combine with the leader",
                    i);
 
+    // The members run the single-request bodies on one working entry,
+    // so each sees the sharers and memory words its predecessors left.
+    DirEntry e = env.ctx->dirEntry(lead.addr);
     switch (lead.type) {
-      case MsgType::GET_S: {
-        // k duplicate fills of one block share the single block read;
-        // per-member facts/replies mirror sequential delivery exactly
-        // (the working entry accumulates sharers between members).
-        DirEntry e = env.ctx->dirEntry(lead.addr);
+      case MsgType::GET_S:
+        // k duplicate fills of one block share the single block read.
         dsm_assert(!e.busy && e.state != DirState::EXCLUSIVE,
                    "combined GET_S batch on a busy/exclusive line");
-        for (const Msg &m : batch) {
-            emitTxnService(o, m.txn_id,
-                           homeFacts(static_cast<std::uint8_t>(e.state),
-                                     e.numSharers(), 0));
-            setDirState(o, e, m.addr, DirState::SHARED);
-            e.addSharer(m.src);
-            emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-            Msg r;
-            r.type = MsgType::DATA_S;
-            r.data = env.ctx->memBlock(m.addr);
-            r.has_data = true;
-            reply(env, s, o, m, r);
-        }
-        dirWrite(o, lead.addr, e);
-        break;
-      }
-
-      case MsgType::UNC_REQ: {
-        // k fetch&adds, one read-modify-write pass: memoryOp reads
-        // through this outcome's pending writes (readWordAfter), so
-        // sequential calls hand each member its exact prefix sum.
-        DirEntry e = env.ctx->dirEntry(lead.addr);
-        dsm_assert(e.state == DirState::UNCACHED && !e.busy,
-                   "UNC access to a block with cached copies");
-        for (const Msg &m : batch) {
-            emitTxnService(o, m.txn_id,
-                           homeFacts(static_cast<std::uint8_t>(e.state),
-                                     0, 0));
-            MemOpOut out = memoryOp(env, e, o, m);
-            Msg r;
-            r.type = MsgType::UNC_RESP;
-            r.result = out.result;
-            r.success = out.success;
-            r.serial = out.serial;
-            reply(env, s, o, m, r);
-        }
-        dirWrite(o, lead.addr, e);
-        break;
-      }
-
-      case MsgType::UPD_REQ: {
-        DirEntry e = env.ctx->dirEntry(lead.addr);
-        dsm_assert(e.state != DirState::EXCLUSIVE && !e.busy,
-                   "UPD region block is exclusive");
-        std::uint8_t dir_before = static_cast<std::uint8_t>(e.state);
-        int sharers_before = e.numSharers();
-        Word before = readWordAfter(env, o, lead.word_addr);
-        std::vector<MemOpOut> outs;
-        outs.reserve(batch.size());
         for (const Msg &m : batch)
-            outs.push_back(memoryOp(env, e, o, m));
-        Word newval = readWordAfter(env, o, lead.word_addr);
-
-        // One UPDATE fan-out for the whole batch, carrying the final
-        // value, attributed to the leader (its chain/seq/acks). Batch
-        // members are excluded: each gets the final block in its own
-        // UPD_RESP. FAA is always an effective write, so only the
-        // no-op case (adding zero) suppresses the fan-out.
-        std::uint64_t member_mask = 0;
-        for (const Msg &m : batch)
-            member_mask |= bit(m.src);
-        int nupdates = 0;
-        std::uint64_t upd_mask = 0;
-        if (newval != before) {
-            for (NodeId n = 0; n < env.numProcs(); ++n) {
-                if ((member_mask & bit(n)) != 0 || !e.isSharer(n))
-                    continue;
-                ++o.stats.updates;
-                ++nupdates;
-                upd_mask |= bit(n);
-                Msg u;
-                u.type = MsgType::UPDATE;
-                u.dst = n;
-                u.requester = lead.src;
-                u.addr = lead.addr;
-                u.word_addr = lead.word_addr;
-                u.result = newval;
-                u.chain = chainNext(lead.chain, env.self, n);
-                u.txn_id = lead.txn_id;
-                u.seq = lead.seq;
-                emitSend(o, u);
-            }
-        }
-
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Msg &m = batch[i];
-            emitTxnService(o, m.txn_id,
-                           homeFacts(dir_before, sharers_before,
-                                     i == 0 ? upd_mask : 0));
-            setDirState(o, e, m.addr, DirState::SHARED);
-            e.addSharer(m.src);
-            emitLp(o, EffectKind::LP_SHARER_JOIN, m.addr);
-            Msg r;
-            r.type = MsgType::UPD_RESP;
-            r.result = outs[i].result;
-            r.success = outs[i].success;
-            r.serial = outs[i].serial;
-            r.ack_count = i == 0 ? nupdates : 0;
-            r.data = readBlockAfter(env, o, m.addr);
-            r.has_data = true;
-            reply(env, s, o, m, r);
-        }
-        dirWrite(o, lead.addr, e);
+            homeGetS(env, s, o, e, m);
         break;
-      }
-
+      case MsgType::UNC_REQ:
+        // k fetch&adds, one read-modify-write pass.
+        for (const Msg &m : batch)
+            homeUncReq(env, s, o, e, m);
+        break;
+      case MsgType::UPD_REQ:
+        homeUpdReq(env, s, o, e, batch);
+        break;
       default:
         dsm_panic("deliverCombined on %s", toString(lead.type));
     }
+    dirWrite(o, lead.addr, e);
     return o;
 }
 
@@ -881,41 +659,50 @@ homeDispatch(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
                "%s for block %#llx delivered to non-home node %d",
                toString(m.type), static_cast<unsigned long long>(m.addr),
                env.self);
-    if (ownerReply(m.type)) {
-        homeOwnerReply(env, s, o, m);
-        return;
+    DirEntry e = env.ctx->dirEntry(m.addr);
+    // While an ownership transfer is in flight, the INV requests are
+    // NACKed and retried (UNC and UPD blocks are never busy).
+    bool inv_request = recoverableRequest(m.type) &&
+                       m.type != MsgType::UNC_REQ &&
+                       m.type != MsgType::UPD_REQ;
+    if (e.busy && inv_request) {
+        sendNack(env, s, o, m);
+    } else if (ownerReply(m.type)) {
+        homeOwnerReply(env, s, o, e, m);
+    } else {
+        switch (m.type) {
+          case MsgType::GET_S:
+            homeGetS(env, s, o, e, m);
+            break;
+          case MsgType::GET_X:
+            homeGetX(env, s, o, e, m);
+            break;
+          case MsgType::UPGRADE:
+            homeUpgrade(env, s, o, e, m);
+            break;
+          case MsgType::CAS_HOME:
+            homeCasHome(env, s, o, e, m);
+            break;
+          case MsgType::SC_REQ:
+            homeScReq(env, s, o, e, m);
+            break;
+          case MsgType::UNC_REQ:
+            homeUncReq(env, s, o, e, m);
+            break;
+          case MsgType::UPD_REQ:
+            homeUpdReq(env, s, o, e, {&m, 1});
+            break;
+          case MsgType::WB_DATA:
+            homeWbData(env, s, o, e, m);
+            break;
+          case MsgType::DROP_NOTIFY:
+            homeDropNotify(o, e, m);
+            break;
+          default:
+            dsm_panic("non-home message %s at home", toString(m.type));
+        }
     }
-    switch (m.type) {
-      case MsgType::GET_S:
-        homeGetS(env, s, o, m);
-        break;
-      case MsgType::GET_X:
-        homeGetX(env, s, o, m);
-        break;
-      case MsgType::UPGRADE:
-        homeUpgrade(env, s, o, m);
-        break;
-      case MsgType::CAS_HOME:
-        homeCasHome(env, s, o, m);
-        break;
-      case MsgType::SC_REQ:
-        homeScReq(env, s, o, m);
-        break;
-      case MsgType::UNC_REQ:
-        homeUncReq(env, s, o, m);
-        break;
-      case MsgType::UPD_REQ:
-        homeUpdReq(env, s, o, m);
-        break;
-      case MsgType::WB_DATA:
-        homeWbData(env, s, o, m);
-        break;
-      case MsgType::DROP_NOTIFY:
-        homeDropNotify(env, s, o, m);
-        break;
-      default:
-        dsm_panic("non-home message %s at home", toString(m.type));
-    }
+    dirWrite(o, m.addr, e);
 }
 
 } // namespace detail

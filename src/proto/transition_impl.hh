@@ -42,9 +42,19 @@ void emitArmTimer(Outcome &o);
 /** Change a directory entry's stable state, emitting the transition. */
 void setDirState(Outcome &o, DirEntry &e, Addr block, DirState to);
 
-/** Reply to a request (fills src-independent routing + dedup capture). */
-void reply(const Env &env, CtrlState &s, Outcome &o, const Msg &req,
-           Msg resp);
+/**
+ * The message of type @p t that @p cause makes this node send to
+ * @p dst on behalf of @p requester: @p cause's block and word, its
+ * transaction id and seq, the chain one hop longer when it leaves this
+ * node, and, @p with_attempt, its retransmission attempt (replies and
+ * forwards echo it; invalidations, updates and their acks do not).
+ */
+Msg derive(const Env &env, const Msg &cause, MsgType t, NodeId dst,
+           NodeId requester, bool with_attempt);
+/** The reply of type @p t to request @p req. */
+Msg replyTo(const Env &env, const Msg &req, MsgType t);
+/** Send reply @p r, caching it for dedup replay of its request's seq. */
+void reply(CtrlState &s, Outcome &o, const Msg &r);
 /** Cache @p resp as the reply to @p requester's seq @p seq. */
 void captureReply(CtrlState &s, NodeId requester, std::uint64_t seq,
                   const Msg &resp);

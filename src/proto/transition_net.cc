@@ -14,6 +14,36 @@
 namespace dsm {
 namespace tf {
 
+using namespace detail;
+
+namespace {
+
+/**
+ * A third-party INV or UPDATE found no copy here. With reordering armed
+ * (FaultConfig::reorderPossible) it may have overtaken this node's own
+ * fill of the block, which the directory already counts as delivered:
+ * mark the race so the install does not keep a copy the directory no
+ * longer tracks, or one holding a stale word (TxnState::fill_raced).
+ * Under FIFO delivery the grant would have arrived first.
+ */
+void
+noteFillRace(const Env &env, CtrlState &s, Addr block)
+{
+    if (env.cfg->faults.reorderPossible() && s.txn.active &&
+        s.txn.waiting && blockBase(s.txn.addr) == block)
+        s.txn.fill_raced = 1;
+}
+
+/** Acknowledge @p m, an INV or UPDATE, to its requester. */
+void
+sendAck(const Env &env, Outcome &o, const Msg &m, MsgType t)
+{
+    emitSend(o, derive(env, m, t, m.requester, m.requester, false),
+             env.cfg->machine.cache_access_latency);
+}
+
+} // namespace
+
 namespace detail {
 
 void
@@ -31,28 +61,12 @@ handleInv(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         ++s.cache.stats().invalidations_received;
         s.cache.invalidate(m.addr);
         emitTraceLine(o, m.addr, LineState::SHARED, LineState::INVALID);
-    } else if (env.cfg->faults.reorderPossible() && s.txn.active &&
-               s.txn.waiting && blockBase(s.txn.addr) == m.addr) {
-        // The copy is absent but a fill for this very block is in
-        // flight. Under FIFO delivery the grant would have arrived
-        // first; with reordering armed, this invalidation may have
-        // overtaken it — remember the race so the install does not
-        // resurrect a copy the directory no longer tracks (an INV
-        // supersedes any earlier UPDATE race: the directory has
-        // dropped this node from the sharer list either way).
-        s.txn.fill_raced = 1;
+    } else {
+        // An INV supersedes any earlier UPDATE race: the directory has
+        // dropped this node from the sharer list either way.
+        noteFillRace(env, s, m.addr);
     }
-
-    Msg ack;
-    ack.type = MsgType::INV_ACK;
-    ack.dst = m.requester;
-    ack.requester = m.requester;
-    ack.addr = m.addr;
-    ack.word_addr = m.word_addr;
-    ack.chain = chainNext(m.chain, env.self, m.requester);
-    ack.txn_id = m.txn_id;
-    ack.seq = m.seq;
-    emitSend(o, ack, env.cfg->machine.cache_access_latency);
+    sendAck(env, o, m, MsgType::INV_ACK);
 }
 
 void
@@ -65,26 +79,12 @@ handleUpdate(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         dsm_assert(line->state == LineState::SHARED,
                    "update hit a non-shared line at node %d", env.self);
         line->writeWord(m.word_addr, m.result);
-    } else if (env.cfg->faults.reorderPossible() && s.txn.active &&
-               s.txn.waiting && blockBase(s.txn.addr) == m.addr) {
-        // Same fill race as handleInv, UPD flavour: the in-flight
-        // grant's data predates this word update, so the install must
-        // not keep the copy — it would hold a stale word the directory
-        // believes is current. The drop at install time stays silent;
-        // the node simply refetches on its next access.
-        s.txn.fill_raced = 1;
+    } else {
+        // The drop at install time stays silent; the node simply
+        // refetches on its next access.
+        noteFillRace(env, s, m.addr);
     }
-
-    Msg ack;
-    ack.type = MsgType::UPDATE_ACK;
-    ack.dst = m.requester;
-    ack.requester = m.requester;
-    ack.addr = m.addr;
-    ack.word_addr = m.word_addr;
-    ack.chain = chainNext(m.chain, env.self, m.requester);
-    ack.txn_id = m.txn_id;
-    ack.seq = m.seq;
-    emitSend(o, ack, env.cfg->machine.cache_access_latency);
+    sendAck(env, o, m, MsgType::UPDATE_ACK);
 }
 
 void
@@ -102,25 +102,17 @@ handleFwd(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
                 static_cast<std::uint8_t>(TxnPhase::OWNER), delay,
                 env.self);
 
-    auto respond = [&](Msg r) {
-        r.dst = home;
-        r.requester = m.requester;
-        r.addr = m.addr;
-        r.word_addr = m.word_addr;
-        r.chain = chainNext(m.chain, env.self, home);
-        r.txn_id = m.txn_id;
-        r.seq = m.seq;
-        r.attempt = m.attempt;
-        emitSend(o, r, delay);
+    // The owner's answer goes back to the home, which completes the
+    // transfer for the original requester.
+    auto answer = [&](MsgType t) {
+        return derive(env, m, t, home, m.requester, true);
     };
 
     // If this node's own transaction on the block is still collecting
     // its grant or acknowledgements, it cannot surrender the line yet.
     if (s.txn.active && s.txn.waiting &&
         blockBase(s.txn.addr) == m.addr) {
-        Msg r;
-        r.type = MsgType::FWD_NACK_RETRY;
-        respond(r);
+        emitSend(o, answer(MsgType::FWD_NACK_RETRY), delay);
         return;
     }
 
@@ -129,75 +121,57 @@ handleFwd(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
         // The line was evicted or dropped; its write-back is in flight
         // (or already at home). This is the drop_copy race of
         // Section 4.3.1.
-        Msg r;
-        r.type = MsgType::FWD_NACK_WB;
-        respond(r);
+        emitSend(o, answer(MsgType::FWD_NACK_WB), delay);
         return;
     }
     dsm_assert(line->state == LineState::EXCLUSIVE,
                "forwarded request at node %d found a %s line",
                env.self, toString(line->state));
 
+    Msg r;
+    Word old = line->readWord(m.word_addr); // FWD_CAS's comparison
     switch (m.type) {
-      case MsgType::FWD_GET_S: {
+      case MsgType::FWD_GET_S:
         // Downgrade and keep a shared copy.
         line->state = LineState::SHARED;
-        emitTraceLine(o, m.addr, LineState::EXCLUSIVE,
-                      LineState::SHARED);
-        Msg r;
-        r.type = MsgType::OWNER_DATA_S;
+        emitTraceLine(o, m.addr, LineState::EXCLUSIVE, LineState::SHARED);
+        r = answer(MsgType::OWNER_DATA_S);
         r.data = line->data;
         r.has_data = true;
-        respond(r);
         break;
-      }
-      case MsgType::FWD_GET_X: {
-        Msg r;
-        r.type = MsgType::OWNER_DATA_X;
+      case MsgType::FWD_CAS:
+        if (old != m.expected) {
+            if (env.cfg->sync.cas_variant == CasVariant::DENY) {
+                // INVd: the failing request gets no copy; ours stays
+                // intact.
+                r = answer(MsgType::CAS_OWNER_FAIL);
+            } else {
+                // INVs: downgrade and give the requester a read-only
+                // copy.
+                line->state = LineState::SHARED;
+                emitTraceLine(o, m.addr, LineState::EXCLUSIVE,
+                              LineState::SHARED);
+                r = answer(MsgType::CAS_OWNER_FAIL_S);
+                r.data = line->data;
+                r.has_data = true;
+            }
+            r.result = old;
+            break;
+        }
+        // Equality holds: behave like INV and surrender the line, so
+        // the requester acquires an exclusive copy and does the swap.
+        [[fallthrough]];
+      case MsgType::FWD_GET_X:
+        r = answer(MsgType::OWNER_DATA_X);
         r.data = line->data;
         r.has_data = true;
         s.cache.invalidate(m.addr);
-        emitTraceLine(o, m.addr, LineState::EXCLUSIVE,
-                      LineState::INVALID);
-        respond(r);
+        emitTraceLine(o, m.addr, LineState::EXCLUSIVE, LineState::INVALID);
         break;
-      }
-      case MsgType::FWD_CAS: {
-        Word old = line->readWord(m.word_addr);
-        if (old == m.expected) {
-            // Equality holds: behave like INV; surrender the line so the
-            // requester acquires an exclusive copy and does the swap.
-            Msg r;
-            r.type = MsgType::OWNER_DATA_X;
-            r.data = line->data;
-            r.has_data = true;
-            s.cache.invalidate(m.addr);
-            emitTraceLine(o, m.addr, LineState::EXCLUSIVE,
-                          LineState::INVALID);
-            respond(r);
-        } else if (env.cfg->sync.cas_variant == CasVariant::DENY) {
-            // INVd: the failing request gets no copy; ours stays intact.
-            Msg r;
-            r.type = MsgType::CAS_OWNER_FAIL;
-            r.result = old;
-            respond(r);
-        } else {
-            // INVs: downgrade and give the requester a read-only copy.
-            line->state = LineState::SHARED;
-            emitTraceLine(o, m.addr, LineState::EXCLUSIVE,
-                          LineState::SHARED);
-            Msg r;
-            r.type = MsgType::CAS_OWNER_FAIL_S;
-            r.result = old;
-            r.data = line->data;
-            r.has_data = true;
-            respond(r);
-        }
-        break;
-      }
       default:
         dsm_panic("unexpected forwarded message %s", toString(m.type));
     }
+    emitSend(o, r, delay);
 }
 
 } // namespace detail
