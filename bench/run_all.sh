@@ -2,7 +2,7 @@
 # Run every benchmark binary and collect the machine-readable outputs.
 #
 # Usage: bench/run_all.sh [--jobs N] [--seed S] [--trace BENCH]
-#        [--timeseries BENCH] [--openloop[=SPEC]] [build-dir] [output-dir]
+#        [--timeseries BENCH[,BENCH...]] [build-dir] [output-dir]
 #
 # Each binary prints its usual text tables and writes BENCH_<name>.json
 # (schema dsm-bench-v1) into the output directory. The output directory
@@ -13,20 +13,17 @@
 # --trace BENCH runs that benchmark with transaction tracing on
 # (DSM_TXN_TRACE=1), writing TRACE_<name>.json next to its
 # BENCH_<name>.json; open it at https://ui.perfetto.dev.
-# --timeseries BENCH runs that benchmark with time-resolved telemetry
-# on (DSM_TIMESERIES=1), writing TIMESERIES_<name>.json plus a
-# self-contained TIMESERIES_<name>.html report (open it in a browser).
+# --timeseries BENCH[,BENCH...] runs each listed benchmark with
+# time-resolved telemetry on (DSM_TIMESERIES=1), writing
+# TIMESERIES_<name>.json plus a self-contained TIMESERIES_<name>.html
+# report (open it in a browser).
 # --seed S exports DSM_SEED=S so every sweep's simulated machines use
 # seed S (recorded in each report's meta.seed); the campaign binaries
 # (fault_sweep, chaos_sweep, openloop_sweep, overload_sweep) take S as
 # their base seed, and the K per-point seeds of fault_sweep and
-# chaos_sweep run S..S+K-1.
-# --openloop appends the open-loop serving campaign (openloop_sweep) to
-# the bench list; --openloop=SPEC additionally exports DSM_OPENLOOP=SPEC
-# so the sweep replaces its built-in load axis with the given level.
-# --overload appends the overload/graceful-degradation campaign
-# (overload_sweep); --overload=SPEC additionally exports DSM_SERVE=SPEC
-# so the sweep replaces its mechanism axis with the given mode.
+# chaos_sweep run S..S+K-1. An exported DSM_OPENLOOP=SPEC replaces
+# openloop_sweep's load axis with the given level, and DSM_SERVE=SPEC
+# replaces overload_sweep's mechanism axis with the given mode.
 #
 # Exits 1, naming them, if any listed bench is missing from the build
 # or exits nonzero; the remaining benches still run.
@@ -34,9 +31,7 @@ set -eu
 
 jobs=
 trace_bench=
-ts_bench=
-openloop=
-overload=
+ts_benches=
 while :; do
     case "${1:-}" in
     --jobs)
@@ -66,31 +61,11 @@ while :; do
         shift
         ;;
     --timeseries)
-        ts_bench=$2
+        ts_benches=$2
         shift 2
         ;;
     --timeseries=*)
-        ts_bench=${1#--timeseries=}
-        shift
-        ;;
-    --openloop)
-        openloop=1
-        shift
-        ;;
-    --openloop=*)
-        openloop=1
-        DSM_OPENLOOP=${1#--openloop=}
-        export DSM_OPENLOOP
-        shift
-        ;;
-    --overload)
-        overload=1
-        shift
-        ;;
-    --overload=*)
-        overload=1
-        DSM_SERVE=${1#--overload=}
-        export DSM_SERVE
+        ts_benches=${1#--timeseries=}
         shift
         ;;
     *)
@@ -129,18 +104,10 @@ ablation_reservations
 ablation_barrier
 fault_sweep
 chaos_sweep
+openloop_sweep
+overload_sweep
 mc_explore
 "
-if [ -n "$openloop" ]; then
-    benches="$benches
-openloop_sweep
-"
-fi
-if [ -n "$overload" ]; then
-    benches="$benches
-overload_sweep
-"
-fi
 
 run_bench() {
     if [ -n "$jobs" ]; then
@@ -169,12 +136,15 @@ for b in $benches; do
     else
         unset DSM_TXN_TRACE || true
     fi
-    if [ "$b" = "$ts_bench" ]; then
+    case ",$ts_benches," in
+    *",$b,"*)
         DSM_TIMESERIES=1
         export DSM_TIMESERIES
-    else
+        ;;
+    *)
         unset DSM_TIMESERIES || true
-    fi
+        ;;
+    esac
     status=$({ {
         rc=0
         run_bench "$bin" || rc=$?

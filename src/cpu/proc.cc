@@ -23,7 +23,7 @@ Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done)
 
     // If previous attempts on an acquire loop failed, tell the
     // transaction tracer how many spin iterations preceded this issue.
-    if (_sys.txns().enabled() && _fail_streak > 0)
+    if (_sys.cfg().txn_trace.enabled && _fail_streak > 0)
         _sys.txns().noteLoopIter(_id, _fail_streak);
 
     NodeId id = _id;

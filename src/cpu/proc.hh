@@ -75,7 +75,18 @@ class Proc
     NodeId id() const { return _id; }
     System &sys() { return _sys; }
 
-    /** Awaitable returned by every memory/sync operation. */
+    /**
+     * Awaitable returned by every memory/sync operation.
+     *
+     * Bind each result to a named OpResult before using it, as
+     * sync/primitives.cc does (`OpResult r = co_await p.ll(a);`). With
+     * GCC 12.2 two shapes build without a warning but leave the
+     * coroutine never resumed at -O1 and -O2, so its caller hangs or
+     * ends early: a co_await inside a conditional operator
+     * (`c ? co_await p.fetchAdd(a, v) : co_await p.fetchStore(a, v)`)
+     * and a parenthesized co_await compared in an if-condition
+     * (`if ((co_await p.ll(a)).value != expected)`).
+     */
     struct Op
     {
         Proc &proc;

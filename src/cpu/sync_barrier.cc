@@ -28,7 +28,7 @@ SyncBarrier::arrived(std::coroutine_handle<> h)
     std::vector<std::coroutine_handle<>> batch;
     batch.swap(_waiting);
     ++_rounds;
-    Tick when = _sys.now() + _sys.cfg().machine.magic_barrier_cost;
+    Tick when = _sys.now() + MAGIC_BARRIER_COST;
     for (std::coroutine_handle<> w : batch)
         _sys.eq().schedule(when, [w] { w.resume(); });
 }

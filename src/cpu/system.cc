@@ -31,8 +31,10 @@ System::System(const Config &cfg)
     }
     _tracer.configure(_cfg.trace);
     _mesh.setTracer(&_tracer);
-    _txns.configure(_cfg.txn_trace, n);
-    _mesh.setTxnTracer(&_txns);
+    if (_cfg.txn_trace.enabled) {
+        _txns.configure(_cfg.txn_trace, n);
+        _mesh.setTxnTracer(&_txns);
+    }
     if (_cfg.faults.enabled) {
         _faults.configure(_cfg.faults, _cfg.machine.seed, _cfg.machine);
         _mesh.setFaults(&_faults);
@@ -618,7 +620,7 @@ System::telemetryJson()
     w.key("hot_lines");
     w.beginArray();
     for (const LineProfiler::Ranked &r :
-         _line_prof.ranked(_cfg.telemetry.hot_lines)) {
+         _line_prof.ranked(TELEMETRY_HOT_LINES)) {
         w.beginObject();
         w.kv("addr", static_cast<std::uint64_t>(r.addr));
         w.kv("home", static_cast<int>(homeOf(r.addr)));

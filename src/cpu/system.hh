@@ -128,9 +128,12 @@ class System
 
     /**
      * The transaction tracer (end-to-end per-operation tracing with
-     * phase attribution and Table 1 chain validation). Unlike the
-     * per-node SysStats, it is *not* reset by clearStats(): chain
-     * validation is cumulative over the whole run.
+     * phase attribution and Table 1 chain validation). Like the
+     * optional subsystems below, it is configured and live exactly
+     * while its Config predicate txn_trace.enabled holds, and every
+     * hook tests that predicate. Unlike the per-node SysStats, it is
+     * *not* reset by clearStats(): chain validation is cumulative over
+     * the whole run.
      */
     TxnTracer &txns() { return _txns; }
     const TxnTracer &txns() const { return _txns; }

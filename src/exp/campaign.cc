@@ -44,7 +44,6 @@ campaignConfig()
     cfg.machine.num_procs = 16;
     cfg.machine.mesh_x = 4;
     cfg.machine.mesh_y = 4;
-    cfg.machine.retry_jitter = 4;
     // Faults stretch transactions by recovery timeouts and skew, and the
     // serving layer parks them in backoff or throttle (excluded from the
     // age), so the bounds are generous: organic retry streaks stay in

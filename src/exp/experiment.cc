@@ -494,12 +494,10 @@ Experiment::run(int jobs)
                 }
                 out << "]}\n";
             }
-            if (!out) {
+            if (!out)
                 dsm_warn("could not write txn trace %s", path.c_str());
-            } else {
-                _trace_path = path;
+            else
                 emit(csprintf("wrote %s\n", path.c_str()));
-            }
         }
     }
 
@@ -543,10 +541,8 @@ Experiment::run(int jobs)
                 emit(csprintf("wrote %s\n", path.c_str()));
             }
             std::string hpath = d + "/TIMESERIES_" + _name + ".html";
-            if (writeTelemetryHtml(hpath, _timeseries_json, _name)) {
-                _timeseries_html_path = hpath;
+            if (writeTelemetryHtml(hpath, _timeseries_json, _name))
                 emit(csprintf("wrote %s\n", hpath.c_str()));
-            }
         }
     }
     return _results;

@@ -203,21 +203,11 @@ class Experiment
     /** Where run() wrote the report ("" before run / on failure). */
     const std::string &reportPath() const { return _report_path; }
 
-    /** Where run() wrote TRACE_<name>.json ("" if not written). */
-    const std::string &tracePath() const { return _trace_path; }
-
     /** The merged dsm-timeseries-v1 document ("" unless telemetry ran). */
     const std::string &timeseriesJson() const { return _timeseries_json; }
 
     /** Where run() wrote TIMESERIES_<name>.json ("" if not written). */
     const std::string &timeseriesPath() const { return _timeseries_path; }
-
-    /** Where run() wrote TIMESERIES_<name>.html ("" if not written). */
-    const std::string &
-    timeseriesHtmlPath() const
-    {
-        return _timeseries_html_path;
-    }
 
   private:
     struct SweepSpec
@@ -259,10 +249,8 @@ class Experiment
     std::vector<PointResult> _results;
     BenchReport _report;
     std::string _report_path;
-    std::string _trace_path;
     std::string _timeseries_json;
     std::string _timeseries_path;
-    std::string _timeseries_html_path;
     std::string _rendered;
 
     /** Column labels in first-appearance order. */

@@ -13,10 +13,11 @@ namespace {
 std::string
 describeTxn(System &sys, NodeId n)
 {
-    Controller &c = sys.ctrl(n);
+    const Controller &c = sys.ctrl(n);
+    const tf::TxnState &t = c.state().txn;
     std::string attempt;
     if (sys.cfg().faults.recoveryEnabled())
-        attempt = csprintf(" attempt=%d", c.cpuAttempt());
+        attempt = csprintf(" attempt=%d", t.attempt);
     // Overload-protection park state: a transaction waiting out a
     // deliberate backoff or credit throttle is not stuck.
     std::string park;
@@ -29,12 +30,13 @@ describeTxn(System &sys, NodeId n)
                         (unsigned long long)c.cpuParkedUntil());
     std::string s = csprintf(
         "  node %d: %s addr=%#llx issued@%llu age=%llu retries=%d%s%s%s\n",
-        (int)n, toString(c.cpuOp()), (unsigned long long)c.cpuAddr(),
-        (unsigned long long)c.cpuStart(),
-        (unsigned long long)(sys.now() - c.cpuStart()), c.cpuRetries(),
-        attempt.c_str(), c.cpuWaiting() ? " (awaiting reply)" : "",
+        (int)n, toString(t.op), (unsigned long long)t.addr,
+        (unsigned long long)t.start,
+        (unsigned long long)(sys.now() - t.start), t.retries,
+        attempt.c_str(), t.waiting ? " (awaiting reply)" : "",
         park.c_str());
-    s += sys.txns().describeActive(n);
+    if (sys.cfg().txn_trace.enabled)
+        s += sys.txns().describeActive(n);
     return s;
 }
 
@@ -58,10 +60,11 @@ Watchdog::scan(System &sys)
     if (_tripped || _cfg.max_txn_age == 0)
         return;
     for (NodeId n = 0; n < sys.numProcs(); ++n) {
-        Controller &c = sys.ctrl(n);
-        if (!c.cpuBusy())
+        const Controller &c = sys.ctrl(n);
+        const tf::TxnState &t = c.state().txn;
+        if (!t.active)
             continue;
-        Tick age = sys.now() - c.cpuStart();
+        Tick age = sys.now() - t.start;
         // A transaction parked in a contention backoff or a credit
         // throttle (serve.*) is deliberately waiting with a scheduled
         // wake-up, not livelocked — and the cycles past parks already
@@ -79,11 +82,11 @@ Watchdog::scan(System &sys)
         trip(sys, csprintf("node %d %s addr=%#llx exceeded the age "
                            "bound: age %llu > max_txn_age=%llu "
                            "(retries=%d)",
-                           (int)n, toString(c.cpuOp()),
-                           (unsigned long long)c.cpuAddr(),
+                           (int)n, toString(t.op),
+                           (unsigned long long)t.addr,
                            (unsigned long long)age,
                            (unsigned long long)_cfg.max_txn_age,
-                           c.cpuRetries()));
+                           t.retries));
         return;
     }
 }
@@ -113,7 +116,7 @@ Watchdog::blockedTxnDump(System &sys)
             (unsigned long long)sys.faultPlan().draws());
     int busy = 0;
     for (NodeId n = 0; n < sys.numProcs(); ++n) {
-        if (!sys.ctrl(n).cpuBusy())
+        if (!sys.ctrl(n).state().txn.active)
             continue;
         ++busy;
         out += describeTxn(sys, n);

@@ -186,7 +186,6 @@ class Explorer : public tf::StepCtx
         _cfg.machine.mesh_y = 1;
         _cfg.machine.cache_sets = 1;
         _cfg.machine.cache_ways = 1;
-        _cfg.txn_trace.enabled = true;
         _cfg.faults = FaultConfig{};
         if (user.mc.loss_budget > 0 || user.mc.reorder_budget > 0 ||
             user.mc.dup_budget > 0) {

@@ -59,8 +59,8 @@ Mesh::hops(NodeId a, NodeId b) const
 unsigned
 Mesh::flitsFor(const Msg &msg) const
 {
-    unsigned bytes = msg.sizeBytes() + _cfg.header_bytes;
-    return (bytes + _cfg.flit_bytes - 1) / _cfg.flit_bytes;
+    unsigned bytes = msg.sizeBytes() + HEADER_BYTES;
+    return (bytes + FLIT_BYTES - 1) / FLIT_BYTES;
 }
 
 void
@@ -139,15 +139,8 @@ Mesh::noteLinkDrop(NodeId from, NodeId to, Tick now)
     times.clear();
     times.shrink_to_fit();
     ++_recovery->counters().links_quarantined;
-    if (_tracer != nullptr && _tracer->on(TraceCat::LINK_FAULT)) {
-        TraceEvent ev;
-        ev.tick = now;
-        ev.cat = TraceCat::LINK_FAULT;
-        ev.node = static_cast<std::int16_t>(from);
-        ev.peer = static_cast<std::int16_t>(to);
-        ev.value = 1;
-        _tracer->record(ev);
-    }
+    if (_tracer != nullptr && _tracer->on(TraceCat::LINK_FAULT))
+        _tracer->linkFault(now, from, to, nullptr);
 }
 
 void
@@ -164,15 +157,7 @@ Mesh::send(const Msg &msg)
     Tracer *tr = _tracer;
     if (tr != nullptr && tr->on(TraceCat::MSG_SEND)) {
         m.trace_id = tr->nextFlowId();
-        TraceEvent ev;
-        ev.tick = now;
-        ev.cat = TraceCat::MSG_SEND;
-        ev.node = static_cast<std::int16_t>(m.src);
-        ev.peer = static_cast<std::int16_t>(m.dst);
-        ev.op = static_cast<std::uint8_t>(m.type);
-        ev.addr = m.addr;
-        ev.flow = m.trace_id;
-        tr->record(ev);
+        tr->message(TraceCat::MSG_SEND, now, m);
     }
 
     if (m.txn_id != 0 && _txns != nullptr)
@@ -184,17 +169,8 @@ Mesh::send(const Msg &msg)
     // reorders_delivered reconciles against the injector's draw count.
     auto schedule_delivery = [this, tr](Tick at, const Msg &dm) {
         _eq.schedule(at, [this, tr, dm] {
-            if (tr != nullptr && tr->on(TraceCat::MSG_RECV)) {
-                TraceEvent ev;
-                ev.tick = _eq.now();
-                ev.cat = TraceCat::MSG_RECV;
-                ev.node = static_cast<std::int16_t>(dm.dst);
-                ev.peer = static_cast<std::int16_t>(dm.src);
-                ev.op = static_cast<std::uint8_t>(dm.type);
-                ev.addr = dm.addr;
-                ev.flow = dm.trace_id;
-                tr->record(ev);
-            }
+            if (tr != nullptr && tr->on(TraceCat::MSG_RECV))
+                tr->message(TraceCat::MSG_RECV, _eq.now(), dm);
             if (dm.reordered && _recovery != nullptr)
                 ++_recovery->counters().reorders_delivered;
             _handlers[dm.dst](dm);
@@ -203,7 +179,7 @@ Mesh::send(const Msg &msg)
 
     if (m.src == m.dst) {
         ++_stats.local;
-        schedule_delivery(now + _cfg.local_latency, m);
+        schedule_delivery(now + LOCAL_LATENCY, m);
         return;
     }
 
@@ -241,76 +217,55 @@ Mesh::send(const Msg &msg)
         }
     }
 
-    // Telemetry: attribute this message's flits to each directed link
-    // of its path. Counted before the loss check — a dropped message
-    // still offered its load to the links it would have crossed.
+    // Every network message is counted at injection, lost or not. A
+    // lost message has consumed its injection slot; only the delivery
+    // (and the ejection port) never happens. Telemetry attributes its
+    // flits to each directed link of its path the same way: a lost
+    // message still offered its load to the links it would have
+    // crossed.
+    ++_stats.messages;
+    _stats.flits += flits;
+    _stats.hop_sum += static_cast<std::uint64_t>(nhops);
+    ++_inj_msgs[m.src];
+    _inj_flits[m.src] += flits;
     if (!_link_flits.empty())
         for (int i = 0; i + 1 < nnodes; ++i)
             _link_flits[linkId(path[i], path[i + 1])] += flits;
 
-    // Message-loss faults. A dropped message has already consumed its
-    // injection slot — only the delivery (and the ejection port) never
-    // happens.
-    if (loss_armed) {
-        NodeId lf = INVALID_NODE, lt = INVALID_NODE;
-        if (droppable &&
-            _faults->dropMessage(now, path, nnodes, lf, lt)) {
-            ++_stats.messages;
-            _stats.flits += flits;
-            _stats.hop_sum += static_cast<std::uint64_t>(nhops);
-            ++_inj_msgs[m.src];
-            _inj_flits[m.src] += flits;
-            _recovery->noteDrop(m, lf, lt);
-            noteLinkDrop(lf, lt, now);
-            if (tr != nullptr && tr->on(TraceCat::LINK_FAULT)) {
-                TraceEvent ev;
-                ev.tick = now;
-                ev.cat = TraceCat::LINK_FAULT;
-                ev.node = static_cast<std::int16_t>(lf);
-                ev.peer = static_cast<std::int16_t>(lt);
-                ev.op = static_cast<std::uint8_t>(m.type);
-                ev.addr = m.addr;
-                ev.flow = m.trace_id;
-                tr->record(ev);
-            }
-            return;
-        }
-    }
-
+    // Message-loss faults drop the message on link lf -> lt of its
+    // path.
+    NodeId lf = INVALID_NODE, lt = INVALID_NODE;
+    bool dropped = loss_armed && droppable &&
+                   _faults->dropMessage(now, path, nnodes, lf, lt);
     // Payload corruption: stamp the checksum the ejection port will
     // verify, then let the injector flip a protocol-visible bit. A
-    // mismatch at verify turns the corruption into a detected drop —
-    // the message never reaches the protocol, and the retransmission
-    // machinery recovers it like any other loss. Corruption is payload
-    // damage, not a link failure, so it does not feed the quarantine
-    // windows. (If a flip ever eluded the checksum, the corrupted
-    // message would be delivered and the coherence checker would flag
-    // the damage — the ledger's corrupt_detected count is how runs
-    // prove that never happened.)
-    if (corrupt_armed && droppable) {
+    // mismatch at verify turns the corruption into a detected loss,
+    // charged to the path's first link — the message never reaches the
+    // protocol. Corruption is payload damage, not a link failure, so it
+    // does not feed the quarantine windows. (If a flip ever eluded the
+    // checksum, the corrupted message would be delivered and the
+    // coherence checker would flag the damage — the ledger's
+    // corrupt_detected count is how runs prove that never happened.)
+    bool corrupted = false;
+    if (!dropped && corrupt_armed && droppable) {
         m.checksum = m.computeChecksum();
-        if (_faults->corruptMessage(m) &&
-            m.computeChecksum() != m.checksum) {
-            ++_stats.messages;
-            _stats.flits += flits;
-            _stats.hop_sum += static_cast<std::uint64_t>(nhops);
-            ++_inj_msgs[m.src];
-            _inj_flits[m.src] += flits;
+        corrupted = _faults->corruptMessage(m) &&
+                    m.computeChecksum() != m.checksum;
+        if (corrupted) {
             ++_recovery->counters().corrupt_detected;
-            _recovery->noteDrop(m, path[0], path[1]);
-            if (tr != nullptr && tr->on(TraceCat::LINK_FAULT)) {
-                TraceEvent ev;
-                ev.tick = now;
-                ev.cat = TraceCat::LINK_FAULT;
-                ev.node = static_cast<std::int16_t>(path[0]);
-                ev.peer = static_cast<std::int16_t>(path[1]);
-                ev.op = static_cast<std::uint8_t>(m.type);
-                ev.addr = m.addr;
-                ev.flow = m.trace_id;
-                tr->record(ev);
-            }
-            return;
+            lf = path[0];
+            lt = path[1];
         }
+    }
+    // A lost message goes on the recovery ledger, whose retransmission
+    // machinery recovers it like any other loss.
+    if (dropped || corrupted) {
+        _recovery->noteDrop(m, lf, lt);
+        if (dropped)
+            noteLinkDrop(lf, lt, now);
+        if (tr != nullptr && tr->on(TraceCat::LINK_FAULT))
+            tr->linkFault(now, lf, lt, &m);
+        return;
     }
 
     Tick head_arrive = depart + static_cast<Tick>(nhops) * _cfg.hop_latency;
@@ -343,12 +298,7 @@ Mesh::send(const Msg &msg)
         _ej_free[m.dst] = deliver;
     }
 
-    ++_stats.messages;
-    _stats.flits += flits;
-    _stats.hop_sum += static_cast<std::uint64_t>(nhops);
-    ++_inj_msgs[m.src];
     ++_ej_msgs[m.dst];
-    _inj_flits[m.src] += flits;
 
     // Duplication: replay a guarded message a seeded delay after its
     // original delivery. The replay is scheduled directly — it cannot

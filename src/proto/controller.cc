@@ -35,22 +35,6 @@ traceEnabled()
     return on;
 }
 
-/** The tracer category of a TRACE_* effect. */
-TraceCat
-traceCat(const tf::Effect &ef)
-{
-    switch (ef.kind) {
-      case tf::EffectKind::TRACE_LINE:
-        return TraceCat::LINE_STATE;
-      case tf::EffectKind::TRACE_DIR:
-        return TraceCat::DIR_STATE;
-      case tf::EffectKind::TRACE_RESV:
-        return ef.a != 0 ? TraceCat::RESV_CLEAR : TraceCat::RESV_SET;
-      default:
-        return TraceCat::NACK;
-    }
-}
-
 } // namespace
 
 Controller::Controller(System &sys, NodeId id)
@@ -111,7 +95,7 @@ Controller::memBlock(Addr block) const
 std::uint64_t
 Controller::activeTxnId(NodeId n) const
 {
-    return _sys.txns().enabled() ? _sys.txns().activeId(n) : 0;
+    return _sys.cfg().txn_trace.enabled ? _sys.txns().activeId(n) : 0;
 }
 
 tf::Env
@@ -169,28 +153,27 @@ Controller::commit(const tf::Outcome &o)
             // transition counter is unconditional, the trace record is
             // mask-gated.
             _sys.dir(_id).noteTransition();
-            [[fallthrough]];
+            if (tr.on(TraceCat::DIR_STATE))
+                tr.stateChange(TraceCat::DIR_STATE, now(), _id, ef.addr,
+                               ef.a, ef.b);
+            break;
           case tf::EffectKind::TRACE_LINE:
-          case tf::EffectKind::TRACE_RESV:
-          case tf::EffectKind::TRACE_NACK: {
-            TraceCat cat = traceCat(ef);
-            if (!tr.on(cat))
-                break;
-            TraceEvent ev;
-            ev.tick = now();
-            ev.cat = cat;
-            ev.node = static_cast<std::int16_t>(_id);
-            ev.addr = ef.addr;
-            if (ef.kind == tf::EffectKind::TRACE_NACK) {
-                ev.peer = static_cast<std::int16_t>(ef.node);
-                ev.op = ef.a;
-            } else if (ef.kind != tf::EffectKind::TRACE_RESV) {
-                ev.arg_a = ef.a;
-                ev.arg_b = ef.b;
-            }
-            tr.record(ev);
+            if (tr.on(TraceCat::LINE_STATE))
+                tr.stateChange(TraceCat::LINE_STATE, now(), _id, ef.addr,
+                               ef.a, ef.b);
+            break;
+          case tf::EffectKind::TRACE_RESV: {
+            TraceCat cat =
+                ef.a != 0 ? TraceCat::RESV_CLEAR : TraceCat::RESV_SET;
+            if (tr.on(cat))
+                tr.reservation(cat, now(), _id, ef.addr);
             break;
           }
+          case tf::EffectKind::TRACE_NACK:
+            if (tr.on(TraceCat::NACK))
+                tr.nack(now(), _id, ef.node, ef.addr,
+                        static_cast<MsgType>(ef.a));
+            break;
           case tf::EffectKind::LP_NACK:
             if (cfg.telemetry.enabled)
                 _sys.lineProfiler().noteNack(ef.addr);
@@ -291,19 +274,12 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
     Tracer &tr = _sys.tracer();
     if (tr.on(TraceCat::ATOMIC_START)) {
         _trace_flow = tr.nextFlowId();
-        TraceEvent ev;
-        ev.tick = now();
-        ev.cat = TraceCat::ATOMIC_START;
-        ev.node = static_cast<std::int16_t>(_id);
-        ev.op = static_cast<std::uint8_t>(op);
-        ev.addr = addr;
-        ev.flow = _trace_flow;
-        tr.record(ev);
+        tr.operation(TraceCat::ATOMIC_START, now(), _id, op, addr, 0,
+                     _trace_flow);
     }
     std::uint64_t txn_id = 0;
-    TxnTracer &tx = _sys.txns();
-    if (tx.enabled())
-        txn_id = tx.begin(
+    if (_sys.cfg().txn_trace.enabled)
+        txn_id = _sys.txns().begin(
             _id, op, addr, _sys.policyOf(addr),
             static_cast<std::uint8_t>(_st.cache.stateOf(addr)), now());
     tf::OpReq req;
@@ -320,10 +296,11 @@ bool
 Controller::loadHit(Addr addr, bool is_sync, Word *value)
 {
     // faults.enabled also covers recovery: recoveryEnabled() implies it.
-    if (_sys.cfg().faults.enabled || _sys.txns().enabled() ||
+    const Config &cfg = _sys.cfg();
+    if (cfg.faults.enabled || cfg.txn_trace.enabled ||
         _sys.tracer().enabled())
         return false;
-    if (is_sync && _sys.cfg().sync.policy == SyncPolicy::UNC)
+    if (is_sync && cfg.sync.policy == SyncPolicy::UNC)
         return false;
     // lookup(), not peek(): the slow path's hit moves the LRU stamp,
     // and other lines of this set are touched while the processor
@@ -366,17 +343,9 @@ Controller::finishNow(Word value, bool success, Word serial)
         _sys.txns().complete(_st.txn.txn_id, now(), _st.txn.max_chain,
                              success);
     Tracer &tr = _sys.tracer();
-    if (tr.on(TraceCat::ATOMIC_COMPLETE)) {
-        TraceEvent ev;
-        ev.tick = now();
-        ev.cat = TraceCat::ATOMIC_COMPLETE;
-        ev.node = static_cast<std::int16_t>(_id);
-        ev.op = static_cast<std::uint8_t>(_st.txn.op);
-        ev.addr = _st.txn.addr;
-        ev.value = now() - _st.txn.start;
-        ev.flow = _trace_flow;
-        tr.record(ev);
-    }
+    if (tr.on(TraceCat::ATOMIC_COMPLETE))
+        tr.operation(TraceCat::ATOMIC_COMPLETE, now(), _id, _st.txn.op,
+                     _st.txn.addr, now() - _st.txn.start, _trace_flow);
     if (_st.txn.op == AtomicOp::CAS) {
         if (success)
             ++st.cas_successes;
@@ -410,17 +379,10 @@ Controller::driverRetry()
         _sys.watchdogState().onRetry(_sys, _id, _st.txn.op, _st.txn.addr,
                                      _st.txn.retries);
     Tracer &tr = _sys.tracer();
-    if (tr.on(TraceCat::RETRY)) {
-        TraceEvent ev;
-        ev.tick = now();
-        ev.cat = TraceCat::RETRY;
-        ev.node = static_cast<std::int16_t>(_id);
-        ev.op = static_cast<std::uint8_t>(_st.txn.op);
-        ev.addr = _st.txn.addr;
-        ev.value = static_cast<std::uint64_t>(_st.txn.retries);
-        ev.flow = _trace_flow;
-        tr.record(ev);
-    }
+    if (tr.on(TraceCat::RETRY))
+        tr.operation(TraceCat::RETRY, now(), _id, _st.txn.op, _st.txn.addr,
+                     static_cast<std::uint64_t>(_st.txn.retries),
+                     _trace_flow);
     // The NACK retires this seq (the retry will draw a fresh one), so
     // cover any drops still charged to it.
     if (cfg.faults.recoveryEnabled())
@@ -435,7 +397,7 @@ Controller::driverRetry()
     int cap = sv.enabled && sv.nack_backoff ? sv.backoff_cap : 4;
     int shift = _st.txn.retries - 1 < cap ? _st.txn.retries - 1 : cap;
     Tick delay = (mc.retry_delay << shift) *
-                 _sys.rng().range(1, mc.retry_jitter);
+                 _sys.rng().range(1, RETRY_JITTER);
     if (sv.enabled) {
         if (sv.nack_backoff && shift == cap && cap > 4)
             ++_sys.serveStats().backoff_capped;
@@ -499,22 +461,10 @@ Controller::handleMsg(const Msg &m)
 {
     dsm_assert(m.dst == _id, "message for node %d delivered to %d",
                m.dst, _id);
-    if (traceEnabled()) {
-        std::fprintf(stderr,
-                     "[%8llu] %2d<-%-2d %-14s blk=%#llx w=%#llx "
-                     "val=%llu exp=%llu res=%llu ok=%d acks=%d ch=%d\n",
-                     static_cast<unsigned long long>(now()), m.dst,
-                     m.src, toString(m.type),
-                     static_cast<unsigned long long>(m.addr),
-                     static_cast<unsigned long long>(m.word_addr),
-                     static_cast<unsigned long long>(m.value),
-                     static_cast<unsigned long long>(m.expected),
-                     static_cast<unsigned long long>(m.result),
-                     m.success ? 1 : 0, m.ack_count, m.chain);
-        if (m.has_data)
-            std::fprintf(stderr, "           data0=%llu\n",
-                         static_cast<unsigned long long>(m.data[0]));
-    }
+    if (traceEnabled())
+        std::fprintf(stderr, "[%8llu] %s\n",
+                     static_cast<unsigned long long>(now()),
+                     tf::debugString(m).c_str());
     // Home-targeted messages queue behind the memory module.
     if (homeTargeted(m.type)) {
         homeEnqueue(m);

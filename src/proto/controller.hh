@@ -90,19 +90,6 @@ class Controller : private tf::StepCtx
     /** Completion of a loadHit() load: what finishNow() does for it. */
     void finishLoadHit();
 
-    /** True while a processor operation is in flight. */
-    bool cpuBusy() const { return _st.txn.active; }
-
-    /** @name Active-transaction introspection (watchdogs, failure
-     *  dumps). Meaningful only while cpuBusy(). @{ */
-    AtomicOp cpuOp() const { return _st.txn.op; }
-    Addr cpuAddr() const { return _st.txn.addr; }
-    Tick cpuStart() const { return _st.txn.start; }
-    int cpuRetries() const { return _st.txn.retries; }
-    bool cpuWaiting() const { return _st.txn.waiting; }
-    int cpuAttempt() const { return _st.txn.attempt; }
-    /** @} */
-
     /**
      * The request seq this node currently awaits a reply for, or 0
      * when none is outstanding (recovery layer; see fault/recovery.hh).

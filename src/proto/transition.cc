@@ -424,7 +424,8 @@ debugString(const Msg &m)
     std::string out;
     append(out, "%s src=%d dst=%d req=%d addr=%#llx w=%#llx op=%s "
                 "val=%llu exp=%llu res=%llu ok=%d serial=%llu acks=%d "
-                "chain=%d seq=%llu att=%d",
+                "chain=%d seq=%llu att=%d txn=%llu prio=%d qdepth=%d "
+                "trace=%u",
            toString(m.type), m.src, m.dst, m.requester,
            static_cast<unsigned long long>(m.addr),
            static_cast<unsigned long long>(m.word_addr), toString(m.op),
@@ -432,7 +433,9 @@ debugString(const Msg &m)
            static_cast<unsigned long long>(m.expected),
            static_cast<unsigned long long>(m.result), m.success ? 1 : 0,
            static_cast<unsigned long long>(m.serial), m.ack_count,
-           m.chain, static_cast<unsigned long long>(m.seq), m.attempt);
+           m.chain, static_cast<unsigned long long>(m.seq), m.attempt,
+           static_cast<unsigned long long>(m.txn_id), m.prio, m.qdepth,
+           static_cast<unsigned>(m.trace_id));
     if (m.replayed)
         out += " replayed";
     if (m.reordered)

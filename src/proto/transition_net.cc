@@ -39,7 +39,7 @@ void
 sendAck(const Env &env, Outcome &o, const Msg &m, MsgType t)
 {
     emitSend(o, derive(env, m, t, m.requester, m.requester, false),
-             env.cfg->machine.cache_access_latency);
+             CACHE_ACCESS_LATENCY);
 }
 
 } // namespace
@@ -91,7 +91,7 @@ void
 handleFwd(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
 {
     NodeId home = env.homeOf(m.addr);
-    Tick delay = env.cfg->machine.cache_access_latency;
+    Tick delay = CACHE_ACCESS_LATENCY;
 
     // The forwarded leg's transit ends here; the owner's cache access
     // (its reply departs `delay` from now) is attributed to OWNER.

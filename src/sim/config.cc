@@ -371,16 +371,6 @@ faultConfigFromEnv()
     return fc;
 }
 
-void
-MachineConfig::validate() const
-{
-    Config cfg;
-    cfg.machine = *this;
-    std::string err = cfg.validate();
-    if (!err.empty())
-        dsm_fatal("%s", err.c_str());
-}
-
 std::string
 Config::validate() const
 {
@@ -401,22 +391,14 @@ Config::validate() const
         return "cache_ways must be nonzero";
     if (m.cache_hit_latency == 0)
         return "cache_hit_latency must be nonzero";
-    if (m.cache_access_latency == 0)
-        return "cache_access_latency must be nonzero";
     if (m.mem_service_time == 0)
         return "mem_service_time must be nonzero";
     // hop_latency == 0 is allowed: it models contention-free routing
     // and is exercised by the timing-parameter sweeps.
     if (m.flit_latency == 0)
         return "flit_latency must be nonzero";
-    if (m.local_latency == 0)
-        return "local_latency must be nonzero";
     if (m.retry_delay == 0)
         return "retry_delay must be nonzero";
-    if (m.flit_bytes == 0)
-        return "flit_bytes must be nonzero";
-    if (m.retry_jitter == 0)
-        return "retry_jitter must be at least 1";
     if (m.max_memory_reservations < 0)
         return csprintf("max_memory_reservations must be >= 0, got %d",
                         m.max_memory_reservations);

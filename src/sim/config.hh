@@ -80,26 +80,14 @@ struct MachineConfig
 
     /** Cycles for a cache hit observed by the processor. */
     Tick cache_hit_latency = 1;
-    /** Cycles for a cache-array access on the controller side. */
-    Tick cache_access_latency = 2;
     /** Memory-module (DRAM + directory) service time per request. */
     Tick mem_service_time = 20;
     /** Network per-hop head latency. */
     Tick hop_latency = 2;
     /** Cycles to transfer one flit through an injection/ejection port. */
     Tick flit_latency = 1;
-    /** Flit width in bytes. */
-    unsigned flit_bytes = 8;
-    /** Header bytes added to every message. */
-    unsigned header_bytes = 8;
-    /** Latency of a node-local (cache <-> local memory) request. */
-    Tick local_latency = 4;
     /** Base delay before a NACKed request is retried. */
     Tick retry_delay = 10;
-    /** Retry delay is multiplied by a random factor in [1, jitter]. */
-    unsigned retry_jitter = 4;
-    /** Cost of the constant-time ("magic") synthetic barrier. */
-    Tick magic_barrier_cost = 10;
     /**
      * In-memory load_linked reservation limit (Section 3.1, option 3):
      * at most this many processors may hold reservations on one block;
@@ -118,9 +106,6 @@ struct MachineConfig
     Tick spurious_resv_period = 0;
     /** RNG seed for the whole system. */
     std::uint64_t seed = 1;
-
-    /** Sanity-check the parameters; dsm_fatal on user error. */
-    void validate() const;
 };
 
 /**
@@ -147,10 +132,6 @@ struct TxnTraceConfig
     bool enabled = false;
     /** Completed transaction records kept (aggregation never drops). */
     std::size_t capacity = 1024;
-    /** Per-transaction phase-span cap for the Perfetto export. */
-    std::size_t max_spans = 512;
-    /** Chain-divergence messages kept for proto/checker reporting. */
-    std::size_t max_divergences = 16;
     /**
      * Slowest-transaction exemplar reservoir: keep the K slowest
      * completed transactions (by end-to-end latency, ids break ties)
@@ -189,8 +170,6 @@ struct TelemetryConfig
      * sum, so retained + evicted always equals the aggregate.
      */
     std::size_t max_windows = 4096;
-    /** Rows of the ranked hot-line table in exports. */
-    std::size_t hot_lines = 16;
 };
 
 /**
@@ -316,6 +295,29 @@ struct ServeConfig : SpecGroup<ServeConfig>
  * hang (the watchdogs must stay able to tell slow from stuck).
  */
 constexpr Tick FAULT_JITTER_HORIZON = 1u << 20;
+
+/** @name Fixed model parameters (DESIGN.md §6). No configuration varies
+ *  them; an ablation that sweeps one makes it a Config field again,
+ *  together with its caller. @{ */
+/** Cycles for a cache-array access on the controller side. */
+constexpr Tick CACHE_ACCESS_LATENCY = 2;
+/** Latency of a node-local (cache <-> local memory) request. */
+constexpr Tick LOCAL_LATENCY = 4;
+/** Flit width in bytes. */
+constexpr unsigned FLIT_BYTES = 8;
+/** Header bytes added to every message. */
+constexpr unsigned HEADER_BYTES = 8;
+/** A NACK retry's delay is multiplied by a random factor in [1, this]. */
+constexpr unsigned RETRY_JITTER = 4;
+/** Cost of the constant-time ("magic") synthetic barrier. */
+constexpr Tick MAGIC_BARRIER_COST = 10;
+/** Per-transaction phase-span cap for the Perfetto export. */
+constexpr std::size_t TXN_MAX_SPANS = 512;
+/** Chain-divergence messages kept for proto/checker reporting. */
+constexpr std::size_t TXN_MAX_DIVERGENCES = 16;
+/** Rows of the ranked hot-line table in telemetry exports. */
+constexpr std::size_t TELEMETRY_HOT_LINES = 16;
+/** @} */
 
 /**
  * Deterministic fault-injection configuration (fault/fault.hh). Off by

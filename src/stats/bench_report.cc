@@ -17,10 +17,9 @@ collectRunMetrics(System &sys)
     SysStats agg = sys.stats();
     LatencyStat total;
     RunMetrics m;
-    for (int i = 0; i < NUM_ATOMIC_OPS; ++i) {
-        m.ops += agg.op_count[i];
+    for (int i = 0; i < NUM_ATOMIC_OPS; ++i)
         total.merge(agg.op_latency[i]);
-    }
+    m.ops = total.count;
     m.mean_latency = total.mean();
     m.p50 = total.p50();
     m.p95 = total.p95();

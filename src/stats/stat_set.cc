@@ -18,10 +18,8 @@ SysStats::merge(const SysStats &o)
     sc_successes += o.sc_successes;
     cas_failures += o.cas_failures;
     cas_successes += o.cas_successes;
-    for (int i = 0; i < NUM_ATOMIC_OPS; ++i) {
-        op_count[i] += o.op_count[i];
+    for (int i = 0; i < NUM_ATOMIC_OPS; ++i)
         op_latency[i].merge(o.op_latency[i]);
-    }
     chain_length.merge(o.chain_length);
 }
 
@@ -45,14 +43,14 @@ SysStats::report() const
                     (unsigned long long)cas_successes,
                     (unsigned long long)cas_failures);
     for (int i = 0; i < NUM_ATOMIC_OPS; ++i) {
-        if (op_count[i] == 0)
-            continue;
         const LatencyStat &lat = op_latency[i];
+        if (lat.count == 0)
+            continue;
         out += csprintf("%-18s n=%-10llu mean=%8.1f "
                         "p50=%-6llu p95=%-6llu p99=%-6llu p999=%-6llu "
                         "max=%llu\n",
                         toString(static_cast<AtomicOp>(i)),
-                        (unsigned long long)op_count[i],
+                        (unsigned long long)lat.count,
                         lat.mean(),
                         (unsigned long long)lat.p50(),
                         (unsigned long long)lat.p95(),

@@ -118,8 +118,7 @@ struct SysStats
     std::uint64_t cas_failures = 0;
     std::uint64_t cas_successes = 0;
 
-    /** Per-operation completion counts and latencies. */
-    std::uint64_t op_count[NUM_ATOMIC_OPS] = {};
+    /** Per-operation latencies; op_latency[i].count counts completions. */
     LatencyStat op_latency[NUM_ATOMIC_OPS];
 
     /** Longest serialized message chain per completed operation. */
@@ -128,9 +127,7 @@ struct SysStats
     void
     sampleOp(AtomicOp op, Tick latency, int chain)
     {
-        int i = static_cast<int>(op);
-        ++op_count[i];
-        op_latency[i].sample(latency);
+        op_latency[static_cast<int>(op)].sample(latency);
         chain_length.add(static_cast<std::uint64_t>(chain));
     }
 

@@ -6,7 +6,7 @@
 namespace dsm {
 
 TreiberStack::TreiberStack(System &sys, Primitive prim, int pool_size)
-    : _sys(sys), _prim(prim), _head(sys.allocSync())
+    : _prim(prim), _head(sys.allocSync())
 {
     dsm_assert(prim != Primitive::FAP,
                "fetch_and_Phi cannot implement a lock-free stack");
@@ -17,12 +17,6 @@ TreiberStack::TreiberStack(System &sys, Primitive prim, int pool_size)
         _next.push_back(block);
         _value.push_back(block + WORD_BYTES);
     }
-}
-
-Word
-TreiberStack::nodeValue(int node_id) const
-{
-    return _sys.debugRead(_value[node_id]);
 }
 
 CoTask<void>

@@ -49,8 +49,6 @@ class TreiberStack
      */
     CoTask<int> pop(Proc &p);
 
-    /** Read a node's stored value (host-side, for checking). */
-    Word nodeValue(int node_id) const;
     /** Node link address (for directed ABA tests). */
     Addr nodeNextAddr(int node_id) const { return _next[node_id]; }
 
@@ -58,7 +56,6 @@ class TreiberStack
     static Word encode(int node_id) { return static_cast<Word>(node_id) + 1; }
     static int decode(Word v) { return static_cast<int>(v) - 1; }
 
-    System &_sys;
     Primitive _prim;
     Addr _head;               ///< sync variable
     std::vector<Addr> _next;  ///< per-node link word (ordinary data)

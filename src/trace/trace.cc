@@ -70,6 +70,72 @@ Tracer::record(const TraceEvent &ev)
     ++_total;
 }
 
+namespace {
+
+std::int16_t
+nodeField(NodeId n)
+{
+    return static_cast<std::int16_t>(n);
+}
+
+} // anonymous namespace
+
+void
+Tracer::message(TraceCat cat, Tick now, const Msg &m)
+{
+    bool sent = cat == TraceCat::MSG_SEND;
+    record({.tick = now, .addr = m.addr, .flow = m.trace_id,
+            .node = nodeField(sent ? m.src : m.dst),
+            .peer = nodeField(sent ? m.dst : m.src), .cat = cat,
+            .op = static_cast<std::uint8_t>(m.type)});
+}
+
+void
+Tracer::operation(TraceCat cat, Tick now, NodeId node, AtomicOp op,
+                  Addr addr, std::uint64_t value, std::uint32_t flow)
+{
+    record({.tick = now, .addr = addr, .value = value, .flow = flow,
+            .node = nodeField(node), .cat = cat,
+            .op = static_cast<std::uint8_t>(op)});
+}
+
+void
+Tracer::stateChange(TraceCat cat, Tick now, NodeId node, Addr addr,
+                    std::uint8_t from, std::uint8_t to)
+{
+    record({.tick = now, .addr = addr, .node = nodeField(node), .cat = cat,
+            .arg_a = from, .arg_b = to});
+}
+
+void
+Tracer::reservation(TraceCat cat, Tick now, NodeId node, Addr addr)
+{
+    record({.tick = now, .addr = addr, .node = nodeField(node), .cat = cat});
+}
+
+void
+Tracer::nack(Tick now, NodeId home, NodeId requester, Addr addr,
+             MsgType req)
+{
+    record({.tick = now, .addr = addr, .node = nodeField(home),
+            .peer = nodeField(requester), .cat = TraceCat::NACK,
+            .op = static_cast<std::uint8_t>(req)});
+}
+
+void
+Tracer::linkFault(Tick now, NodeId from, NodeId to, const Msg *lost)
+{
+    if (lost == nullptr) {
+        record({.tick = now, .value = 1, .node = nodeField(from),
+                .peer = nodeField(to), .cat = TraceCat::LINK_FAULT});
+        return;
+    }
+    record({.tick = now, .addr = lost->addr, .flow = lost->trace_id,
+            .node = nodeField(from), .peer = nodeField(to),
+            .cat = TraceCat::LINK_FAULT,
+            .op = static_cast<std::uint8_t>(lost->type)});
+}
+
 std::size_t
 Tracer::size() const
 {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "net/msg.hh"
 #include "sim/config.hh"
 #include "sim/types.hh"
 
@@ -59,7 +60,8 @@ constexpr std::uint32_t TRACE_ALL = (1u << NUM_TRACE_CATEGORIES) - 1;
 
 /**
  * One trace record. Fixed-size POD; the category determines which
- * fields are meaningful:
+ * fields are meaningful. The simulator builds records only through
+ * Tracer's recording entry points:
  *
  *  - MSG_SEND/MSG_RECV: node=src-or-receiver, peer=other endpoint,
  *    op=MsgType, addr, flow=message trace_id.
@@ -67,10 +69,12 @@ constexpr std::uint32_t TRACE_ALL = (1u << NUM_TRACE_CATEGORIES) - 1;
  *  - ATOMIC_START/ATOMIC_COMPLETE: node, op=AtomicOp, addr,
  *    value=latency on complete, flow=operation flow id.
  *  - NACK: node=home, peer=nacked requester, addr, op=request MsgType.
- *  - RETRY: node=requester, op=AtomicOp, addr, value=retry count.
+ *  - RETRY: node=requester, op=AtomicOp, addr, value=retry count,
+ *    flow=operation flow id.
  *  - RESV_SET/RESV_CLEAR: node=reserving node or home, addr.
- *  - LINK_FAULT: node=link source, peer=link destination, op=dropped
- *    message's MsgType, value=0 for a drop, 1 for quarantine.
+ *  - LINK_FAULT: node=link source, peer=link destination, value=0 for
+ *    a drop (op=dropped message's MsgType, addr, flow=its trace_id),
+ *    1 for quarantine.
  */
 struct TraceEvent
 {
@@ -119,6 +123,34 @@ class Tracer
 
     /** Append a record, overwriting the oldest once the ring is full. */
     void record(const TraceEvent &ev);
+
+    /** @name Recording entry points, one per kind of fact. Each builds
+     *  its record and appends it; the caller tests on(cat) first, so a
+     *  site whose category is off costs that one inline branch. @{ */
+
+    /** MSG_SEND (at m.src) or MSG_RECV (at m.dst) of @p m. */
+    void message(TraceCat cat, Tick now, const Msg &m);
+
+    /** ATOMIC_START, ATOMIC_COMPLETE or RETRY of @p node's operation. */
+    void operation(TraceCat cat, Tick now, NodeId node, AtomicOp op,
+                   Addr addr, std::uint64_t value, std::uint32_t flow);
+
+    /** DIR_STATE or LINE_STATE change of @p addr at @p node. */
+    void stateChange(TraceCat cat, Tick now, NodeId node, Addr addr,
+                     std::uint8_t from, std::uint8_t to);
+
+    /** RESV_SET or RESV_CLEAR of @p addr at @p node. */
+    void reservation(TraceCat cat, Tick now, NodeId node, Addr addr);
+
+    /** NACK of @p requester's @p req for @p addr by @p home. */
+    void nack(Tick now, NodeId home, NodeId requester, Addr addr,
+              MsgType req);
+
+    /** LINK_FAULT: @p lost dropped on @p from -> @p to, or (null) the
+     *  link quarantined. */
+    void linkFault(Tick now, NodeId from, NodeId to, const Msg *lost);
+
+    /** @} */
 
     /** Fresh flow id for correlating related records. */
     std::uint32_t nextFlowId() { return ++_next_flow; }

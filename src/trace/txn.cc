@@ -27,18 +27,14 @@ void
 TxnTracer::configure(const TxnTraceConfig &cfg, int num_procs)
 {
     _cfg = cfg;
-    _enabled = cfg.enabled;
     _num_procs = num_procs;
-    _active.clear();
+    _active.assign(static_cast<std::size_t>(num_procs), Active{});
     _records.clear();
+    _records.reserve(cfg.capacity < 4096 ? cfg.capacity : 4096);
     _exemplars.clear();
+    _exemplars.reserve(cfg.exemplar_k);
     _divergence_msgs.clear();
-    _attr.configureTail(_enabled ? cfg.tail_capacity : 0);
-    if (_enabled) {
-        _active.resize(static_cast<std::size_t>(num_procs));
-        _records.reserve(cfg.capacity < 4096 ? cfg.capacity : 4096);
-        _exemplars.reserve(cfg.exemplar_k);
-    }
+    _attr.configureTail(cfg.tail_capacity);
 }
 
 std::uint64_t
@@ -71,7 +67,7 @@ TxnTracer::begin(NodeId proc, AtomicOp op, Addr addr, SyncPolicy pol,
         if (now > arrival) {
             a.rec.phase_sum[static_cast<int>(TxnPhase::ADMIT)] =
                 now - arrival;
-            if (a.rec.spans.size() < _cfg.max_spans)
+            if (a.rec.spans.size() < TXN_MAX_SPANS)
                 a.rec.spans.push_back(
                     {TxnPhase::ADMIT, arrival, now, proc});
             else
@@ -85,7 +81,7 @@ TxnTracer::begin(NodeId proc, AtomicOp op, Addr addr, SyncPolicy pol,
 std::uint64_t
 TxnTracer::activeId(NodeId proc) const
 {
-    if (!_enabled || proc < 0 || proc >= _num_procs)
+    if (proc < 0 || proc >= _num_procs)
         return 0;
     const Active &a = _active[static_cast<std::size_t>(proc)];
     return a.live ? a.rec.id : 0;
@@ -94,7 +90,7 @@ TxnTracer::activeId(NodeId proc) const
 void
 TxnTracer::noteLoopIter(NodeId proc, int streak)
 {
-    if (!_enabled || proc < 0 || proc >= _num_procs)
+    if (proc < 0 || proc >= _num_procs)
         return;
     _active[static_cast<std::size_t>(proc)].pending_loop_iter = streak;
 }
@@ -102,7 +98,7 @@ TxnTracer::noteLoopIter(NodeId proc, int streak)
 void
 TxnTracer::noteArrival(NodeId proc, Tick arrival)
 {
-    if (!_enabled || proc < 0 || proc >= _num_procs)
+    if (proc < 0 || proc >= _num_procs)
         return;
     Active &a = _active[static_cast<std::size_t>(proc)];
     a.pending_arrival = arrival;
@@ -134,7 +130,7 @@ TxnTracer::mark(std::uint64_t id, TxnPhase ph, Tick now, NodeId node)
     if (now == a->last_mark)
         return;
     a->rec.phase_sum[static_cast<int>(ph)] += now - a->last_mark;
-    if (a->rec.spans.size() < _cfg.max_spans)
+    if (a->rec.spans.size() < TXN_MAX_SPANS)
         a->rec.spans.push_back({ph, a->last_mark, now, node});
     else
         a->rec.spans_truncated = true;
@@ -243,7 +239,7 @@ TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
 
     if (r.expected_chain != r.observed_chain) {
         ++_divergences;
-        if (_divergence_msgs.size() < _cfg.max_divergences)
+        if (_divergence_msgs.size() < TXN_MAX_DIVERGENCES)
             _divergence_msgs.push_back(csprintf(
                 "txn %llu: %s %s addr=%llx proc=%d home=%d dir=%u "
                 "sharers=%d fanout=%d%s: observed chain %d, Table 1 "
@@ -540,7 +536,7 @@ TxnTracer::writeChromeJson(const std::string &path) const
 std::string
 TxnTracer::describeActive(NodeId proc) const
 {
-    if (!_enabled || proc < 0 || proc >= _num_procs)
+    if (proc < 0 || proc >= _num_procs)
         return "";
     const Active &a = _active[static_cast<std::size_t>(proc)];
     if (!a.live)

@@ -19,8 +19,9 @@
  * with the chain count carried by the protocol messages themselves.
  * Divergences are counted and reported via proto/checker.
  *
- * Cost discipline: when tracing is off every hook is a single branch on
- * enabled() or on a zero txn id in the message.
+ * Cost discipline: the tracer is configured only while
+ * Config::txn_trace.enabled holds, and when it is off every hook is a
+ * single branch on that predicate or on a zero txn id in the message.
  */
 
 #ifndef DSM_TRACE_TXN_HH
@@ -96,10 +97,8 @@ struct TxnRecord
 class TxnTracer
 {
   public:
+    /** Size the tracer for @p num_procs processors (tracing on only). */
     void configure(const TxnTraceConfig &cfg, int num_procs);
-
-    /** Single-branch guard used by every hook. */
-    bool enabled() const { return _enabled; }
 
     /**
      * Open a transaction for @p proc (one outstanding op per processor,
@@ -210,7 +209,7 @@ class TxnTracer
     /**
      * Render @p proc's in-flight transaction — header plus its phase
      * span tree so far — for watchdog/deadlock diagnoses. Returns ""
-     * when tracing is off or the processor has no open transaction.
+     * when the processor has no open transaction.
      */
     std::string describeActive(NodeId proc) const;
 
@@ -250,7 +249,6 @@ class TxnTracer
     void noteExemplar(const TxnRecord &r);
 
     TxnTraceConfig _cfg;
-    bool _enabled = false;
     int _num_procs = 0;
     std::vector<Active> _active;
     std::vector<TxnRecord> _records;

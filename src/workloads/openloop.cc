@@ -148,7 +148,7 @@ serverThread(System &sys, Proc &p, OpenLoopState &st,
         // Attribute the queueing delay to the op's trace: the tracer
         // rebases the next transaction's issue tick to the arrival so
         // sojourn = admission wait (ADMIT phase) + service.
-        if (sys.txns().enabled())
+        if (sys.cfg().txn_trace.enabled)
             sys.txns().noteArrival(id, arrival);
         co_await counter.fetchInc(p);
         adm.complete(arrival, sys.now());

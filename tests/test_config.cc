@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/system.hh"
 #include "sim/config.hh"
 
 using namespace dsm;
@@ -38,35 +39,37 @@ TEST(Config, SyncLabelComposition)
 
 TEST(Config, DefaultMachineValidates)
 {
-    MachineConfig mc;
-    mc.validate(); // must not exit
-    SUCCEED();
+    Config cfg;
+    cfg.machine = MachineConfig{};
+    EXPECT_EQ(cfg.validate(), "");
 }
+
+// System construction is where an invalid configuration is fatal.
 
 TEST(ConfigDeath, BadMeshIsFatal)
 {
-    MachineConfig mc;
-    mc.num_procs = 16;
-    mc.mesh_x = 3;
-    mc.mesh_y = 4;
-    EXPECT_EXIT(mc.validate(), testing::ExitedWithCode(1),
+    Config cfg;
+    cfg.machine.num_procs = 16;
+    cfg.machine.mesh_x = 3;
+    cfg.machine.mesh_y = 4;
+    EXPECT_EXIT(System sys(cfg), testing::ExitedWithCode(1),
                 "does not cover");
 }
 
 TEST(ConfigDeath, TooManyProcsIsFatal)
 {
-    MachineConfig mc;
-    mc.num_procs = 65;
-    mc.mesh_x = 65;
-    mc.mesh_y = 1;
-    EXPECT_EXIT(mc.validate(), testing::ExitedWithCode(1), "num_procs");
+    Config cfg;
+    cfg.machine.num_procs = 65;
+    cfg.machine.mesh_x = 65;
+    cfg.machine.mesh_y = 1;
+    EXPECT_EXIT(System sys(cfg), testing::ExitedWithCode(1), "num_procs");
 }
 
 TEST(ConfigDeath, NonPowerOfTwoSetsIsFatal)
 {
-    MachineConfig mc;
-    mc.cache_sets = 48;
-    EXPECT_EXIT(mc.validate(), testing::ExitedWithCode(1), "cache_sets");
+    Config cfg;
+    cfg.machine.cache_sets = 48;
+    EXPECT_EXIT(System sys(cfg), testing::ExitedWithCode(1), "cache_sets");
 }
 
 // Config::validate() returns one descriptive message per defect instead

@@ -127,7 +127,7 @@ TEST(Mesh, LocalDeliveryBypassesNetwork)
     e.mesh.send(e.makeMsg(2, 2));
     e.eq.run();
     ASSERT_EQ(e.delivered.size(), 1u);
-    EXPECT_EQ(e.delivered[0].first, e.mc.local_latency);
+    EXPECT_EQ(e.delivered[0].first, LOCAL_LATENCY);
     EXPECT_EQ(e.mesh.stats().messages, 0u);
     EXPECT_EQ(e.mesh.stats().local, 1u);
 }

@@ -137,7 +137,7 @@ TEST(System, MagicBarrierSynchronizesAtOneTick)
     EXPECT_EQ(bar.rounds(), 1u);
     for (int n = 1; n < 4; ++n)
         EXPECT_EQ(release[static_cast<size_t>(n)], release[0]);
-    EXPECT_EQ(release[0], 40u + smallConfig().machine.magic_barrier_cost);
+    EXPECT_EQ(release[0], 40u + MAGIC_BARRIER_COST);
 }
 
 TEST(System, MagicBarrierIsReusable)

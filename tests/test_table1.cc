@@ -30,7 +30,8 @@ measureStoreChain(System &sys, Addr a)
 {
     clearStats(sys);
     runOp(sys, 0, AtomicOp::STORE, a, 99);
-    EXPECT_EQ(sys.stats().op_count[static_cast<int>(AtomicOp::STORE)], 1u);
+    EXPECT_EQ(sys.stats().op_latency[static_cast<int>(AtomicOp::STORE)].count,
+              1u);
     EXPECT_EQ(sys.stats().retries, 0u) << "unexpected retries";
     return static_cast<int>(sys.stats().chain_length.max());
 }

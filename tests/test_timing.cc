@@ -14,12 +14,11 @@ using namespace dsmtest;
 
 namespace {
 
-/** Flits for a message of @p payload bytes under config @p mc. */
+/** Flits for a message of @p payload bytes. */
 Tick
-flits(const MachineConfig &mc, unsigned payload)
+flits(unsigned payload)
 {
-    return (payload + mc.header_bytes + mc.flit_bytes - 1) /
-           mc.flit_bytes;
+    return (payload + HEADER_BYTES + FLIT_BYTES - 1) / FLIT_BYTES;
 }
 
 /** One-way network time: inject + hops + eject on idle ports. */
@@ -27,7 +26,7 @@ Tick
 netTime(const MachineConfig &mc, int hops, unsigned payload)
 {
     return static_cast<Tick>(hops) * mc.hop_latency +
-           flits(mc, payload) * mc.flit_latency;
+           flits(payload) * mc.flit_latency;
 }
 
 Tick
@@ -72,8 +71,7 @@ TEST(Timing, UncLocalRoundTrip)
     Addr a = sys.allocSyncAt(0); // home at the requester
     clearStats(sys);
     runOp(sys, 0, AtomicOp::FAA, a, 1);
-    Tick expect = mc.local_latency + mc.mem_service_time +
-                  mc.local_latency;
+    Tick expect = LOCAL_LATENCY + mc.mem_service_time + LOCAL_LATENCY;
     EXPECT_EQ(measuredMean(sys, AtomicOp::FAA), expect);
 }
 
@@ -103,7 +101,7 @@ TEST(Timing, RemoteExclusiveTransferIsFourLegs)
     // GET_X 0->3 (2 hops, 8B); mem; FWD 3->1 (1 hop, 8B); cache access;
     // OWNER_DATA_X 1->3 (1 hop, 40B); mem; DATA_X 3->0 (2 hops, 40B).
     Tick expect = netTime(mc, 2, 8) + mc.mem_service_time +
-                  netTime(mc, 1, 8) + mc.cache_access_latency +
+                  netTime(mc, 1, 8) + CACHE_ACCESS_LATENCY +
                   netTime(mc, 1, 40) + mc.mem_service_time +
                   netTime(mc, 2, 40);
     EXPECT_EQ(measuredMean(sys, AtomicOp::FAA), expect);

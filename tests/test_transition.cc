@@ -16,14 +16,20 @@
  *    counter run is byte-identical to the committed baseline, pinning
  *    the refactored driver's counters to the event-driven engine's.
  *    A second baseline pins a run with every optional stats group on,
- *    and a third that run's telemetry export. Regenerate with
- *    DSM_REGEN_BASELINES=1 after an *intended* stats change.
+ *    and a third that run's telemetry export;
+ *  - a tracer golden: a small chaos-faulted LL/SC counter run with
+ *    every tracer category on, through exportText() and
+ *    exportChromeJson(), against tests/baselines/tracer_all_categories.*.
+ *
+ * Regenerate a baseline with DSM_REGEN_BASELINES=1 after an *intended*
+ * change.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -398,13 +404,8 @@ renderCase(std::string &out, const std::string &label,
            const tf::Outcome &o, const tf::CtrlState &s)
 {
     out += "== " + label + "\n" + tf::debugString(o);
-    // debugString(Msg) leaves out the transaction-tracer id.
-    out += "sent txn_ids:";
-    for (const tf::Effect &ef : o.effects)
-        if (ef.kind == tf::EffectKind::SEND)
-            out += " " + std::to_string(ef.msg.txn_id);
     const CacheStats &cs = s.cache.stats();
-    out += "\n-- state\n" + tf::debugString(s) + "cache{hits=" +
+    out += "-- state\n" + tf::debugString(s) + "cache{hits=" +
            std::to_string(cs.hits) + " misses=" + std::to_string(cs.misses) +
            " evictions=" + std::to_string(cs.evictions) + " inv_recv=" +
            std::to_string(cs.invalidations_received) +
@@ -1089,6 +1090,48 @@ TEST(Transition, AllGroupsTelemetryJsonMatchesCommittedBaseline)
           "\"openloop\":{"})
         EXPECT_NE(json.find(part), std::string::npos) << part;
     expectMatchesBaseline("telemetryjson_all_groups.json", json);
+}
+
+// Tracer golden: every trace category's records, through both exporters.
+
+TEST(Transition, TracerRecordsMatchCommittedGolden)
+{
+    // A contended LL/SC counter on four nodes, every tracer category on,
+    // with message loss (quarantine_k=2 quarantines a link) and
+    // corruption armed: contention yields the NACK, RETRY and
+    // reservation records, the faults the LINK_FAULT drops and the
+    // quarantine.
+    Config cfg;
+    cfg.machine.num_procs = 4;
+    cfg.machine.mesh_x = 2;
+    cfg.machine.mesh_y = 2;
+    cfg.machine.seed = 2;
+    ASSERT_EQ(cfg.faults.parse("drop_prob=0.2,corrupt_prob=0.1,"
+                               "req_timeout=2000,quarantine_k=2,"
+                               "quarantine_window=1000000"),
+              "");
+    cfg.trace.enabled = true;
+    cfg.trace.categories = TRACE_ALL;
+    System sys(cfg);
+    LockFreeCounter ctr(sys, Primitive::LLSC);
+    for (NodeId p = 0; p < 4; ++p)
+        sys.spawn(incTimes(sys.proc(p), ctr, 2));
+    ASSERT_TRUE(sys.run().completed);
+    const Recovery::Counters &rc = sys.recoveryState().counters();
+    EXPECT_GT(rc.links_quarantined, 0u);
+    EXPECT_GT(rc.corrupt_detected, 0u);
+
+    const Tracer &tr = sys.tracer();
+    EXPECT_EQ(tr.dropped(), 0u);
+    std::set<TraceCat> seen;
+    for (const TraceEvent &ev : tr.events())
+        seen.insert(ev.cat);
+    for (unsigned c = 0; c < NUM_TRACE_CATEGORIES; ++c)
+        EXPECT_TRUE(seen.count(static_cast<TraceCat>(c)))
+            << toString(static_cast<TraceCat>(c));
+    expectMatchesBaseline("tracer_all_categories.txt", tr.exportText());
+    expectMatchesBaseline("tracer_all_categories.json",
+                          tr.exportChromeJson());
 }
 
 TEST(Transition, OutcomesMatchCommittedGolden)

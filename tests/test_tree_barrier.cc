@@ -85,5 +85,5 @@ TEST(TreeBarrier, UsesOnlyLoadsAndStores)
     for (AtomicOp op : {AtomicOp::TAS, AtomicOp::FAA, AtomicOp::FAS,
                         AtomicOp::FAO, AtomicOp::CAS, AtomicOp::LL,
                         AtomicOp::SC})
-        EXPECT_EQ(st.op_count[static_cast<int>(op)], 0u);
+        EXPECT_EQ(st.op_latency[static_cast<int>(op)].count, 0u);
 }

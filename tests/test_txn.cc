@@ -60,7 +60,7 @@ TEST(TxnTrace, DisabledByDefault)
     System sys(smallConfig());
     Addr a = sys.allocSync();
     runOp(sys, 0, AtomicOp::FAA, a, 1);
-    EXPECT_FALSE(sys.txns().enabled());
+    EXPECT_FALSE(sys.cfg().txn_trace.enabled);
     EXPECT_EQ(sys.txns().completed(), 0u);
     EXPECT_TRUE(sys.txns().records().empty());
     // The registry must keep its untraced shape: no txn section.
