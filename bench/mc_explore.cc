@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "exp/experiment.hh"
@@ -55,9 +54,8 @@ sanitize(std::string s)
 void
 writeDump(const std::string &label, const mc::Result &res)
 {
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string path = std::string(dir != nullptr ? dir : ".") +
-                       "/MC_DUMP_" + sanitize(label) + ".txt";
+    std::string path =
+        benchOutputDir() + "/MC_DUMP_" + sanitize(label) + ".txt";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return;

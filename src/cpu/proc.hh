@@ -29,6 +29,7 @@ class System;
 /**
  * Exit test of a spin-wait (Proc::spinLoad): a captureless predicate on
  * the loaded word and one operand, so an iteration allocates nothing.
+ * A null test marks a single operation.
  */
 struct SpinUntil
 {
@@ -76,16 +77,17 @@ class Proc
     System &sys() { return _sys; }
 
     /**
-     * Awaitable returned by every memory/sync operation.
+     * Awaitable returned by every memory/sync operation and by
+     * spinLoad(). It lives in the waiting coroutine's frame, and the
+     * processor refers to it in place until the operation completes.
      *
      * Bind each result to a named OpResult before using it, as
      * sync/primitives.cc does (`OpResult r = co_await p.ll(a);`). With
-     * GCC 12.2 two shapes build without a warning but leave the
-     * coroutine never resumed at -O1 and -O2, so its caller hangs or
-     * ends early: a co_await inside a conditional operator
+     * GCC 12.2 two shapes build without a warning but hang or trap at
+     * -O1 and -O2: a co_await inside a conditional operator
      * (`c ? co_await p.fetchAdd(a, v) : co_await p.fetchStore(a, v)`)
-     * and a parenthesized co_await compared in an if-condition
-     * (`if ((co_await p.ll(a)).value != expected)`).
+     * and a parenthesized co_await compared in an if-condition against
+     * a parameter (`if ((co_await p.ll(a)).value != expected)`).
      */
     struct Op
     {
@@ -94,10 +96,20 @@ class Proc
         Addr addr;
         Word value;
         Word expected;
+        /** Exit test of a spin-wait; a single operation has none. */
+        SpinUntil until{};
         OpResult result{};
+        std::coroutine_handle<> waiter{};
 
         bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h);
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            waiter = h;
+            proc.issue(*this);
+        }
+
         OpResult await_resume() const noexcept { return result; }
     };
 
@@ -172,42 +184,18 @@ class Proc
     }
 
     /**
-     * Awaitable spin-wait; see spinLoad(). The awaiter lives in the
-     * waiting coroutine's frame, so iterations refer to it in place.
-     */
-    struct SpinLoad
-    {
-        Proc &proc;
-        Addr addr;
-        SpinUntil until;
-        OpResult result{};
-        std::coroutine_handle<> waiter{};
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            waiter = h;
-            proc.spinIssue(*this);
-        }
-
-        OpResult await_resume() const noexcept { return result; }
-    };
-
-    /**
      * Spin on ordinary loads of @p a until @p until holds for the value
      * read; the result is that load's. Every iteration keeps the
      * events, ticks, statistics and cache state of the reference loop
      * `while (!until((r = co_await load(a)).value)) {}`, which stays
      * legal. An iteration that hits in the cache while no per-op
-     * observer is on skips the controller's transaction machinery
+     * observer is on skips the protocol transition and its commit
      * (Controller::loadHit()); any other takes the ordinary path.
      */
-    SpinLoad
+    Op
     spinLoad(Addr a, SpinUntil until)
     {
-        return SpinLoad{*this, a, until};
+        return Op{*this, AtomicOp::LOAD, a, 0, 0, until};
     }
 
     /** Awaitable local computation delay of a fixed number of cycles. */
@@ -228,28 +216,28 @@ class Proc
     std::uint64_t opsIssued() const { return _ops_issued; }
     /** @} */
 
+    /**
+     * Finish the outstanding operation (Controller::finishNow() only):
+     * sharing-pattern bookkeeping, then resume its waiter, or issue the
+     * next iteration of a spin-wait whose test failed.
+     */
+    void complete(const OpResult &r);
+
   private:
-    friend struct Op;
-    friend struct Delay;
-    friend struct SpinLoad;
-
-    /** Issue to the controller with sharing-pattern instrumentation. */
-    void issue(AtomicOp op, Addr a, Word v, Word exp,
-               Controller::DoneFn done);
-
-    /** Track consecutive failed attempts (spin-loop iterations). */
-    void noteResult(AtomicOp op, const OpResult &r);
-
-    /** Issue one spin-wait iteration, on the hit path if it applies. */
-    void spinIssue(SpinLoad &s);
-    /** Finish an iteration: resume the waiter or spin again. */
-    void spinResult(SpinLoad &s, const OpResult &r);
+    /** Issue @p o, on the spin-wait hit path if it applies. */
+    void issue(Op &o);
 
     System &_sys;
     NodeId _id;
     std::uint64_t _ops_issued = 0;
-    /** Consecutive op completions that left the acquire loop spinning. */
-    int _fail_streak = 0;
+
+    /** @name The outstanding operation, as captured at issue. @{ */
+    Op *_op = nullptr;
+    /** A sync-data access (sharing tracker). */
+    bool _is_sync = false;
+    /** An atomic attempt on sync data (contention, Figure 2). */
+    bool _is_attempt = false;
+    /** @} */
 };
 
 } // namespace dsm

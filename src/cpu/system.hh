@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "cpu/admission.hh"
+#include "cpu/co_task.hh"
 #include "cpu/proc.hh"
 #include "cpu/sync_barrier.hh"
-#include "cpu/task.hh"
 #include "fault/fault.hh"
 #include "fault/recovery.hh"
 #include "fault/watchdog.hh"

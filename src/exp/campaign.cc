@@ -306,8 +306,7 @@ Campaign::run()
                   return a.index < b.index;
               });
     std::printf("%s, %zu failure(s)\n", line.c_str(), _failures.size());
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
+    std::string d = benchOutputDir();
     for (const Failure &f : _failures) {
         std::string path =
             csprintf("%s/WATCHDOG_%s_%zu_%s.txt", d.c_str(), _name.c_str(),

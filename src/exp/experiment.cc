@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <unordered_map>
 
@@ -365,7 +364,6 @@ Experiment::run(int jobs)
                 r.fields.setRaw("txn_phases",
                                 tx.attribution().phasesJson());
                 r.txn_events = tx.chromeEventsJsonArray(pid, pname);
-                r.txn_summary = tx.attribution().summaryLine();
                 r.txn_divergences = tx.chainDivergences();
                 r.txn_mismatches = tx.phaseSumMismatches();
                 return r;
@@ -472,9 +470,7 @@ Experiment::run(int jobs)
                       (unsigned long long)mismatches,
                       _results.size()));
         if (_write_report) {
-            const char *dir = std::getenv("DSM_BENCH_DIR");
-            std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-            std::string path = d + "/TRACE_" + _name + ".json";
+            std::string path = benchOutputDir() + "/TRACE_" + _name + ".json";
             std::ofstream out(path, std::ios::binary);
             if (out) {
                 // Merge the per-point event arrays into one Chrome
@@ -528,8 +524,7 @@ Experiment::run(int jobs)
         doc += "]}";
         _timeseries_json = std::move(doc);
         if (_write_report) {
-            const char *dir = std::getenv("DSM_BENCH_DIR");
-            std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
+            std::string d = benchOutputDir();
             std::string path = d + "/TIMESERIES_" + _name + ".json";
             std::ofstream out(path, std::ios::binary);
             if (out)

@@ -40,8 +40,6 @@ struct PointResult
      *  transaction tracing is on; empty otherwise). @{ */
     /** Chrome trace events of this point, a rendered JSON array. */
     std::string txn_events;
-    /** One-line phase-attribution summary. */
-    std::string txn_summary;
     std::uint64_t txn_divergences = 0; ///< Table 1 chain divergences
     std::uint64_t txn_mismatches = 0;  ///< phase-sum != latency count
     /** @} */

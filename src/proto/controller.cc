@@ -6,7 +6,7 @@
  * (sends, Tracer/TxnTracer/LineProfiler records, completions, retries,
  * recovery timers). Everything impure lives here: the event queue, the
  * mesh, the memory-module queue, RNG draws, fault injection, and the
- * completion callback.
+ * hand-off of a finished operation to Proc::complete().
  */
 
 #include "proto/controller.hh"
@@ -233,8 +233,7 @@ Controller::commit(const tf::Outcome &o)
 // ===================== CPU side ==========================================
 
 void
-Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                       DoneFn done)
+Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected)
 {
     dsm_assert(!_st.txn.active,
                "processor %d issued %s with a transaction outstanding",
@@ -268,7 +267,6 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
             commit(evict);
         }
     }
-    _done = std::move(done);
     _trace_flow = 0;
     _parked_total = 0;
     Tracer &tr = _sys.tracer();
@@ -293,7 +291,7 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
 }
 
 bool
-Controller::loadHit(Addr addr, bool is_sync, Word *value)
+Controller::loadHit(Addr addr, bool is_sync)
 {
     // faults.enabled also covers recovery: recoveryEnabled() implies it.
     const Config &cfg = _sys.cfg();
@@ -321,16 +319,10 @@ Controller::loadHit(Addr addr, bool is_sync, Word *value)
     _st.txn.op = AtomicOp::LOAD;
     _st.txn.addr = addr;
     _st.txn.start = now();
-    *value = line->readWord(addr);
+    Word value = line->readWord(addr);
+    _sys.eq().scheduleIn(cfg.machine.cache_hit_latency,
+                         [this, value] { finishNow(value, true, 0); });
     return true;
-}
-
-void
-Controller::finishLoadHit()
-{
-    dsm_assert(_st.txn.active, "finish without an active transaction");
-    _sys.stats(_id).sampleOp(AtomicOp::LOAD, now() - _st.txn.start, 0);
-    _st.txn.active = false;
 }
 
 void
@@ -341,7 +333,7 @@ Controller::finishNow(Word value, bool success, Word serial)
     st.sampleOp(_st.txn.op, now() - _st.txn.start, _st.txn.max_chain);
     if (_st.txn.txn_id != 0)
         _sys.txns().complete(_st.txn.txn_id, now(), _st.txn.max_chain,
-                             success);
+                             success, value);
     Tracer &tr = _sys.tracer();
     if (tr.on(TraceCat::ATOMIC_COMPLETE))
         tr.operation(TraceCat::ATOMIC_COMPLETE, now(), _id, _st.txn.op,
@@ -358,13 +350,12 @@ Controller::finishNow(Word value, bool success, Word serial)
         else
             ++st.sc_failures;
     }
-    DoneFn done = std::move(_done);
     _st.txn.active = false;
     // The seq is retired: any still-uncovered drops charged to it can
     // no longer need recovery.
     if (_sys.cfg().faults.recoveryEnabled())
         _sys.recoveryState().coverRequester(_id);
-    done(OpResult{value, success, serial});
+    _sys.proc(_id).complete(OpResult{value, success, serial});
 }
 
 void

@@ -7,12 +7,12 @@
  * (CPU side, home directory side, remote side; see transition_*.cc for
  * the protocol itself). The driver owns everything a pure transition
  * cannot: the event queue, the mesh, the memory-module queue, RNG draws
- * (retry backoff jitter), fault injection, the completion callback, and
- * the Tracer/TxnTracer/LineProfiler/Recovery sinks. A delivered message
- * becomes a tf::deliver() call whose Outcome is then committed: memory
- * and directory writes applied, stat deltas folded in, and effects
- * walked in order (sends scheduled, trace records emitted,
- * completions/retries/timers armed).
+ * (retry backoff jitter), fault injection, the hand-off of a finished
+ * operation to Proc::complete(), and the Tracer/TxnTracer/LineProfiler/
+ * Recovery sinks. A delivered message becomes a tf::deliver() call whose
+ * Outcome is then committed: memory and directory writes applied, stat
+ * deltas folded in, and effects walked in order (sends scheduled, trace
+ * records emitted, completions/retries/timers armed).
  *
  * The protocol is DASH-style: requests to a busy directory entry are
  * NACKed and retried; invalidation acknowledgements are collected by the
@@ -24,7 +24,6 @@
 #define DSM_PROTO_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "cache/cache.hh"
 #include "net/msg.hh"
@@ -58,8 +57,6 @@ struct OpResult
 class Controller : private tf::StepCtx
 {
   public:
-    using DoneFn = std::function<void(OpResult)>;
-
     Controller(System &sys, NodeId id);
 
     Controller(const Controller &) = delete;
@@ -67,28 +64,24 @@ class Controller : private tf::StepCtx
 
     /**
      * Issue a processor operation. Exactly one operation may be
-     * outstanding; the processor model enforces this by blocking.
-     * @param done Invoked once, at the operation's completion tick.
+     * outstanding; the processor model enforces this by blocking. At
+     * its completion tick the operation finishes through
+     * Proc::complete().
      */
-    void cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                    DoneFn done);
+    void cpuRequest(AtomicOp op, Addr addr, Word value, Word expected);
 
     /**
-     * Issue-time half of the spin-wait hit path (Proc::spinLoad). When
-     * a LOAD of @p addr would hit -- a valid line under INV or UPD,
-     * never under UNC -- and no per-op observer is on (fault plan,
-     * recovery, transaction tracer, any tracer category), does exactly
-     * what cpuRequest() does for that hit: the cache lookup (moving the
-     * LRU stamp), the hit count and the transaction reset. Stores the
-     * word read in @p value and returns true; the caller then completes
-     * the load cache_hit_latency cycles later with finishLoadHit().
+     * Spin-wait hit path (Proc::spinLoad). When a LOAD of @p addr would
+     * hit -- a valid line under INV or UPD, never under UNC -- and no
+     * per-op observer is on (fault plan, recovery, transaction tracer,
+     * any tracer category), does exactly what cpuRequest() does for
+     * that hit: the cache lookup (moving the LRU stamp), the hit count
+     * and the transaction reset, then schedules finishNow() with the
+     * word read cache_hit_latency cycles later, and returns true.
      * Otherwise changes nothing and returns false.
      * @param is_sync System::isSync(addr), which selects the policy.
      */
-    bool loadHit(Addr addr, bool is_sync, Word *value);
-
-    /** Completion of a loadHit() load: what finishNow() does for it. */
-    void finishLoadHit();
+    bool loadHit(Addr addr, bool is_sync);
 
     /**
      * The request seq this node currently awaits a reply for, or 0
@@ -142,11 +135,14 @@ class Controller : private tf::StepCtx
      * records (each gated by its tracer category), line-profiler notes
      * (while telemetry.enabled), transaction-tracer marks, and the
      * driver-owned SEND, COMPLETE, RETRY and ARM_TIMER (scheduling, RNG,
-     * the completion callback).
+     * finishNow()).
      */
     void commit(const tf::Outcome &o);
 
-    /** Complete the active transaction now (COMPLETE effect body). */
+    /**
+     * Complete the active transaction now (COMPLETE effect body, and
+     * a loadHit() load): stats, tracer records, then Proc::complete().
+     */
     void finishNow(Word value, bool success, Word serial);
 
     /** RETRY effect body: watchdog/trace/backoff + scheduled redispatch. */
@@ -188,8 +184,6 @@ class Controller : private tf::StepCtx
     NodeId _id;
     tf::CtrlState _st;
 
-    /** Completion callback of the outstanding operation (driver-only). */
-    DoneFn _done;
     /** Tracer flow id of the outstanding operation (driver-only). */
     std::uint32_t _trace_flow = 0;
 

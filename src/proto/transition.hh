@@ -51,8 +51,8 @@ namespace tf {
 /**
  * State of a node's single outstanding CPU-side transaction.
  * Everything the protocol needs to decide its next move lives here;
- * driver-only bookkeeping (the completion callback, the tracer flow
- * id) stays in the driver.
+ * driver-only bookkeeping (the tracer flow id, the hand-off of the
+ * finished operation to Proc::complete) stays in the driver.
  */
 struct TxnState
 {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/json.hh"
-#include "sim/logging.hh"
 
 namespace dsm {
 
@@ -194,31 +193,6 @@ PhaseAttribution::tailJson() const
     }
     w.endObject();
     return w.str();
-}
-
-std::string
-PhaseAttribution::summaryLine() const
-{
-    if (_completed == 0)
-        return "txn: no completed transactions";
-    std::string line =
-        csprintf("txn: %llu completed, mean %.1f cy |",
-                 static_cast<unsigned long long>(_completed),
-                 _all_total.mean());
-    for (int ph = 0; ph < NUM_TXN_PHASES; ++ph) {
-        // Report the mean contribution across *all* transactions, so
-        // the listed phase means sum to the end-to-end mean.
-        double contrib =
-            static_cast<double>(_all_phase[ph].sum) /
-            static_cast<double>(_completed);
-        if (_all_phase[ph].count == 0)
-            continue;
-        line += csprintf(" %s=%.1f", toString(static_cast<TxnPhase>(ph)),
-                         contrib);
-    }
-    line += csprintf(" | retries=%.2f fanout=%.2f chain=%.2f",
-                     _retries.mean(), _fanout.mean(), _chain.mean());
-    return line;
 }
 
 } // namespace dsm

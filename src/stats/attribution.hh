@@ -83,9 +83,6 @@ class PhaseAttribution
      */
     std::string phasesJson() const;
 
-    /** One-line aggregate summary of phase means, for bench output. */
-    std::string summaryLine() const;
-
     /** @name Tail-vs-median conditional attribution.
      *
      * When a tail capacity is configured, sample() also keeps one

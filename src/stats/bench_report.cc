@@ -239,11 +239,16 @@ BenchReport::toJson() const
 }
 
 std::string
-BenchReport::outputPath() const
+benchOutputDir()
 {
     const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    return d + "/BENCH_" + _name + ".json";
+    return dir != nullptr && dir[0] != '\0' ? dir : ".";
+}
+
+std::string
+BenchReport::outputPath() const
+{
+    return benchOutputDir() + "/BENCH_" + _name + ".json";
 }
 
 std::string

@@ -47,6 +47,13 @@ struct RunMetrics
 /** Harvest the standard metrics from a system after a run. */
 RunMetrics collectRunMetrics(System &sys);
 
+/**
+ * Directory every bench output file (BENCH_, TRACE_, TIMESERIES_,
+ * WATCHDOG_ and MC_DUMP_) is written to: $DSM_BENCH_DIR, or "." when it
+ * is unset or empty.
+ */
+std::string benchOutputDir();
+
 /** One result row: ordered key -> rendered-JSON-value pairs. */
 class BenchRow
 {
@@ -72,9 +79,8 @@ class BenchRow
 };
 
 /**
- * Accumulates rows for one bench binary and writes BENCH_<name>.json.
- * The output directory comes from $DSM_BENCH_DIR (default: the current
- * working directory).
+ * Accumulates rows for one bench binary and writes BENCH_<name>.json
+ * into benchOutputDir().
  */
 class BenchReport
 {

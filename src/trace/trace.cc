@@ -207,10 +207,12 @@ eventDetail(const TraceEvent &ev)
       case TraceCat::RESV_CLEAR:
         return "";
       case TraceCat::LINK_FAULT:
-        return csprintf("%s link=%d->%d %s",
-                        toString(static_cast<MsgType>(ev.op)),
-                        ev.node, ev.peer,
-                        ev.value != 0 ? "quarantined" : "dropped");
+        // A quarantine record carries no message.
+        if (ev.value != 0)
+            return csprintf("link=%d->%d quarantined", ev.node, ev.peer);
+        return csprintf("%s link=%d->%d dropped",
+                        toString(static_cast<MsgType>(ev.op)), ev.node,
+                        ev.peer);
       default:
         return "";
     }

@@ -1,7 +1,6 @@
 #include "trace/txn.hh"
 
 #include <algorithm>
-#include <fstream>
 
 #include "cache/cache.hh"
 #include "mem/directory.hh"
@@ -52,8 +51,7 @@ TxnTracer::begin(NodeId proc, AtomicOp op, Addr addr, SyncPolicy pol,
     a.rec.policy = pol;
     a.rec.line_state = line_state;
     a.rec.issue = now;
-    a.rec.loop_iter = a.pending_loop_iter;
-    a.pending_loop_iter = 0;
+    a.rec.loop_iter = a.fail_streak;
     a.last_mark = now;
     if (a.arrival_pending) {
         // Open-loop op: rebase the lifetime to the admission-queue
@@ -85,14 +83,6 @@ TxnTracer::activeId(NodeId proc) const
         return 0;
     const Active &a = _active[static_cast<std::size_t>(proc)];
     return a.live ? a.rec.id : 0;
-}
-
-void
-TxnTracer::noteLoopIter(NodeId proc, int streak)
-{
-    if (proc < 0 || proc >= _num_procs)
-        return;
-    _active[static_cast<std::size_t>(proc)].pending_loop_iter = streak;
 }
 
 void
@@ -216,11 +206,31 @@ TxnTracer::expectedChain(const TxnRecord &r)
 
 void
 TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
-                    bool success)
+                    bool success, Word value)
 {
     Active *a = find(id);
     if (a == nullptr)
         return;
+    switch (a->rec.op) {
+      case AtomicOp::TAS:
+        // A test_and_set that reads nonzero found the lock held: a spin.
+        a->fail_streak = value != 0 ? a->fail_streak + 1 : 0;
+        break;
+      case AtomicOp::CAS:
+      case AtomicOp::SC:
+      case AtomicOp::SCS:
+        a->fail_streak = success ? 0 : a->fail_streak + 1;
+        break;
+      case AtomicOp::STORE:
+      case AtomicOp::FAA:
+      case AtomicOp::FAS:
+      case AtomicOp::FAO:
+        a->fail_streak = 0;
+        break;
+      default:
+        // Loads (incl. LL/LLS) neither succeed nor fail an acquire.
+        break;
+    }
     // Whatever remains since the last milestone was spent in the local
     // cache controller (hit service, or post-reply line fill).
     mark(id, TxnPhase::CACHE, now, a->rec.proc);
@@ -521,16 +531,6 @@ TxnTracer::exportChromeJson() const
 {
     return std::string("{\"displayTimeUnit\":\"ns\",\"traceEvents\":") +
            chromeEventsJsonArray(0, "dsm") + "}";
-}
-
-bool
-TxnTracer::writeChromeJson(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out << exportChromeJson() << '\n';
-    return static_cast<bool>(out);
 }
 
 std::string

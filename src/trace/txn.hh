@@ -102,7 +102,8 @@ class TxnTracer
 
     /**
      * Open a transaction for @p proc (one outstanding op per processor,
-     * so this replaces any slot content). Returns the new id; ids are
+     * so this replaces any slot content) and record the processor's
+     * failure streak as its loop_iter. Returns the new id; ids are
      * never zero, and id % num_procs recovers the processor.
      */
     std::uint64_t begin(NodeId proc, AtomicOp op, Addr addr,
@@ -110,13 +111,6 @@ class TxnTracer
 
     /** Id of @p proc's in-flight transaction (0 if none). */
     std::uint64_t activeId(NodeId proc) const;
-
-    /**
-     * Note that the *next* transaction issued by @p proc is attempt
-     * number @p streak + 1 of a software retry loop (TAS spin, LL/SC
-     * or CAS loop), as observed by the processor model.
-     */
-    void noteLoopIter(NodeId proc, int streak);
 
     /**
      * Note that the *next* transaction issued by @p proc serves an
@@ -160,9 +154,16 @@ class TxnTracer
     /** A message stamped with @p id entered the mesh. */
     void noteSend(std::uint64_t id);
 
-    /** Complete a transaction: attribute the tail, aggregate, validate. */
+    /**
+     * Complete a transaction: attribute the tail, aggregate, validate,
+     * and update the processor's failure streak from the operation's
+     * verdict @p success and the word @p value it read. A TAS reading
+     * nonzero or a failed CAS, SC or SCS extends the streak; any other
+     * fetch_and_Phi, CAS, SC or SCS, or a store, ends it; loads leave
+     * it.
+     */
     void complete(std::uint64_t id, Tick now, int observed_chain,
-                  bool success);
+                  bool success, Word value);
 
     /**
      * Analytic Table 1 serialized chain length for the case @p r
@@ -195,7 +196,6 @@ class TxnTracer
     std::string exemplarsJson() const;
 
     std::uint64_t completed() const { return _attr.completed(); }
-    std::uint64_t recordsDropped() const { return _dropped; }
     std::uint64_t phaseSumMismatches() const { return _mismatches; }
     std::uint64_t chainDivergences() const { return _divergences; }
     std::uint64_t markAnomalies() const { return _anomalies; }
@@ -231,15 +231,13 @@ class TxnTracer
     /** Standalone Perfetto-loadable document (single process). */
     std::string exportChromeJson() const;
 
-    /** Write exportChromeJson() to @p path; returns false on error. */
-    bool writeChromeJson(const std::string &path) const;
-
   private:
     struct Active
     {
         TxnRecord rec;
         Tick last_mark = 0;
-        int pending_loop_iter = 0;
+        /** Consecutive failed attempts of the processor's acquire loop. */
+        int fail_streak = 0;
         Tick pending_arrival = 0;
         bool arrival_pending = false;
         bool live = false;

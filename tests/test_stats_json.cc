@@ -381,6 +381,17 @@ TEST(BenchReportTest, SchemaAndMetricsKeys)
     EXPECT_EQ(row.num("messages"), static_cast<double>(m.messages));
 }
 
+TEST(BenchReportTest, EmptyDsmBenchDirMeansCurrentDirectory)
+{
+    ASSERT_EQ(::setenv("DSM_BENCH_DIR", "", 1), 0);
+    std::string dir = benchOutputDir();
+    std::string path = BenchReport("emptydir").outputPath();
+    ::unsetenv("DSM_BENCH_DIR");
+    EXPECT_EQ(dir, ".");
+    EXPECT_EQ(path, "./BENCH_emptydir.json");
+    EXPECT_EQ(benchOutputDir(), ".");
+}
+
 TEST(BenchReportTest, WritesBenchJsonToDsmBenchDir)
 {
     std::string dir = ::testing::TempDir();

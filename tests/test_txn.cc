@@ -7,12 +7,15 @@
  * traced Experiment harvest between serial and parallel sweeps.
  */
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "exp/experiment.hh"
 #include "helpers.hh"
 #include "proto/checker.hh"
+#include "sync/lockfree_counter.hh"
 #include "trace/txn.hh"
 
 namespace {
@@ -196,6 +199,99 @@ TEST(TxnTrace, SpinLoopIterationsRecorded)
     EXPECT_TRUE(spun) << "contended TAS never recorded a spin iteration";
 }
 
+Task
+counterLoop(Proc &p, LockFreeCounter &c, int incs)
+{
+    for (int i = 0; i < incs; ++i)
+        co_await c.fetchInc(p);
+}
+
+/** A traced loop_iter run: its digest and its longest recorded streak. */
+struct LoopIterRun
+{
+    std::uint64_t digest = 14695981039346656037ull;
+    int max_loop_iter = 0;
+};
+
+/**
+ * Eight nodes under @p pol, every transaction record kept: a
+ * test_and_set lock loop without @p prim, else lock-free counter
+ * increments through *prim. Folds each record's (id, op, loop_iter)
+ * and the run's statsJson into one FNV-1a digest.
+ */
+LoopIterRun
+runLoopIters(SyncPolicy pol, std::optional<Primitive> prim)
+{
+    constexpr int procs = 8;
+    Config cfg = txnConfig(pol, procs);
+    cfg.txn_trace.capacity = 1u << 20;
+    System sys(cfg);
+    Addr word = sys.allocSync();
+    LockFreeCounter counter(sys, prim.value_or(Primitive::FAP), word);
+    for (int p = 0; p < procs; ++p) {
+        if (!prim)
+            sys.spawn(tasLockLoop(sys.proc(p), word, 6));
+        else
+            sys.spawn(counterLoop(sys.proc(p), counter, 12));
+    }
+    runAll(sys);
+
+    const TxnTracer &tx = sys.txns();
+    EXPECT_EQ(tx.records().size(), tx.completed());
+    EXPECT_EQ(tx.phaseSumMismatches(), 0u);
+    LoopIterRun run;
+    auto mix = [&run](const std::string &s) {
+        for (unsigned char c : s) {
+            run.digest ^= c;
+            run.digest *= 1099511628211ull;
+        }
+    };
+    for (const TxnRecord &r : tx.records()) {
+        mix(csprintf("%llu:%s:%d;", static_cast<unsigned long long>(r.id),
+                     toString(r.op), r.loop_iter));
+        run.max_loop_iter = std::max(run.max_loop_iter, r.loop_iter);
+    }
+    mix(sys.statsJson());
+    return run;
+}
+
+TEST(TxnTrace, LoopIterationsMatchRecordedDigest)
+{
+    // Recorded before the spin streak moved from the processor model
+    // into the transaction tracer.
+    struct Case
+    {
+        SyncPolicy pol;
+        std::optional<Primitive> prim;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {SyncPolicy::INV, std::nullopt, 0x65b9245845e7b84bull},
+        {SyncPolicy::INV, Primitive::FAP, 0x8e213ff902d404e1ull},
+        {SyncPolicy::INV, Primitive::CAS, 0xa0256f9cf997dcb6ull},
+        {SyncPolicy::INV, Primitive::LLSC, 0x1a4248f3dd85ee97ull},
+        {SyncPolicy::UPD, std::nullopt, 0x851c55faaf1d3162ull},
+        {SyncPolicy::UPD, Primitive::FAP, 0x7e91a272f2945d76ull},
+        {SyncPolicy::UPD, Primitive::CAS, 0xc560d49ee395a081ull},
+        {SyncPolicy::UPD, Primitive::LLSC, 0x07675c894229c6ddull},
+        {SyncPolicy::UNC, std::nullopt, 0x2b530923647f7344ull},
+        {SyncPolicy::UNC, Primitive::FAP, 0x9ee10bebcd8f3e4aull},
+        {SyncPolicy::UNC, Primitive::CAS, 0xadbc5681ad750621ull},
+        {SyncPolicy::UNC, Primitive::LLSC, 0x700519641ff4d93full},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(toString(c.pol)) + " " +
+                     (c.prim ? toString(*c.prim) : "TAS lock"));
+        LoopIterRun run = runLoopIters(c.pol, c.prim);
+        EXPECT_EQ(run.digest, c.digest);
+        // Only a native fetch_and_Phi never fails an attempt.
+        if (c.prim == Primitive::FAP)
+            EXPECT_EQ(run.max_loop_iter, 0);
+        else
+            EXPECT_GT(run.max_loop_iter, 0);
+    }
+}
+
 TEST(TxnTrace, ChromeExportNestedSlicesAndFlows)
 {
     System sys(txnConfig(SyncPolicy::INV, 4));
@@ -304,8 +400,6 @@ TEST(TxnTrace, TracedExperimentSerialMatchesParallel)
         EXPECT_EQ(serial.results()[i].txn_events,
                   parallel.results()[i].txn_events)
             << "point " << i << " trace differs between schedules";
-        EXPECT_EQ(serial.results()[i].txn_summary,
-                  parallel.results()[i].txn_summary);
         EXPECT_GT(serial.results()[i].txn_events.size(), 2u);
     }
     // The attribution section of the report must be present and equal.
