@@ -230,12 +230,7 @@ class System
     /** @} */
 
     /** Home node of the block containing @p a (block-interleaved). */
-    NodeId
-    homeOf(Addr a) const
-    {
-        return static_cast<NodeId>((a / BLOCK_BYTES) %
-                                   static_cast<Addr>(numProcs()));
-    }
+    NodeId homeOf(Addr a) const { return dsm::homeOf(a, numProcs()); }
 
     /** True if @p a lies in a registered synchronization block. */
     bool

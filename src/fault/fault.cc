@@ -13,16 +13,6 @@ toPpm(double p)
     return static_cast<std::uint64_t>(p * static_cast<double>(PPM) + 0.5);
 }
 
-/** SplitMix64 finalizer: derive an independent stream from a seed. */
-std::uint64_t
-mixSeed(std::uint64_t s)
-{
-    std::uint64_t z = s + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 void

@@ -79,11 +79,13 @@ struct Transition
 {
     /**
      * COMBINE (mc.combining only) models the serving layer's home-node
-     * batch: every combinable channel head addressed to the home is
-     * popped in src order and served in one tf::deliverCombined call.
-     * Partial batches are covered by DELIVER interleavings (deliver
-     * some heads singly, then combine the rest), so one maximal
-     * COMBINE per state spans the subset space without blow-up.
+     * batch: the first channel head addressed to the home that passes
+     * the controller's leader rule (HomeQueue::leads) leads, and every
+     * head that combines with it is popped in src order and served in
+     * one tf::deliverCombined call. Partial batches are covered by
+     * DELIVER interleavings (deliver some heads singly, then combine
+     * the rest), so one maximal COMBINE per state spans the subset
+     * space without blow-up.
      */
     /**
      * REORDER (mc.reorder_budget) delivers a sequence-guarded message
@@ -100,14 +102,6 @@ struct Transition
     int b = 0; ///< channel dst
     int c = 0; ///< in-channel index (REORDER only)
 };
-
-/** True if @p m may lead a home combining batch (FAP requests only). */
-bool
-combineLeader(const Msg &m)
-{
-    return (m.type == MsgType::UNC_REQ || m.type == MsgType::UPD_REQ) &&
-           m.op == AtomicOp::FAA;
-}
 
 /**
  * The node whose recovery machinery owns a message: the requester
@@ -210,8 +204,7 @@ class Explorer : public tf::StepCtx
         _reorder_budget = user.mc.reorder_budget;
         _dup_budget = user.mc.dup_budget;
         _combining = user.mc.combining;
-        _home = static_cast<NodeId>((MC_BLOCK / BLOCK_BYTES) %
-                                    static_cast<Addr>(_n));
+        _home = homeOf(MC_BLOCK, _n);
     }
 
     Result run();
@@ -413,7 +406,7 @@ Explorer::enabled(const World &w) const
                 continue;
             const Msg &m = c.front();
             if (lead == nullptr) {
-                if (combineLeader(m)) {
+                if (HomeQueue::leads(m, w.dir)) {
                     lead = &m;
                     members = 1;
                 }
@@ -494,30 +487,15 @@ Explorer::commit(World &w, NodeId self, const tf::Outcome &o)
           case tf::EffectKind::RETRY: {
             // The driver draws a backoff and schedules the dispatch;
             // here the delay is a scheduling choice like any other.
-            // Only the final serviced attempt is validated against
-            // Table 1 (TxnTracer::retry), so the NACKed attempt's
-            // facts are cleared.
             w.retry_token[self] = true;
-            ChainFact &f = w.fact[self];
-            f.serviced = false;
-            f.forwarded = false;
-            f.home = INVALID_NODE;
-            f.owner = INVALID_NODE;
-            f.fanout_mask = 0;
+            w.fact[self].retry();
             break;
           }
-          case tf::EffectKind::TXN_SERVICE: {
-            if (ef.id == 0)
-                break;
-            NodeId req = static_cast<NodeId>(ef.id - 1);
-            ChainFact &f = w.fact[static_cast<std::size_t>(req)];
-            f.serviced = true;
-            f.home = self;
-            f.forwarded = ef.facts.forwarded;
-            f.owner = ef.facts.owner;
-            f.fanout_mask = ef.facts.fanout_mask;
+          case tf::EffectKind::TXN_SERVICE:
+            if (ef.id != 0)
+                w.fact[static_cast<std::size_t>(ef.id - 1)].serve(
+                    self, ef.facts);
             break;
-          }
           case tf::EffectKind::ARM_TIMER:
             // Timeouts are modeled by the lost[] flags: a timer only
             // matters on the branch where its message was dropped.
@@ -655,7 +633,7 @@ Explorer::apply(World &w, const Transition &t)
                 continue;
             const Msg &m = c.front();
             bool take = batch.empty()
-                            ? combineLeader(m)
+                            ? HomeQueue::leads(m, w.dir)
                             : HomeQueue::combinesWith(batch.front(), m);
             if (take) {
                 batch.push_back(m);
@@ -668,7 +646,7 @@ Explorer::apply(World &w, const Transition &t)
         tf::CtrlState &home = w.node[static_cast<std::size_t>(_home)];
         std::vector<Msg> live;
         for (const Msg &m : batch) {
-            if (!home.dedup.empty() && m.seq != 0) {
+            if (tf::dedupApplies(home, m)) {
                 tf::Outcome o;
                 bool handled = tf::tryDedup(envFor(_home), home, m, o);
                 commit(w, _home, o);
@@ -794,14 +772,15 @@ Explorer::canonical(const World &w) const
             encU(k, v);
 
         // Active-operation chain fact (checked at COMPLETE, so it is
-        // state the checking depends on).
+        // state the checking depends on). The home's dir_state and
+        // sharers only feed the divergence text, so they stay out.
         const ChainFact &f = w.fact[i];
         encU(k, static_cast<std::uint64_t>(f.op));
         encU(k, f.serviced ? 1 : 0);
-        encU(k, f.forwarded ? 1 : 0);
+        encU(k, f.service.forwarded ? 1 : 0);
         encU(k, static_cast<std::uint64_t>(f.home));
-        encU(k, static_cast<std::uint64_t>(f.owner));
-        encU(k, f.fanout_mask);
+        encU(k, static_cast<std::uint64_t>(f.service.owner));
+        encU(k, f.service.fanout_mask);
 
         encU(k, w.retry_token[i] ? 1 : 0);
         encU(k, w.lost[i] ? 1 : 0);

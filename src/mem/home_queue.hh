@@ -22,6 +22,7 @@
 #include <deque>
 #include <vector>
 
+#include "mem/directory.hh"
 #include "net/msg.hh"
 #include "sim/types.hh"
 
@@ -126,6 +127,31 @@ class HomeQueue
         sweep(_hi);
         sweep(_lo);
         return out;
+    }
+
+    /**
+     * True when @p m may lead a combining batch at a home whose entry
+     * for its block is @p e. The entry must be idle, and the request
+     * one the home answers from memory alone: a fetch&add UNC_REQ on an
+     * uncached block, or a fetch&add UPD_REQ or a GET_S fill on a block
+     * no cache holds exclusively (a busy or exclusive entry forwards or
+     * NACKs instead).
+     */
+    static bool
+    leads(const Msg &m, const DirEntry &e)
+    {
+        if (e.busy)
+            return false;
+        switch (m.type) {
+          case MsgType::UNC_REQ:
+            return m.op == AtomicOp::FAA && e.state == DirState::UNCACHED;
+          case MsgType::UPD_REQ:
+            return m.op == AtomicOp::FAA && e.state != DirState::EXCLUSIVE;
+          case MsgType::GET_S:
+            return e.state != DirState::EXCLUSIVE;
+          default:
+            return false;
+        }
     }
 
     /** True when @p follower can share @p leader's service slot. */

@@ -1,6 +1,7 @@
 #include "proto/checker.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "cpu/system.hh"
@@ -163,16 +164,39 @@ checkCoherence(System &sys)
 int
 expectedChain(const ChainFact &f)
 {
-    // Delegate to the transaction tracer's analytic model so the
-    // simulator and the model checker validate against one formula.
-    TxnRecord r;
-    r.proc = f.requester;
-    r.serviced = f.serviced;
-    r.forwarded = f.forwarded;
-    r.home = f.home;
-    r.owner = f.owner;
-    r.fanout_mask = f.fanout_mask;
-    return TxnTracer::expectedChain(r);
+    if (!f.serviced)
+        return 0;
+    auto hop = [](NodeId x, NodeId y) { return x == y ? 0 : 1; };
+    const tf::ServiceFacts &sf = f.service;
+    int reply = hop(f.requester, f.home) + hop(f.home, f.requester);
+    if (sf.forwarded)
+        reply += hop(f.home, sf.owner) + hop(sf.owner, f.home);
+    int chain = reply;
+    std::uint64_t m = sf.fanout_mask;
+    for (NodeId n = 0; m != 0; ++n, m >>= 1) {
+        if ((m & 1) == 0)
+            continue;
+        int c = hop(f.requester, f.home) + hop(f.home, n) +
+                hop(n, f.requester);
+        if (c > chain)
+            chain = c;
+    }
+    return chain;
+}
+
+std::string
+describeDivergence(const ChainFact &f, int expected)
+{
+    const tf::ServiceFacts &sf = f.service;
+    return csprintf("%s at proc %d (home %d, dir %s, sharers %d, "
+                    "fanout %d%s%s): observed chain %d, Table 1 "
+                    "expects %d",
+                    toString(f.op), f.requester, f.home,
+                    toString(static_cast<DirState>(sf.dir_state)),
+                    sf.sharers, std::popcount(sf.fanout_mask),
+                    sf.forwarded ? ", forwarded" : "",
+                    f.serviced ? "" : ", unserviced", f.observed_chain,
+                    expected);
 }
 
 std::vector<std::string>
@@ -182,13 +206,7 @@ checkChainFacts(const std::vector<ChainFact> &facts)
     for (const ChainFact &f : facts) {
         int expect = expectedChain(f);
         if (f.observed_chain != expect)
-            out.push_back(csprintf(
-                "%s at proc %d (home %d%s%s): observed chain %d, "
-                "Table 1 expects %d",
-                toString(f.op), f.requester, f.home,
-                f.forwarded ? ", forwarded" : "",
-                f.serviced ? "" : ", unserviced",
-                f.observed_chain, expect));
+            out.push_back(describeDivergence(f, expect));
     }
     return out;
 }

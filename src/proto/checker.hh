@@ -33,6 +33,7 @@
 #include "cache/cache.hh"
 #include "mem/directory.hh"
 #include "net/msg.hh"
+#include "proto/transition.hh"
 #include "sim/types.hh"
 
 namespace dsm {
@@ -86,23 +87,45 @@ std::vector<std::string> checkCoherence(System &sys);
 
 /**
  * Everything needed to validate one completed operation against the
- * paper's Table 1 serialized-message chains. The model checker fills
- * these directly from tf::Outcome records: the ServiceFacts of the
- * last TXN_SERVICE effect the home emitted for the operation, and the
- * observed chain at its COMPLETE effect.
+ * paper's Table 1 serialized-message chains: the operation and its
+ * requester, the home that serviced its final attempt with the
+ * ServiceFacts of the last TXN_SERVICE effect the home emitted for it,
+ * and the observed chain at its COMPLETE effect. The transaction
+ * tracer keeps one per transaction record; the model checker keeps one
+ * per node's in-flight operation.
  */
 struct ChainFact
 {
     AtomicOp op = AtomicOp::LOAD;
     NodeId requester = INVALID_NODE;
-    NodeId home = INVALID_NODE;
     /** A home directory serviced the final attempt (misses only). */
     bool serviced = false;
-    bool forwarded = false;
-    NodeId owner = INVALID_NODE;
-    std::uint64_t fanout_mask = 0;
+    NodeId home = INVALID_NODE;
+    /** What the home observed and did when it serviced the attempt. */
+    tf::ServiceFacts service;
     /** Longest serialized chain carried by any received message. */
     int observed_chain = 0;
+
+    /** Home @p h serviced the current attempt, reporting @p f. */
+    void
+    serve(NodeId h, const tf::ServiceFacts &f)
+    {
+        serviced = true;
+        home = h;
+        service = f;
+    }
+
+    /**
+     * The current attempt was NACKed and is being retried: forget it,
+     * since only the final attempt is validated against Table 1.
+     */
+    void
+    retry()
+    {
+        serviced = false;
+        home = INVALID_NODE;
+        service = tf::ServiceFacts{};
+    }
 };
 
 /**
@@ -110,10 +133,12 @@ struct ChainFact
  * the longest of the reply path (requester -> home [-> owner -> home]
  * -> requester) and any invalidation/update path (requester -> home ->
  * target -> requester), counting only inter-node messages. Unserviced
- * (cache-hit / local) cases are 0. Shares TxnTracer::expectedChain's
- * arithmetic.
+ * (cache-hit / local) cases are 0.
  */
 int expectedChain(const ChainFact &f);
+
+/** Describe @p f's divergence from its Table 1 chain @p expected. */
+std::string describeDivergence(const ChainFact &f, int expected);
 
 /**
  * Check each fact's observed chain against its Table 1 expectation.

@@ -195,9 +195,7 @@ Controller::commit(const tf::Outcome &o)
                              now() + ef.delay, ef.node);
             break;
           case tf::EffectKind::TXN_SERVICE:
-            _sys.txns().service(ef.id, _id, ef.facts.dir_state,
-                                ef.facts.sharers, ef.facts.forwarded,
-                                ef.facts.owner, ef.facts.fanout_mask);
+            _sys.txns().service(ef.id, _id, ef.facts);
             break;
           case tf::EffectKind::SEND:
             if (ef.delay == 0) {
@@ -578,60 +576,40 @@ Controller::homeServiceSlot(Tick when)
     }
 
     // Home-node combining: fold queued commutative requests to the
-    // same line into this slot. GET_S additionally needs the line
-    // quiet (a busy or exclusive entry forwards or NACKs instead).
-    if (sv.combining) {
-        bool lead_ok = false;
-        DirEntry e = dirEntry(lead.msg.addr);
-        switch (lead.msg.type) {
-          case MsgType::UNC_REQ:
-            lead_ok = lead.msg.op == AtomicOp::FAA && !e.busy &&
-                      e.state == DirState::UNCACHED;
-            break;
-          case MsgType::UPD_REQ:
-            lead_ok = lead.msg.op == AtomicOp::FAA && !e.busy &&
-                      e.state != DirState::EXCLUSIVE;
-            break;
-          case MsgType::GET_S:
-            lead_ok = !e.busy && e.state != DirState::EXCLUSIVE;
-            break;
-          default:
-            break;
+    // same line into this slot.
+    if (sv.combining && HomeQueue::leads(lead.msg, dirEntry(lead.msg.addr))) {
+        std::vector<HomeQueue::Entry> followers =
+            hq.extractCombinable(lead.msg, sv.combine_limit - 1);
+        std::vector<Msg> batch;
+        batch.push_back(lead.msg);
+        for (const HomeQueue::Entry &f : followers) {
+            // Per-member dedup, exactly as if delivered alone; the
+            // replies captured by deliverCombined refresh each member's
+            // slot.
+            if (tf::dedupApplies(_st, f.msg)) {
+                tf::Outcome o;
+                bool handled = tf::tryDedup(env(), _st, f.msg, o);
+                commit(o);
+                if (handled)
+                    continue;
+            }
+            batch.push_back(f.msg);
         }
-        if (lead_ok) {
-            std::vector<HomeQueue::Entry> followers =
-                hq.extractCombinable(lead.msg, sv.combine_limit - 1);
-            std::vector<Msg> batch;
-            batch.push_back(lead.msg);
-            for (const HomeQueue::Entry &f : followers) {
-                // Per-member dedup, exactly as if delivered alone; the
-                // replies captured by deliverCombined refresh each
-                // member's slot.
-                if (!_st.dedup.empty() && f.msg.seq != 0) {
-                    tf::Outcome o;
-                    bool handled = tf::tryDedup(env(), _st, f.msg, o);
-                    commit(o);
-                    if (handled)
-                        continue;
-                }
-                batch.push_back(f.msg);
+        if (batch.size() >= 2) {
+            sst.batches += 1;
+            sst.coalesced += batch.size() - 1;
+            sst.served += batch.size() - 1;
+            for (std::size_t i = 1; i < batch.size(); ++i) {
+                if (batch[i].prio == 1)
+                    ++sst.lo_served;
+                else
+                    ++sst.hi_served;
             }
-            if (batch.size() >= 2) {
-                sst.batches += 1;
-                sst.coalesced += batch.size() - 1;
-                sst.served += batch.size() - 1;
-                for (std::size_t i = 1; i < batch.size(); ++i) {
-                    if (batch[i].prio == 1)
-                        ++sst.lo_served;
-                    else
-                        ++sst.hi_served;
-                }
-                for (const HomeQueue::Entry &f : followers)
-                    noteHomeService(f.msg, f.enq, when);
-                commit(tf::deliverCombined(env(), _st, batch));
-                homePump();
-                return;
-            }
+            for (const HomeQueue::Entry &f : followers)
+                noteHomeService(f.msg, f.enq, when);
+            commit(tf::deliverCombined(env(), _st, batch));
+            homePump();
+            return;
         }
     }
 
@@ -653,7 +631,7 @@ Controller::homeFilter(const Msg &m)
     // request is never serviced twice unless re-execution is provably
     // idempotent. Runs after the memory-queue delay on purpose — a
     // duplicate costs real memory bandwidth, like any other request.
-    if (!_st.dedup.empty() && m.seq != 0) {
+    if (tf::dedupApplies(_st, m)) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, m, o);
         commit(o);

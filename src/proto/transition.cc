@@ -393,8 +393,7 @@ StepResult
 step(const Env &env, const CtrlState &s, const Msg &m)
 {
     StepResult r{s, Outcome{}};
-    if (recoverableRequest(m.type) && !r.next.dedup.empty() && m.seq != 0 &&
-        tryDedup(env, r.next, m, r.out))
+    if (dedupApplies(r.next, m) && tryDedup(env, r.next, m, r.out))
         return r;
     // After a dedup miss (a new request or a re-execution) delivery
     // appends to the dedup outcome: tryDedup wrote no memory and no

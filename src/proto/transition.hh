@@ -162,11 +162,7 @@ struct Env
     const StepCtx *ctx = nullptr;
 
     int numProcs() const { return cfg->machine.num_procs; }
-    NodeId homeOf(Addr a) const
-    {
-        return static_cast<NodeId>((a / BLOCK_BYTES) %
-                                   static_cast<Addr>(numProcs()));
-    }
+    NodeId homeOf(Addr a) const { return dsm::homeOf(a, numProcs()); }
     SyncPolicy policyOf(Addr a) const
     {
         return ctx->isSync(a) ? cfg->sync.policy : SyncPolicy::INV;
@@ -337,8 +333,20 @@ Outcome deliverCombined(const Env &env, CtrlState &s,
                         const std::vector<Msg> &batch);
 
 /**
+ * The dedup gate: true when home-side recovery dedup applies to @p m
+ * at a node in state @p s, i.e. @p m is a recoverable request carrying
+ * a seq and the node keeps dedup slots (the recovery layer is armed).
+ * Every caller of tryDedup() tests it first.
+ */
+inline bool
+dedupApplies(const CtrlState &s, const Msg &m)
+{
+    return recoverableRequest(m.type) && m.seq != 0 && !s.dedup.empty();
+}
+
+/**
  * Home-side recovery dedup, run before any directory action on a
- * recoverable request carrying a seq. Appends its effects/stat deltas
+ * request that passes dedupApplies(). Appends its effects/stat deltas
  * to @p o.
  * @return true when the message was fully handled (stale or
  *         in-progress duplicate dropped, or a cached reply replayed)

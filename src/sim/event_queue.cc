@@ -100,26 +100,26 @@ EventQueue::nextSlot() const
 void
 EventQueue::advanceTo(Tick t)
 {
-    if (_sample_period != 0)
-        sampleUpTo(t);
+    if (_sample_period != 0) {
+        for (; _next_sample <= t; _next_sample += _sample_period)
+            _sampler(_next_sample);
+    }
     _now = t;
     while (!_far.empty() && _far.front()->when - _now < WINDOW)
         append(farPop());
 }
 
 bool
-EventQueue::stepUpTo(Tick limit)
+EventQueue::step()
 {
     if (_near == 0) {
-        if (_far.empty() || _far.front()->when > limit)
+        if (_far.empty())
             return false;
         advanceTo(_far.front()->when);
     }
     std::size_t slot = nextSlot();
     Bucket &b = _ring[slot];
     Event *e = b.head;
-    if (e->when > limit)
-        return false;
     dsm_assert(e->when >= _now, "event queue time went backwards");
     b.head = e->next;
     if (b.head == nullptr) {
@@ -136,27 +136,6 @@ EventQueue::stepUpTo(Tick limit)
     e->invoke(e);
     release(e);
     return true;
-}
-
-std::uint64_t
-EventQueue::run(std::uint64_t limit)
-{
-    std::uint64_t n = 0;
-    while (n < limit && step())
-        ++n;
-    return n;
-}
-
-std::uint64_t
-EventQueue::runUntil(Tick when, std::uint64_t limit)
-{
-    std::uint64_t n = 0;
-    while (n < limit && stepUpTo(when))
-        ++n;
-    // The final clock jump crosses window boundaries too.
-    if (_now < when)
-        advanceTo(when);
-    return n;
 }
 
 } // namespace dsm

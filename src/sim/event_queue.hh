@@ -45,14 +45,11 @@ namespace dsm {
  * The global simulated clock and pending-event set.
  *
  * All model components share one EventQueue owned by the System. Time
- * advances only inside run()/runUntil()/step(), never backwards.
+ * advances only inside run()/step(), never backwards.
  */
 class EventQueue
 {
   public:
-    /** Generic callback type; any callable may be scheduled directly. */
-    using Callback = std::function<void()>;
-
     /**
      * Ticks covered by the bucket ring (a power of two): events due
      * within WINDOW ticks of now() go straight to their tick's bucket,
@@ -129,35 +126,19 @@ class EventQueue
         _sampler = std::move(fn);
     }
 
-    /** Deliver any window boundaries up to and including @p when. */
-    void
-    sampleUpTo(Tick when)
-    {
-        while (_next_sample <= when) {
-            _sampler(_next_sample);
-            _next_sample += _sample_period;
-        }
-    }
-
     /**
      * Execute the single next event, advancing the clock to it.
      * @return false if the queue was empty.
      */
-    bool step() { return stepUpTo(MAX_TICK); }
+    bool step();
 
-    /**
-     * Run until the queue drains or @p limit events have executed.
-     * @return the number of events executed by this call.
-     */
-    std::uint64_t run(std::uint64_t limit = UINT64_MAX);
-
-    /**
-     * Run until the clock would pass @p when (events at @p when still
-     * execute), the queue drains, or @p limit events have executed.
-     * The clock is advanced to at least @p when on return.
-     * @return the number of events executed by this call.
-     */
-    std::uint64_t runUntil(Tick when, std::uint64_t limit = UINT64_MAX);
+    /** Run until the queue drains. */
+    void
+    run()
+    {
+        while (step()) {
+        }
+    }
 
   private:
     /**
@@ -168,7 +149,6 @@ class EventQueue
     /** Events per pool chunk. */
     static constexpr std::size_t CHUNK_EVENTS = 256;
     static constexpr std::size_t BITMAP_WORDS = WINDOW / 64;
-    static constexpr Tick MAX_TICK = ~Tick{0};
 
     struct Event
     {
@@ -250,11 +230,6 @@ class EventQueue
         ++_near;
     }
 
-    /**
-     * Run the next event if it is due at or before @p limit.
-     * @return false if none is.
-     */
-    bool stepUpTo(Tick limit);
     /** Bucket slot of the earliest in-window event; requires _near. */
     std::size_t nextSlot() const;
     /**

@@ -13,20 +13,33 @@
 
 namespace dsm {
 
+/** SplitMix64's increment, the 64-bit golden-ratio constant. */
+constexpr std::uint64_t SPLITMIX_GAMMA = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * One SplitMix64 step from state @p s: derives an independent,
+ * well-mixed seed from any 64-bit value (neighbouring inputs give
+ * uncorrelated outputs).
+ */
+constexpr std::uint64_t
+mixSeed(std::uint64_t s)
+{
+    std::uint64_t z = s + SPLITMIX_GAMMA;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic RNG; every consumer owns its own stream. */
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
+    explicit Rng(std::uint64_t seed = SPLITMIX_GAMMA)
     {
         // SplitMix64 expansion of the seed into the xoshiro state.
-        std::uint64_t x = seed;
         for (auto &s : _state) {
-            x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            s = z ^ (z >> 31);
+            s = mixSeed(seed);
+            seed += SPLITMIX_GAMMA;
         }
     }
 

@@ -55,6 +55,14 @@ wordBase(Addr a)
     return a & ~static_cast<Addr>(WORD_BYTES - 1);
 }
 
+/** Home node of the block containing @p a on a machine of @p nodes
+ *  nodes: blocks are interleaved across the nodes' memories. */
+constexpr NodeId
+homeOf(Addr a, int nodes)
+{
+    return static_cast<NodeId>((a / BLOCK_BYTES) % static_cast<Addr>(nodes));
+}
+
 } // namespace dsm
 
 #endif // DSM_SIM_TYPES_HH

@@ -38,15 +38,8 @@ RwLock::readerAcquire(Proc &p)
 CoTask<void>
 RwLock::readerRelease(Proc &p)
 {
-    if (_prim == Primitive::FAP) {
-        co_await p.fetchAdd(_state, static_cast<Word>(-READER_UNIT));
-        co_return;
-    }
-    for (;;) {
-        Word v = (co_await p.load(_state)).value;
-        if (co_await compareAndSwap(p, _prim, _state, v, v - READER_UNIT))
-            co_return;
-    }
+    co_await fetchAndPhi(p, _prim, AtomicOp::FAA, _state,
+                         static_cast<Word>(-READER_UNIT));
 }
 
 CoTask<void>
@@ -79,18 +72,11 @@ RwLock::writerAcquire(Proc &p)
 CoTask<void>
 RwLock::writerRelease(Proc &p)
 {
-    if (_prim == Primitive::FAP) {
-        // The writer bit is ours alone; clear it with a plain store
-        // is unsafe while readers faa the word, so use fetch_and_add
-        // of -1 (the bit is the low bit and reader units are even).
-        co_await p.fetchAdd(_state, static_cast<Word>(-WRITER_BIT));
-        co_return;
-    }
-    for (;;) {
-        Word v = (co_await p.load(_state)).value;
-        if (co_await compareAndSwap(p, _prim, _state, v, v & ~WRITER_BIT))
-            co_return;
-    }
+    // The writer bit is ours alone, but readers may fetch_and_add the
+    // word meanwhile, so clear it with a fetch_and_add of -1 (the bit is
+    // the low bit and reader units are even) rather than a store.
+    co_await fetchAndPhi(p, _prim, AtomicOp::FAA, _state,
+                         static_cast<Word>(-WRITER_BIT));
 }
 
 } // namespace dsm

@@ -5,9 +5,10 @@
  * general-purpose primitives.
  *
  * The lock word encodes (reader_count << 1) | writer_bit. Readers and
- * writers update it with the configured universal primitive; the FAP
+ * writers acquire it with the configured universal primitive; the FAP
  * variant uses fetch_and_add with compensation (increment, check, undo),
- * which needs no compare_and_swap.
+ * which needs no compare_and_swap. Both releases are a fetch_and_add
+ * through fetchAndPhi (sync/primitives.hh), native or simulated.
  */
 
 #ifndef DSM_SYNC_RW_LOCK_HH

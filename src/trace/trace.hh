@@ -111,9 +111,6 @@ class Tracer
      */
     bool on(TraceCat cat) const { return (_mask & traceBit(cat)) != 0; }
 
-    /** Current category mask. */
-    std::uint32_t mask() const { return _mask; }
-
     /**
      * Enable exactly the categories in @p mask, allocating the ring at
      * the configured capacity (the TraceConfig default if never

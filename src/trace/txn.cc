@@ -1,6 +1,7 @@
 #include "trace/txn.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "cache/cache.hh"
 #include "mem/directory.hh"
@@ -9,18 +10,11 @@
 
 namespace dsm {
 
-namespace {
-
 int
-popcount64(std::uint64_t m)
+TxnRecord::fanout() const
 {
-    int n = 0;
-    for (; m != 0; m &= m - 1)
-        ++n;
-    return n;
+    return std::popcount(fact.service.fanout_mask);
 }
-
-} // namespace
 
 void
 TxnTracer::configure(const TxnTraceConfig &cfg, int num_procs)
@@ -45,8 +39,8 @@ TxnTracer::begin(NodeId proc, AtomicOp op, Addr addr, SyncPolicy pol,
                        static_cast<std::uint64_t>(proc);
     a.rec = TxnRecord{};
     a.rec.id = id;
-    a.rec.proc = proc;
-    a.rec.op = op;
+    a.rec.fact.requester = proc;
+    a.rec.fact.op = op;
     a.rec.addr = addr;
     a.rec.policy = pol;
     a.rec.line_state = line_state;
@@ -138,21 +132,12 @@ TxnTracer::markService(std::uint64_t id, NodeId home, Tick arrive,
 }
 
 void
-TxnTracer::service(std::uint64_t id, NodeId home, std::uint8_t dir_state,
-                   int sharers, bool forwarded, NodeId owner,
-                   std::uint64_t fanout_mask)
+TxnTracer::service(std::uint64_t id, NodeId home,
+                   const tf::ServiceFacts &facts)
 {
     Active *a = find(id);
-    if (a == nullptr)
-        return;
-    a->rec.serviced = true;
-    a->rec.home = home;
-    a->rec.dir_state = dir_state;
-    a->rec.sharers = sharers;
-    a->rec.forwarded = forwarded;
-    a->rec.owner = owner;
-    a->rec.fanout_mask = fanout_mask;
-    a->rec.fanout = popcount64(fanout_mask);
+    if (a != nullptr)
+        a->rec.fact.serve(home, facts);
 }
 
 void
@@ -161,18 +146,9 @@ TxnTracer::retry(std::uint64_t id, Tick now)
     Active *a = find(id);
     if (a == nullptr)
         return;
-    mark(id, TxnPhase::RETRY_WAIT, now, a->rec.proc);
+    mark(id, TxnPhase::RETRY_WAIT, now, a->rec.fact.requester);
     ++a->rec.retries;
-    // Only the final (serviced, completed) attempt is validated
-    // against Table 1, so facts from the NACKed attempt are cleared.
-    a->rec.serviced = false;
-    a->rec.forwarded = false;
-    a->rec.home = INVALID_NODE;
-    a->rec.owner = INVALID_NODE;
-    a->rec.dir_state = 0;
-    a->rec.sharers = 0;
-    a->rec.fanout_mask = 0;
-    a->rec.fanout = 0;
+    a->rec.fact.retry();
 }
 
 void
@@ -183,27 +159,6 @@ TxnTracer::noteSend(std::uint64_t id)
         ++a->rec.messages;
 }
 
-int
-TxnTracer::expectedChain(const TxnRecord &r)
-{
-    if (!r.serviced)
-        return 0;
-    auto hop = [](NodeId x, NodeId y) { return x == y ? 0 : 1; };
-    int reply = hop(r.proc, r.home) + hop(r.home, r.proc);
-    if (r.forwarded)
-        reply += hop(r.home, r.owner) + hop(r.owner, r.home);
-    int chain = reply;
-    std::uint64_t m = r.fanout_mask;
-    for (NodeId n = 0; m != 0; ++n, m >>= 1) {
-        if ((m & 1) == 0)
-            continue;
-        int c = hop(r.proc, r.home) + hop(r.home, n) + hop(n, r.proc);
-        if (c > chain)
-            chain = c;
-    }
-    return chain;
-}
-
 void
 TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
                     bool success, Word value)
@@ -211,7 +166,7 @@ TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
     Active *a = find(id);
     if (a == nullptr)
         return;
-    switch (a->rec.op) {
+    switch (a->rec.fact.op) {
       case AtomicOp::TAS:
         // A test_and_set that reads nonzero found the lock held: a spin.
         a->fail_streak = value != 0 ? a->fail_streak + 1 : 0;
@@ -233,13 +188,13 @@ TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
     }
     // Whatever remains since the last milestone was spent in the local
     // cache controller (hit service, or post-reply line fill).
-    mark(id, TxnPhase::CACHE, now, a->rec.proc);
+    mark(id, TxnPhase::CACHE, now, a->rec.fact.requester);
 
     TxnRecord &r = a->rec;
     r.complete = now;
-    r.observed_chain = observed_chain;
+    r.fact.observed_chain = observed_chain;
     r.success = success;
-    r.expected_chain = expectedChain(r);
+    r.expected_chain = expectedChain(r.fact);
 
     Tick sum = 0;
     for (int ph = 0; ph < NUM_TXN_PHASES; ++ph)
@@ -247,22 +202,19 @@ TxnTracer::complete(std::uint64_t id, Tick now, int observed_chain,
     if (sum != now - r.issue)
         ++_mismatches;
 
-    if (r.expected_chain != r.observed_chain) {
+    if (r.expected_chain != observed_chain) {
         ++_divergences;
         if (_divergence_msgs.size() < TXN_MAX_DIVERGENCES)
-            _divergence_msgs.push_back(csprintf(
-                "txn %llu: %s %s addr=%llx proc=%d home=%d dir=%u "
-                "sharers=%d fanout=%d%s: observed chain %d, Table 1 "
-                "expects %d",
-                static_cast<unsigned long long>(r.id), toString(r.policy),
-                toString(r.op), static_cast<unsigned long long>(r.addr),
-                r.proc, r.home, static_cast<unsigned>(r.dir_state),
-                r.sharers, r.fanout, r.forwarded ? " (forwarded)" : "",
-                r.observed_chain, r.expected_chain));
+            _divergence_msgs.push_back(
+                csprintf("txn %llu: %s addr=%#llx: ",
+                         static_cast<unsigned long long>(r.id),
+                         toString(r.policy),
+                         static_cast<unsigned long long>(r.addr)) +
+                describeDivergence(r.fact, r.expected_chain));
     }
 
-    _attr.sample(r.op, r.phase_sum, now - r.issue, r.retries, r.fanout,
-                 observed_chain);
+    _attr.sample(r.fact.op, r.phase_sum, now - r.issue, r.retries,
+                 r.fanout(), observed_chain);
     if (_cfg.exemplar_k != 0)
         noteExemplar(r);
     if (_records.size() < _cfg.capacity)
@@ -303,15 +255,15 @@ TxnTracer::exemplarsJson() const
     for (const TxnRecord &r : _exemplars) {
         w.beginObject();
         w.kv("id", r.id);
-        w.kv("op", toString(r.op));
-        w.kv("proc", r.proc);
+        w.kv("op", toString(r.fact.op));
+        w.kv("proc", r.fact.requester);
         w.kv("addr", r.addr);
         w.kv("total", static_cast<std::uint64_t>(r.complete - r.issue));
         w.kv("issue", static_cast<std::uint64_t>(r.issue));
         w.kv("complete", static_cast<std::uint64_t>(r.complete));
         w.kv("retries", r.retries);
         w.kv("loop_iter", r.loop_iter);
-        w.kv("fanout", r.fanout);
+        w.kv("fanout", r.fanout());
         w.kv("messages", r.messages);
         w.key("phases");
         w.beginObject();
@@ -368,11 +320,11 @@ TxnTracer::chromeEventsJsonArray(int pid,
     metadata("process_name", 0, process_name);
     std::vector<bool> seen(static_cast<std::size_t>(_num_procs), false);
     for (const TxnRecord &r : _records)
-        if (r.proc >= 0 && r.proc < _num_procs)
-            seen[static_cast<std::size_t>(r.proc)] = true;
+        if (r.fact.requester >= 0 && r.fact.requester < _num_procs)
+            seen[static_cast<std::size_t>(r.fact.requester)] = true;
     for (const TxnRecord *r : extra_exemplars)
-        if (r->proc >= 0 && r->proc < _num_procs)
-            seen[static_cast<std::size_t>(r->proc)] = true;
+        if (r->fact.requester >= 0 && r->fact.requester < _num_procs)
+            seen[static_cast<std::size_t>(r->fact.requester)] = true;
     for (int n = 0; n < _num_procs; ++n)
         if (seen[static_cast<std::size_t>(n)])
             metadata("thread_name", n, csprintf("node%d", n));
@@ -410,7 +362,7 @@ TxnTracer::chromeEventsJsonArray(int pid,
     auto emitRecord = [&](const TxnRecord &r, const char *cat) {
         w.beginObject();
         w.key("name");
-        w.value(std::string("txn:") + toString(r.op));
+        w.value(std::string("txn:") + toString(r.fact.op));
         w.key("cat");
         w.value(cat);
         w.key("ph");
@@ -422,7 +374,7 @@ TxnTracer::chromeEventsJsonArray(int pid,
         w.key("pid");
         w.value(pid);
         w.key("tid");
-        w.value(r.proc);
+        w.value(r.fact.requester);
         w.key("args");
         w.beginObject();
         w.key("id");
@@ -440,23 +392,24 @@ TxnTracer::chromeEventsJsonArray(int pid,
         w.key("loop_iter");
         w.value(r.loop_iter);
         w.key("fanout");
-        w.value(r.fanout);
+        w.value(r.fanout());
         w.key("messages");
         w.value(r.messages);
         w.key("chain");
-        w.value(r.observed_chain);
+        w.value(r.fact.observed_chain);
         w.key("expected_chain");
         w.value(r.expected_chain);
-        if (r.serviced) {
+        const ChainFact &f = r.fact;
+        if (f.serviced) {
             w.key("home");
-            w.value(r.home);
+            w.value(f.home);
             w.key("dir_state");
-            w.value(toString(static_cast<DirState>(r.dir_state)));
+            w.value(toString(static_cast<DirState>(f.service.dir_state)));
             w.key("sharers");
-            w.value(r.sharers);
-            if (r.forwarded) {
+            w.value(f.service.sharers);
+            if (f.service.forwarded) {
                 w.key("owner");
-                w.value(r.owner);
+                w.value(f.service.owner);
             }
         }
         if (r.spans_truncated) {
@@ -481,7 +434,7 @@ TxnTracer::chromeEventsJsonArray(int pid,
             w.key("pid");
             w.value(pid);
             w.key("tid");
-            w.value(r.proc);
+            w.value(r.fact.requester);
             w.key("args");
             w.beginObject();
             w.key("node");
@@ -502,18 +455,18 @@ TxnTracer::chromeEventsJsonArray(int pid,
         if (first_req >= 0 && last_reply > first_req) {
             flowEvent("s", r.id, r.spans[static_cast<std::size_t>(
                                      first_req)].start,
-                      r.proc, false);
+                      r.fact.requester, false);
             for (int i = first_req + 1; i < last_reply; ++i) {
                 TxnPhase ph = r.spans[static_cast<std::size_t>(i)].phase;
                 if (ph == TxnPhase::DIR_SERVICE || ph == TxnPhase::OWNER ||
                     ph == TxnPhase::FANOUT)
                     flowEvent("t", r.id,
                               r.spans[static_cast<std::size_t>(i)].start,
-                              r.proc, false);
+                              r.fact.requester, false);
             }
             flowEvent("f", r.id,
                       r.spans[static_cast<std::size_t>(last_reply)].start,
-                      r.proc, true);
+                      r.fact.requester, true);
         }
     };
 
@@ -545,7 +498,7 @@ TxnTracer::describeActive(NodeId proc) const
     std::string out = csprintf(
         "    txn %llu %s %s addr=%#llx issue=%llu retries=%d "
         "messages=%d spans:\n",
-        (unsigned long long)r.id, toString(r.policy), toString(r.op),
+        (unsigned long long)r.id, toString(r.policy), toString(r.fact.op),
         (unsigned long long)r.addr, (unsigned long long)r.issue,
         r.retries, r.messages);
     for (const TxnSpan &s : r.spans)

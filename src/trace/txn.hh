@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "net/msg.hh"
+#include "proto/checker.hh"
 #include "sim/config.hh"
 #include "sim/types.hh"
 #include "stats/attribution.hh"
@@ -52,8 +53,6 @@ struct TxnSpan
 struct TxnRecord
 {
     std::uint64_t id = 0;
-    NodeId proc = INVALID_NODE;
-    AtomicOp op = AtomicOp::LOAD;
     Addr addr = 0;
     SyncPolicy policy = SyncPolicy::INV;
     /** Cache LineState of the block at issue time. */
@@ -64,34 +63,27 @@ struct TxnRecord
     int retries = 0;
     /** Failed-attempt streak of the enclosing TAS / LL-SC / CAS loop. */
     int loop_iter = 0;
-    /** Invalidations/updates sent on the final serviced attempt. */
-    int fanout = 0;
     /** Total messages stamped with this transaction's id. */
     int messages = 0;
-    /** Longest serialized chain observed in any received message. */
-    int observed_chain = 0;
     /** Analytic Table 1 chain for the observed case (set on completion). */
     int expected_chain = 0;
     bool success = true;
 
-    // Facts from the home directory servicing the final attempt; all
-    // reset when the transaction is NACKed and retried.
-    bool serviced = false;
-    bool forwarded = false;
-    NodeId home = INVALID_NODE;
-    NodeId owner = INVALID_NODE;
-    /** DirState the home observed before acting. */
-    std::uint8_t dir_state = 0;
-    /** Sharer count the home observed before acting. */
-    int sharers = 0;
-    /** Bitmask of nodes invalidated/updated on the final attempt. */
-    std::uint64_t fanout_mask = 0;
+    /**
+     * The operation, its requester (the processor), the home's facts
+     * for the final attempt (reset when the transaction is NACKed and
+     * retried) and the longest chain observed in any received message.
+     */
+    ChainFact fact;
 
     /** Exact per-phase cycle attribution (always complete). */
     Tick phase_sum[NUM_TXN_PHASES] = {};
     /** Phase segments for Perfetto export (may be truncated). */
     std::vector<TxnSpan> spans;
     bool spans_truncated = false;
+
+    /** Invalidations/updates sent on the final serviced attempt. */
+    int fanout() const;
 };
 
 class TxnTracer
@@ -139,16 +131,16 @@ class TxnTracer
                      Tick svc_start, Tick svc_end, bool reply_leg);
 
     /**
-     * Record the directory facts of a (non-NACK) service decision:
-     * observed state/sharers, whether the request was forwarded to
-     * @p owner, and the invalidation/update target mask. Last call
-     * before completion wins.
+     * Record the facts @p home reported for a (non-NACK) service
+     * decision (ChainFact::serve). Last call before completion wins.
      */
-    void service(std::uint64_t id, NodeId home, std::uint8_t dir_state,
-                 int sharers, bool forwarded, NodeId owner,
-                 std::uint64_t fanout_mask);
+    void service(std::uint64_t id, NodeId home,
+                 const tf::ServiceFacts &facts);
 
-    /** NACKed attempt is being retried now: close the RETRY_WAIT gap. */
+    /**
+     * NACKed attempt is being retried now: close the RETRY_WAIT gap
+     * and forget the attempt's facts (ChainFact::retry).
+     */
     void retry(std::uint64_t id, Tick now);
 
     /** A message stamped with @p id entered the mesh. */
@@ -164,15 +156,6 @@ class TxnTracer
      */
     void complete(std::uint64_t id, Tick now, int observed_chain,
                   bool success, Word value);
-
-    /**
-     * Analytic Table 1 serialized chain length for the case @p r
-     * observed: the longest of the reply path (requester -> home
-     * [-> owner -> home] -> requester) and any invalidation/update
-     * path (requester -> home -> sharer -> requester), counting only
-     * inter-node messages. Unserviced (cache-hit / local) cases are 0.
-     */
-    static int expectedChain(const TxnRecord &r);
 
     const PhaseAttribution &attribution() const { return _attr; }
 

@@ -14,16 +14,6 @@ namespace dsm {
 
 namespace {
 
-/** SplitMix64 finalizer: derive an independent stream from a seed. */
-std::uint64_t
-mixSeed(std::uint64_t s)
-{
-    std::uint64_t z = s + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /**
  * Portable natural log over (0, 1]: frexp decomposition plus the
  * atanh series for ln(m), using only IEEE +,-,*,/ so exponential gap
@@ -176,9 +166,8 @@ runOpenLoop(System &sys, Primitive prim)
     for (int i = 0; i < n; ++i) {
         // Each node owns an independent stream; the second mix keeps
         // neighbouring nodes' xoshiro states uncorrelated.
-        st.rng.emplace_back(
-            mixSeed(base + 0x9e3779b97f4a7c15ULL *
-                               static_cast<std::uint64_t>(i + 1)));
+        st.rng.emplace_back(mixSeed(
+            base + SPLITMIX_GAMMA * static_cast<std::uint64_t>(i + 1)));
     }
 
     Tick t0 = sys.now();

@@ -70,54 +70,30 @@ TEST(EventQueue, ScheduleInIsRelative)
     EXPECT_EQ(seen, 12u);
 }
 
-TEST(EventQueue, RunUntilStopsAtBoundaryInclusive)
+TEST(EventQueue, FarEventRunsBeforeLaterInsertAtSameTick)
 {
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(21, [&] { ++fired; });
-    eq.runUntil(20);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 20u);
-    eq.run();
-    EXPECT_EQ(fired, 3);
-
     // Across the bucket window's horizon: a far event at T waits in the
-    // far heap, runUntil(T - 1) brings T inside the window without
-    // running it, and an event scheduled for T afterwards runs after it.
-    const Tick t = eq.now() + 3 * EventQueue::WINDOW + 7;
+    // far heap, the clock reaching T - 1 brings T inside the window
+    // without running it, and an event scheduled for T afterwards (by
+    // the event at T - 1) runs after it.
+    EventQueue eq;
+    const Tick t = 3 * EventQueue::WINDOW + 7;
     std::vector<int> order;
     eq.schedule(t, [&] { order.push_back(1); });
     eq.schedule(t + EventQueue::WINDOW, [&] { order.push_back(3); });
-    eq.runUntil(t - 1);
+    eq.schedule(t - 1, [&] {
+        eq.schedule(t, [&] { order.push_back(2); });
+    });
+    ASSERT_TRUE(eq.step());
     EXPECT_EQ(eq.now(), t - 1);
     EXPECT_TRUE(order.empty());
-    eq.schedule(t, [&] { order.push_back(2); });
-    eq.runUntil(t);
+    ASSERT_TRUE(eq.step());
+    ASSERT_TRUE(eq.step());
     EXPECT_EQ(eq.now(), t);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(eq.pending(), 1u);
-    eq.runUntil(t + EventQueue::WINDOW);
+    eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
-{
-    EventQueue eq;
-    eq.runUntil(100);
-    EXPECT_EQ(eq.now(), 100u);
-}
-
-TEST(EventQueue, RunHonoursEventLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    for (int i = 0; i < 10; ++i)
-        eq.schedule(static_cast<Tick>(i), [&] { ++fired; });
-    EXPECT_EQ(eq.run(4), 4u);
-    EXPECT_EQ(fired, 4);
-    EXPECT_EQ(eq.pending(), 6u);
 }
 
 TEST(EventQueue, CountsExecutedEvents)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "exp/experiment.hh"
@@ -95,9 +96,18 @@ TEST(McExplore, CombiningBatchesAreClean)
     // UPD policy's update fan-out in particular) must still deliver
     // exactly one reply per member, produce the serial history, and
     // pass every coherence invariant — no reply lost or duplicated.
-    for (SyncPolicy pol : {SyncPolicy::UNC, SyncPolicy::UPD}) {
-        SCOPED_TRACE(toString(pol));
-        Config cfg = mcConfig(pol, Primitive::FAP, 2, 2);
+    //
+    // The counts pin the explored space: mc_explore has no combining
+    // point, so no golden report covers these explorations.
+    struct Pinned
+    {
+        SyncPolicy pol;
+        std::uint64_t states, transitions, terminals, combines;
+    };
+    for (const Pinned &p : {Pinned{SyncPolicy::UNC, 102, 163, 6, 5},
+                            Pinned{SyncPolicy::UPD, 288, 485, 9, 5}}) {
+        SCOPED_TRACE(toString(p.pol));
+        Config cfg = mcConfig(p.pol, Primitive::FAP, 2, 2);
         cfg.mc.combining = true;
         mc::Result res = mc::explore(cfg);
         EXPECT_TRUE(res.completed);
@@ -109,6 +119,10 @@ TEST(McExplore, CombiningBatchesAreClean)
                           res.violations[0].detail);
         EXPECT_GT(res.combines, 0u)
             << "combining armed but no COMBINE transition ever fired";
+        EXPECT_EQ(res.states, p.states);
+        EXPECT_EQ(res.transitions, p.transitions);
+        EXPECT_EQ(res.terminals, p.terminals);
+        EXPECT_EQ(res.combines, p.combines);
     }
 }
 
@@ -129,6 +143,11 @@ TEST(McExplore, CombiningSurvivesMessageLoss)
                       res.violations[0].detail);
     EXPECT_GT(res.losses, 0u);
     EXPECT_GT(res.combines, 0u);
+    EXPECT_EQ(res.states, 106u);
+    EXPECT_EQ(res.transitions, 177u);
+    EXPECT_EQ(res.terminals, 8u);
+    EXPECT_EQ(res.combines, 5u);
+    EXPECT_EQ(res.losses, 20u);
 }
 
 TEST(McExplore, FuseReportsIncomplete)

@@ -178,6 +178,48 @@ TEST(HomeQueue, ExtractCombinableRespectsTypeWordAndLimit)
     EXPECT_TRUE(HomeQueue::combinesWith(gs_lead, gs_follow));
 }
 
+TEST(HomeQueue, LeadsOnlyWhereTheHomeAnswersFromMemory)
+{
+    // The leader rule the controller and the model checker share: an
+    // idle entry, and a request the home answers from memory alone.
+    DirEntry uncached;
+    DirEntry shared;
+    shared.state = DirState::SHARED;
+    shared.addSharer(1);
+    DirEntry exclusive;
+    exclusive.state = DirState::EXCLUSIVE;
+    exclusive.owner = 1;
+    DirEntry busy; // an idle uncached entry but for the busy bit
+    busy.busy = true;
+
+    Msg getS = fapReq(0, BLOCK_BYTES, MsgType::GET_S);
+    getS.op = AtomicOp::LOAD;
+    Msg uncFaa = fapReq(0, BLOCK_BYTES, MsgType::UNC_REQ);
+    Msg updFaa = fapReq(0, BLOCK_BYTES, MsgType::UPD_REQ);
+    Msg uncCas = fapReq(0, BLOCK_BYTES, MsgType::UNC_REQ);
+    uncCas.op = AtomicOp::CAS;
+
+    struct Case
+    {
+        const char *what;
+        const Msg &m;
+        bool uncached, shared, exclusive, busy;
+    };
+    const Case cases[] = {
+        {"GET_S", getS, true, true, false, false},
+        {"UNC_REQ FAA", uncFaa, true, false, false, false},
+        {"UPD_REQ FAA", updFaa, true, true, false, false},
+        {"UNC_REQ CAS", uncCas, false, false, false, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        EXPECT_EQ(HomeQueue::leads(c.m, uncached), c.uncached);
+        EXPECT_EQ(HomeQueue::leads(c.m, shared), c.shared);
+        EXPECT_EQ(HomeQueue::leads(c.m, exclusive), c.exclusive);
+        EXPECT_EQ(HomeQueue::leads(c.m, busy), c.busy);
+    }
+}
+
 // ----- End-to-end combining correctness -----
 
 Task

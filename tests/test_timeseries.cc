@@ -96,8 +96,9 @@ TEST(TimeSeriesUnit, EventQueueSamplerFiresPerWindowBoundary)
     // event at 5 precedes the first boundary.
     EXPECT_EQ(fired, (std::vector<Tick>{10, 20}));
 
-    // The final clock jump of runUntil() crosses boundaries too.
-    eq.runUntil(41);
+    // A clock jump to a later event crosses boundaries too.
+    eq.schedule(41, [] {});
+    eq.run();
     EXPECT_EQ(eq.now(), 41u);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30, 40}));
 

@@ -140,45 +140,68 @@ TEST(TxnTrace, DirectedChainsMatchTable1)
     const TxnTracer &tx = sys.txns();
     ASSERT_EQ(tx.records().size(), 3u);
     const TxnRecord &remote = tx.records()[1];
-    EXPECT_EQ(remote.observed_chain, 4);
+    EXPECT_EQ(remote.fact.observed_chain, 4);
     EXPECT_EQ(remote.expected_chain, 4);
-    EXPECT_TRUE(remote.forwarded);
-    EXPECT_EQ(remote.owner, 1);
+    EXPECT_TRUE(remote.fact.service.forwarded);
+    EXPECT_EQ(remote.fact.service.owner, 1);
     const TxnRecord &hit = tx.records()[2];
-    EXPECT_EQ(hit.observed_chain, 0);
+    EXPECT_EQ(hit.fact.observed_chain, 0);
     EXPECT_EQ(hit.expected_chain, 0);
     EXPECT_EQ(tx.chainDivergences(), 0u);
 }
 
 TEST(TxnTrace, ExpectedChainFormula)
 {
-    TxnRecord r;
-    r.proc = 0;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 0); // unserviced
+    ChainFact r;
+    r.requester = 0;
+    EXPECT_EQ(expectedChain(r), 0); // unserviced
 
     r.serviced = true;
     r.home = 1;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 2); // req + reply
+    EXPECT_EQ(expectedChain(r), 2); // req + reply
 
     r.home = 0;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 0); // local home, no traffic
+    EXPECT_EQ(expectedChain(r), 0); // local home, no traffic
 
     r.home = 1;
-    r.forwarded = true;
-    r.owner = 3;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 4); // via the remote owner
+    r.service.forwarded = true;
+    r.service.owner = 3;
+    EXPECT_EQ(expectedChain(r), 4); // via the remote owner
 
     // An invalidation to sharer 2 serializes req -> inv -> ack: 3, but
     // the forwarded reply chain (4) is longer and wins.
-    r.fanout_mask = 1ull << 2;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 4);
+    r.service.fanout_mask = 1ull << 2;
+    EXPECT_EQ(expectedChain(r), 4);
 
-    r.forwarded = false;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 3);
+    r.service.forwarded = false;
+    EXPECT_EQ(expectedChain(r), 3);
 
     // A sharer colocated with the requester acks locally: hop saved.
-    r.fanout_mask = 1ull << 0;
-    EXPECT_EQ(TxnTracer::expectedChain(r), 2);
+    r.service.fanout_mask = 1ull << 0;
+    EXPECT_EQ(expectedChain(r), 2);
+}
+
+TEST(TxnTrace, RetryForgetsTheNackedAttempt)
+{
+    // Only the final attempt is validated against Table 1: a NACK
+    // forgets what the home reported for the attempt it ended, and the
+    // next serve() stands alone.
+    ChainFact f;
+    f.requester = 0;
+    tf::ServiceFacts via_owner;
+    via_owner.forwarded = true;
+    via_owner.owner = 3;
+    via_owner.fanout_mask = 1ull << 2;
+    f.serve(1, via_owner);
+    EXPECT_EQ(expectedChain(f), 4);
+
+    f.retry();
+    EXPECT_FALSE(f.serviced);
+    EXPECT_EQ(f.home, INVALID_NODE);
+    EXPECT_EQ(expectedChain(f), 0);
+
+    f.serve(1, tf::ServiceFacts{});
+    EXPECT_EQ(expectedChain(f), 2);
 }
 
 TEST(TxnTrace, SpinLoopIterationsRecorded)
@@ -194,7 +217,7 @@ TEST(TxnTrace, SpinLoopIterationsRecorded)
     EXPECT_EQ(tx.chainDivergences(), 0u);
     bool spun = false;
     for (const TxnRecord &r : tx.records())
-        if (r.op == AtomicOp::TAS && r.loop_iter > 0)
+        if (r.fact.op == AtomicOp::TAS && r.loop_iter > 0)
             spun = true;
     EXPECT_TRUE(spun) << "contended TAS never recorded a spin iteration";
 }
@@ -248,7 +271,7 @@ runLoopIters(SyncPolicy pol, std::optional<Primitive> prim)
     };
     for (const TxnRecord &r : tx.records()) {
         mix(csprintf("%llu:%s:%d;", static_cast<unsigned long long>(r.id),
-                     toString(r.op), r.loop_iter));
+                     toString(r.fact.op), r.loop_iter));
         run.max_loop_iter = std::max(run.max_loop_iter, r.loop_iter);
     }
     mix(sys.statsJson());
