@@ -92,6 +92,17 @@ class Cache
     /** Find without disturbing replacement state. */
     const CacheLine *peek(Addr a) const;
 
+    /**
+     * Account @p n lookups that hit @p line, as if made now: each takes
+     * the next LRU stamp.
+     */
+    void
+    restamp(CacheLine &line, std::uint64_t n)
+    {
+        _stamp += n;
+        line.lru = _stamp;
+    }
+
     /** State of the block holding @p a (INVALID on miss); no LRU touch. */
     LineState
     stateOf(Addr a) const

@@ -9,7 +9,6 @@ Proc::Proc(System &sys, NodeId id) : _sys(sys), _id(id) {}
 void
 Proc::issue(Op &o)
 {
-    ++_ops_issued;
     _op = &o;
     _is_sync = _sys.isSync(o.addr) && o.op != AtomicOp::DROP_COPY;
     // Contention (Figure 2) counts processors concurrently *attempting
@@ -18,12 +17,27 @@ Proc::issue(Op &o)
     // counts every access: reads by other processors end a run.
     _is_attempt = _is_sync && (isAtomic(o.op) || o.op == AtomicOp::LL ||
                                o.op == AtomicOp::LLS);
+    start();
+}
+
+void
+Proc::start()
+{
+    Op &o = *_op;
+    ++_ops_issued;
     Controller &ctrl = _sys.ctrl(_id);
-    if (o.until.test != nullptr && ctrl.loadHit(o.addr, _is_sync))
+    if (o.until.test != nullptr && ctrl.loadHit(o.addr, _is_sync, o.until))
         return;
     if (_is_attempt)
         _sys.sharing().beginAttempt(o.addr, _id);
     ctrl.cpuRequest(o.op, o.addr, o.value, o.expected);
+}
+
+std::uint64_t
+Proc::opsIssued()
+{
+    _sys.ctrl(_id).settleSpin();
+    return _ops_issued;
 }
 
 void
@@ -36,7 +50,7 @@ Proc::complete(const OpResult &r)
         _sys.sharing().recordAccess(o.addr, _id,
                                     effectiveWrite(o.op, r.success));
     if (o.until.test != nullptr && !o.until(r.value)) {
-        issue(o);
+        start();
         return;
     }
     o.result = r;

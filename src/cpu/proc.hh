@@ -190,7 +190,10 @@ class Proc
      * `while (!until((r = co_await load(a)).value)) {}`, which stays
      * legal. An iteration that hits in the cache while no per-op
      * observer is on skips the protocol transition and its commit
-     * (Controller::loadHit()); any other takes the ordinary path.
+     * (Controller::loadHit()); one whose hit the test rejects parks the
+     * spin-wait, which then shares one event per tick with the spin
+     * group around it until its line or sync word is touched (DESIGN
+     * §8). Any other iteration takes the ordinary path.
      */
     Op
     spinLoad(Addr a, SpinUntil until)
@@ -213,8 +216,15 @@ class Proc
     Delay compute(Tick cycles) { return Delay{*this, cycles}; }
 
     /** @name Workload-visible statistics. @{ */
-    std::uint64_t opsIssued() const { return _ops_issued; }
+    /** Operations issued, a parked spin-wait's iterations included. */
+    std::uint64_t opsIssued();
     /** @} */
+
+    /**
+     * Count @p n issues a parked spin-wait made virtually
+     * (Controller::settleSpin() only).
+     */
+    void countIssues(std::uint64_t n) { _ops_issued += n; }
 
     /**
      * Finish the outstanding operation (Controller::finishNow() only):
@@ -224,8 +234,14 @@ class Proc
     void complete(const OpResult &r);
 
   private:
-    /** Issue @p o, on the spin-wait hit path if it applies. */
+    /** Capture @p o as the outstanding operation, then start() it. */
     void issue(Op &o);
+
+    /**
+     * Issue the outstanding operation (again, for a spin-wait whose
+     * test failed), on the spin-wait hit path if it applies.
+     */
+    void start();
 
     System &_sys;
     NodeId _id;

@@ -29,6 +29,7 @@ System::System(const Config &cfg)
         Controller *c = _ctrls[i].get();
         _mesh.setHandler(i, [c](const Msg &m) { c->handleMsg(m); });
     }
+    _sharing.setWake([this](NodeId r) { _ctrls[r]->touchSpin(); });
     _tracer.configure(_cfg.trace);
     _mesh.setTracer(&_tracer);
     if (_cfg.txn_trace.enabled) {
@@ -62,12 +63,15 @@ System::System(const Config &cfg)
             // serve.credit_threshold=auto: re-derive the backpressure
             // threshold from the depth series at each window boundary.
             _eq.setSampler(_cfg.telemetry.window, [this](Tick t) {
+                settleSpins();
                 _telemetry.sample(t);
                 updateCreditThreshold();
             });
         } else {
-            _eq.setSampler(_cfg.telemetry.window,
-                           [this](Tick t) { _telemetry.sample(t); });
+            _eq.setSampler(_cfg.telemetry.window, [this](Tick t) {
+                settleSpins();
+                _telemetry.sample(t);
+            });
         }
     }
     if (_cfg.machine.spurious_resv_period > 0)
@@ -554,8 +558,9 @@ System::reapTasks()
 }
 
 std::string
-System::report() const
+System::report()
 {
+    settleSpins();
     std::string out;
     out += csprintf("machine: %d procs (%dx%d mesh), %u-set %u-way "
                     "caches, mem=%llu cy, hop=%llu cy\n",
@@ -693,6 +698,13 @@ System::run(Tick max_ticks)
 {
     RunResult r;
     Tick deadline = _eq.now() + max_ticks;
+    // The stop tests inside a chunk: a boundary that falls inside a
+    // spin group's firing has parked members left, so tasks are
+    // pending there.
+    const std::function<bool()> more = [this, deadline] {
+        return !(_cfg.watchdog.enabled && _watchdog.tripped()) &&
+               _eq.now() <= deadline;
+    };
     while (tasksPending() > 0) {
         if (_cfg.watchdog.enabled && _watchdog.tripped()) {
             r.livelocked = true;
@@ -708,10 +720,10 @@ System::run(Tick max_ticks)
         }
         if (_eq.now() > deadline)
             break;
-        // Step in small chunks so the (O(tasks)) pending check does not
-        // dominate event processing.
-        for (int i = 0; i < 64 && !_eq.empty(); ++i)
-            _eq.step();
+        // Step in chunks of 64 logical events so the (O(tasks)) pending
+        // check does not dominate event processing; the tests fall
+        // where they would with no spin-wait parked.
+        _eq.steps(64, more);
     }
     r.completed = tasksPending() == 0;
     if (r.completed) {
@@ -719,9 +731,133 @@ System::run(Tick max_ticks)
         // acknowledgements) so memory reaches its final state.
         _eq.run();
     }
+    settleSpins();
     r.end_tick = _eq.now();
     r.events = _eq.eventsExecuted();
     return r;
+}
+
+void
+System::settleSpins()
+{
+    for (const auto &c : _ctrls)
+        c->settleSpin();
+}
+
+SpinGroup *
+System::lastSpinGroup(Tick when)
+{
+    SpinGroup *g = _last_spin_group;
+    return g != nullptr && g->when == when && g->seq == _eq.lastSeq()
+               ? g
+               : nullptr;
+}
+
+void
+System::scheduleSpinGroup(SpinGroup &g, Tick when)
+{
+    g.when = when;
+    SpinGroup *p = &g;
+    _eq.schedule(when, [this, p] { fireSpinGroup(*p); });
+    g.seq = _eq.lastSeq();
+    _last_spin_group = &g;
+}
+
+void
+System::releaseSpinGroup(SpinGroup &g)
+{
+    g = SpinGroup{};
+    _free_spin_groups.push_back(&g);
+    if (_last_spin_group == &g)
+        _last_spin_group = nullptr;
+}
+
+void
+System::joinSpinGroup(Controller &c, Tick when)
+{
+    SpinGroup *g = lastSpinGroup(when);
+    if (g == nullptr) {
+        if (_free_spin_groups.empty()) {
+            g = &_spin_groups.emplace_back();
+        } else {
+            g = _free_spin_groups.back();
+            _free_spin_groups.pop_back();
+        }
+        scheduleSpinGroup(*g, when);
+    }
+    Controller::SpinLink &l = c.spinLink();
+    l.group = g;
+    l.next = nullptr;
+    if (g->tail != nullptr)
+        g->tail->spinLink().next = &c;
+    else
+        g->head = &c;
+    g->tail = &c;
+    ++g->size;
+    if (l.touched)
+        ++g->touched;
+}
+
+void
+System::fireSpinGroup(SpinGroup &g)
+{
+    // Why one event per run is exact: on the hit path a member's
+    // completion at t + L (L = cache_hit_latency) is scheduled by its
+    // own completion at t, so a run's members keep consecutive seqs
+    // at every tick and nothing sorts between them. The group carries
+    // the seq of the run's first member and the join rule extends a
+    // run only while nothing else has been scheduled since.
+    Tick next = now() + _cfg.machine.cache_hit_latency;
+    // The dispatch counted the head member's completion; each later
+    // member is credited as it is handled, so eventsExecuted() stays
+    // the hit loop's count and a steps() chunk can end between any two
+    // members, the rest keeping their place at the head of this tick.
+    std::size_t counted = 1;
+    while (g.head != nullptr) {
+        if (g.touched == 0 && _eq.admit(g.size - counted)) {
+            // No member is touched: the run moves on at once, merging
+            // into the last group scheduled when that group is for the
+            // same tick, else rescheduling itself.
+            _eq.credit(g.size - counted);
+            SpinGroup *d = lastSpinGroup(next);
+            if (d == nullptr) {
+                scheduleSpinGroup(g, next);
+                return;
+            }
+            for (Controller *c = g.head; c != nullptr;
+                 c = c->spinLink().next)
+                c->spinLink().group = d;
+            d->tail->spinLink().next = g.head;
+            d->tail = g.tail;
+            d->size += g.size;
+            releaseSpinGroup(g);
+            return;
+        }
+        if (counted == 0) {
+            if (!_eq.admit(1)) {
+                SpinGroup *p = &g;
+                _eq.requeueFront([this, p] { fireSpinGroup(*p); });
+                return;
+            }
+            _eq.credit(1);
+        }
+        counted = 0;
+        Controller &c = *g.head;
+        Controller::SpinLink &l = c.spinLink();
+        g.head = l.next;
+        if (g.head == nullptr)
+            g.tail = nullptr;
+        --g.size;
+        if (l.touched) {
+            // Whatever its real completion schedules sorts between the
+            // members before and after it, as in the hit loop.
+            --g.touched;
+            c.wakeSpin();
+        } else {
+            joinSpinGroup(c, next);
+        }
+    }
+    releaseSpinGroup(g);
 }
 
 } // namespace dsm

@@ -10,6 +10,7 @@
 #ifndef DSM_CPU_SYSTEM_HH
 #define DSM_CPU_SYSTEM_HH
 
+#include <deque>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -57,6 +58,27 @@ struct RunResult
     std::string diagnosis;
 };
 
+/**
+ * A spin group (DESIGN §8): a run of parked spin-waits whose hit-loop
+ * completions would sit next to each other in (tick, seq) order. It is
+ * one ordinary event at their next completion tick, scheduled where
+ * the first of those completions would have been, and it stands for
+ * every member's iteration when it fires.
+ */
+struct SpinGroup
+{
+    /** The members' next completion tick. */
+    Tick when = 0;
+    /** Sequence number of the group's event (the join rule). */
+    std::uint64_t seq = 0;
+    /** Members in completion order (Controller::SpinLink::next). */
+    Controller *head = nullptr;
+    Controller *tail = nullptr;
+    std::size_t size = 0;
+    /** Members touched since they joined. */
+    std::size_t touched = 0;
+};
+
 /** The whole simulated multiprocessor. */
 class System
 {
@@ -92,8 +114,9 @@ class System
 
     /** System-wide aggregate: every node's statistics merged. */
     SysStats
-    stats() const
+    stats()
     {
+        settleSpins();
         SysStats agg;
         for (const SysStats &s : _node_stats)
             agg.merge(s);
@@ -104,6 +127,7 @@ class System
     void
     clearStats()
     {
+        settleSpins();
         for (SysStats &s : _node_stats)
             s = SysStats{};
         // Keep the fault counters in step with the protocol counters
@@ -120,8 +144,12 @@ class System
     }
 
     /** The hierarchical stats registry (per-node and global entries). */
-    StatsRegistry &registry() { return _registry; }
-    const StatsRegistry &registry() const { return _registry; }
+    StatsRegistry &
+    registry()
+    {
+        settleSpins();
+        return _registry;
+    }
 
     /** The protocol event tracer. */
     Tracer &tracer() { return _tracer; }
@@ -225,7 +253,14 @@ class System
     std::string telemetryJson();
 
     /** The full registry rendered as nested JSON. */
-    std::string statsJson() const { return _registry.toJson(); }
+    std::string statsJson() { return registry().toJson(); }
+
+    /**
+     * Bring every parked spin-wait's deferred counts up to date
+     * (Controller::settleSpin()). Every stats reader above calls it;
+     * so do the telemetry sampler, the watchdog and run()'s exit.
+     */
+    void settleSpins();
 
     /** @} */
 
@@ -303,13 +338,36 @@ class System
     /** @} */
 
     /**
+     * Park @p c's spin-wait in the spin group for tick @p when: the
+     * group that is the last event scheduled, if it is for @p when;
+     * otherwise a new one, scheduled now (DESIGN §8).
+     */
+    void joinSpinGroup(Controller &c, Tick when);
+
+    /**
      * Multi-line human-readable summary of the configuration and of
      * every statistics domain: network, memory modules, caches, and
      * protocol counters.
      */
-    std::string report() const;
+    std::string report();
 
   private:
+    /**
+     * A spin group's event: each untouched member moves on to the
+     * group one hit latency later (the whole run at once when none is
+     * touched), and each touched one wakes (Controller::wakeSpin()).
+     */
+    void fireSpinGroup(SpinGroup &g);
+
+    /** The join rule's group for tick @p when, or null. */
+    SpinGroup *lastSpinGroup(Tick when);
+
+    /** Schedule @p g at @p when, as the last event scheduled. */
+    void scheduleSpinGroup(SpinGroup &g, Tick when);
+
+    /** Return the emptied @p g to the pool. */
+    void releaseSpinGroup(SpinGroup &g);
+
     /** Periodic reservation clearing (MachineConfig::spurious_resv_period). */
     void scheduleSpuriousInvalidation();
 
@@ -363,6 +421,13 @@ class System
 
     /** Registered sync blocks (block base addresses). */
     std::unordered_set<Addr> _sync_blocks;
+
+    /** @name Spin groups; addresses are stable while scheduled. @{ */
+    std::deque<SpinGroup> _spin_groups;
+    std::vector<SpinGroup *> _free_spin_groups;
+    /** The spin group scheduled most recently, or null. */
+    SpinGroup *_last_spin_group = nullptr;
+    /** @} */
 };
 
 } // namespace dsm

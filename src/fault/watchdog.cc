@@ -59,6 +59,8 @@ Watchdog::scan(System &sys)
 {
     if (_tripped || _cfg.max_txn_age == 0)
         return;
+    // A parked spin-wait's txn.start is its current iteration's issue.
+    sys.settleSpins();
     for (NodeId n = 0; n < sys.numProcs(); ++n) {
         const Controller &c = sys.ctrl(n);
         const tf::TxnState &t = c.state().txn;
@@ -103,6 +105,7 @@ Watchdog::trip(System &sys, std::string why)
 std::string
 Watchdog::blockedTxnDump(System &sys)
 {
+    sys.settleSpins();
     std::string out = csprintf("%d task(s) pending at tick %llu; "
                                "in-flight transactions:\n",
                                sys.tasksPending(),

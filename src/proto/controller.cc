@@ -289,7 +289,7 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected)
 }
 
 bool
-Controller::loadHit(Addr addr, bool is_sync)
+Controller::loadHit(Addr addr, bool is_sync, const SpinUntil &until)
 {
     // faults.enabled also covers recovery: recoveryEnabled() implies it.
     const Config &cfg = _sys.cfg();
@@ -301,7 +301,7 @@ Controller::loadHit(Addr addr, bool is_sync)
     // lookup(), not peek(): the slow path's hit moves the LRU stamp,
     // and other lines of this set are touched while the processor
     // spins, so a stale stamp would change a later victim choice.
-    const CacheLine *line = _st.cache.lookup(addr);
+    CacheLine *line = _st.cache.lookup(addr);
     if (line == nullptr)
         return false;
     dsm_assert(!_st.txn.active,
@@ -318,9 +318,73 @@ Controller::loadHit(Addr addr, bool is_sync)
     _st.txn.addr = addr;
     _st.txn.start = now();
     Word value = line->readWord(addr);
-    _sys.eq().scheduleIn(cfg.machine.cache_hit_latency,
-                         [this, value] { finishNow(value, true, 0); });
+    if (until(value)) {
+        _sys.eq().scheduleIn(cfg.machine.cache_hit_latency,
+                             [this, value] { finishNow(value, true, 0); });
+        return true;
+    }
+    // Park: until the line changes or another processor writes the
+    // word, every iteration repeats this one. A sync reader whose next
+    // read would end another processor's write run starts touched, so
+    // that read is recorded for real.
+    _spin_issue = now();
+    _spin_addr = addr;
+    _spin_line = line;
+    _spin_value = value;
+    _spin_sync = is_sync;
+    _spin.touched = is_sync && _sys.sharing().parkReader(addr, _id);
+    _sys.joinSpinGroup(*this, now() + cfg.machine.cache_hit_latency);
     return true;
+}
+
+void
+Controller::settleSpin()
+{
+    if (_spin.group == nullptr)
+        return;
+    // The group fires at the next completion tick; every iteration
+    // issued before that, up to one hit latency earlier, has happened.
+    Tick hit = _sys.cfg().machine.cache_hit_latency;
+    Tick last = _spin.group->when - hit;
+    if (last == _spin_issue)
+        return;
+    std::uint64_t n = (last - _spin_issue) / hit;
+    _spin_issue = last;
+    _st.txn.start = last;
+    _st.cache.stats().hits += n;
+    _st.cache.restamp(*_spin_line, n);
+    _sys.stats(_id).sampleOp(AtomicOp::LOAD, hit, 0, n);
+    _sys.proc(_id).countIssues(n);
+}
+
+void
+Controller::touchSpin()
+{
+    if (_spin.group == nullptr || _spin.touched)
+        return;
+    _spin.touched = true;
+    ++_spin.group->touched;
+}
+
+void
+Controller::noteSpinLine()
+{
+    if (_spin.group == nullptr)
+        return;
+    const CacheLine &l = *_spin_line;
+    if (!l.valid() || l.base != blockBase(_spin_addr) ||
+        l.readWord(_spin_addr) != _spin_value)
+        touchSpin();
+}
+
+void
+Controller::wakeSpin()
+{
+    settleSpin();
+    _spin = SpinLink{};
+    if (_spin_sync)
+        _sys.sharing().unparkReader(_spin_addr, _id);
+    finishNow(_spin_value, true, 0);
 }
 
 void
@@ -463,7 +527,9 @@ Controller::handleMsg(const Msg &m)
     // local requester, invalidations, updates, forwards).
     if (m.qdepth >= 0 && _sys.cfg().serve.backpressure)
         noteCredit(m.qdepth);
+    settleSpin();
     commit(tf::deliver(env(), _st, m));
+    noteSpinLine();
 }
 
 void
@@ -562,6 +628,10 @@ void
 Controller::homeServiceSlot(Tick when)
 {
     _slot_scheduled = false;
+    // Home transitions never touch this node's cache (its own copy
+    // changes only through a delivered INV or UPDATE), so settling is
+    // all a parked spin-wait here needs.
+    settleSpin();
     HomeQueue &hq = _sys.homeQueue(_id);
     dsm_assert(!hq.empty(), "home service slot fired with an empty queue");
     ServeStats &sst = _sys.serveStats();
@@ -649,6 +719,7 @@ Controller::homeFilter(const Msg &m)
 void
 Controller::homeService(const Msg &m)
 {
+    settleSpin(); // as in homeServiceSlot()
     if (!homeFilter(m))
         commit(tf::deliver(env(), _st, m));
 }

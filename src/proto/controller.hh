@@ -33,6 +33,8 @@
 namespace dsm {
 
 class System;
+struct SpinGroup;
+struct SpinUntil;
 
 /** Result of a completed processor operation. */
 struct OpResult
@@ -76,12 +78,52 @@ class Controller : private tf::StepCtx
      * per-op observer is on (fault plan, recovery, transaction tracer,
      * any tracer category), does exactly what cpuRequest() does for
      * that hit: the cache lookup (moving the LRU stamp), the hit count
-     * and the transaction reset, then schedules finishNow() with the
-     * word read cache_hit_latency cycles later, and returns true.
-     * Otherwise changes nothing and returns false.
+     * and the transaction reset, and returns true. If @p until accepts
+     * the word read, finishNow() with it is scheduled cache_hit_latency
+     * cycles later; if it rejects it, the spin-wait parks in a spin
+     * group instead (DESIGN §8). Otherwise changes nothing and returns
+     * false.
      * @param is_sync System::isSync(addr), which selects the policy.
      */
-    bool loadHit(Addr addr, bool is_sync);
+    bool loadHit(Addr addr, bool is_sync, const SpinUntil &until);
+
+    /**
+     * @name Spin-wait parking (DESIGN §8). A parked spin-wait's
+     * iterations happen virtually, one per firing of its spin group:
+     * each would read the same word from the same line, which its test
+     * rejects. Their counts (the processor's issues, the cache's hits
+     * and LRU stamps, the LOAD latency samples, txn.start) are brought
+     * up to date by settleSpin(), which every reader of them calls
+     * first. @{ */
+
+    /** This node's place in a spin group; System links the members. */
+    struct SpinLink
+    {
+        /** The group of its next completion; null unless parked. */
+        SpinGroup *group = nullptr;
+        /** The next member of the group, in completion order. */
+        Controller *next = nullptr;
+        /** Its next completion must run for real (touchSpin()). */
+        bool touched = false;
+    };
+    SpinLink &spinLink() { return _spin; }
+
+    /** Count the virtual iterations up to the group's last firing. */
+    void settleSpin();
+
+    /**
+     * Mark the parked spin-wait touched: its line changed, or another
+     * processor wrote its sync word (SharingTracker::recordAccess).
+     */
+    void touchSpin();
+
+    /**
+     * Run the touched member's pending completion for real (its group
+     * is firing): settle, unpark, then finishNow() with the word the
+     * last iteration read; Proc::complete() re-issues.
+     */
+    void wakeSpin();
+    /** @} */
 
     /**
      * The request seq this node currently awaits a reply for, or 0
@@ -104,7 +146,13 @@ class Controller : private tf::StepCtx
     Tick cpuParkedCycles() const { return _parked_total; }
     /** @} */
 
-    /** Network/local message delivery entry point. */
+    /**
+     * Network/local message delivery entry point. Every transition this
+     * node runs for a delivered message (here, homeService() and
+     * homeServiceSlot()) settles a parked spin-wait first: forwards and
+     * updates look up other lines of its set, so the LRU stamps must be
+     * the hit loop's.
+     */
     void handleMsg(const Msg &m);
 
     /** The node's cache (exposed for tests and debug reads). */
@@ -180,6 +228,10 @@ class Controller : private tf::StepCtx
     void send(Msg m);
     Tick now() const;
 
+    /** After a transition here: touch a parked spin-wait whose line no
+     *  longer holds the word it reads. */
+    void noteSpinLine();
+
     System &_sys;
     NodeId _id;
     tf::CtrlState _st;
@@ -197,6 +249,18 @@ class Controller : private tf::StepCtx
     ParkKind _park_kind = ParkKind::NONE;
     /** Total parked cycles of the active transaction. */
     Tick _parked_total = 0;
+    /** @} */
+
+    /** @name The parked spin-wait (spin-wait parking). @{ */
+    SpinLink _spin;
+    /** Issue tick of the last iteration counted so far. */
+    Tick _spin_issue = 0;
+    /** The word address, the line and the word every iteration reads. */
+    Addr _spin_addr = 0;
+    CacheLine *_spin_line = nullptr;
+    Word _spin_value = 0;
+    /** A sync word: the sharing tracker knows the reader is parked. */
+    bool _spin_sync = false;
     /** @} */
 };
 

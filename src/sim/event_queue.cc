@@ -131,10 +131,36 @@ EventQueue::step()
     if (e->when != _now)
         advanceTo(e->when);
     ++_executed;
+    ++_dispatched;
     // The callback may schedule new events (allocating from the pool);
     // this event is released only after it finishes running.
     e->invoke(e);
     release(e);
+    return true;
+}
+
+void
+EventQueue::steps(std::uint64_t n, const std::function<bool()> &more)
+{
+    _limit = _executed + n;
+    _chunk = n;
+    _more = &more;
+    while (_executed < _limit && step()) {
+    }
+    _more = nullptr;
+    _limit = ~std::uint64_t{0};
+}
+
+bool
+EventQueue::admit(std::uint64_t m)
+{
+    std::uint64_t room = _limit - _executed;
+    if (m <= room)
+        return true;
+    if (_more == nullptr || !(*_more)())
+        return false;
+    // The test reads the same at every boundary the m events cross.
+    _limit += (m - room + _chunk - 1) / _chunk * _chunk;
     return true;
 }
 

@@ -21,6 +21,12 @@
  * schedule/fire path performs no per-event heap allocation once the
  * pool is warm (callbacks larger than the inline buffer fall back to
  * one heap allocation). Fired events return to a free list for reuse.
+ *
+ * One dispatched event may stand for several logical ones: a spin
+ * group (cpu/system.hh) fires once for a run of parked spin-waits and
+ * credits each member's completion to eventsExecuted(), which is the
+ * count statistics report; eventsDispatched() counts what actually
+ * ran.
  */
 
 #ifndef DSM_SIM_EVENT_QUEUE_HH
@@ -65,8 +71,33 @@ class EventQueue
     /** Current simulated time in cycles. */
     Tick now() const { return _now; }
 
-    /** Number of events executed since construction. */
+    /**
+     * Logical events executed since construction: every dispatch plus
+     * every credit().
+     */
     std::uint64_t eventsExecuted() const { return _executed; }
+
+    /** Events actually dispatched since construction. */
+    std::uint64_t eventsDispatched() const { return _dispatched; }
+
+    /** Sequence number of the most recently scheduled event. */
+    std::uint64_t lastSeq() const { return _next_seq - 1; }
+
+    /**
+     * Count @p n more logical events, executed by the running event on
+     * behalf of others (a spin group's members).
+     */
+    void credit(std::uint64_t n) { _executed += n; }
+
+    /**
+     * May the running event execute @p m more logical events, none of
+     * which changes anything the running steps() chunk's boundary test
+     * reads? Yes if they fit in the chunk, or if the test passes now,
+     * and then the chunks they span are opened. No means the event
+     * stops at the boundary and puts its remainder back
+     * (requeueFront()).
+     */
+    bool admit(std::uint64_t m);
 
     /** True if no events remain pending. */
     bool empty() const { return _pending == 0; }
@@ -107,6 +138,32 @@ class EventQueue
     }
 
     /**
+     * Put @p f at the head of the current tick, ahead of every pending
+     * event: the unfinished remainder of the running event, which keeps
+     * that event's place. Takes no sequence number, so lastSeq() does
+     * not move.
+     */
+    template <typename F>
+    void
+    requeueFront(F &&f)
+    {
+        Event *e = allocate();
+        e->when = _now;
+        e->seq = 0;
+        bindCallback(e, std::forward<F>(f));
+        ++_pending;
+        std::size_t slot = _now & (WINDOW - 1);
+        Bucket &b = _ring[slot];
+        e->next = b.head;
+        if (b.head == nullptr) {
+            b.tail = e;
+            _occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        }
+        b.head = e;
+        ++_near;
+    }
+
+    /**
      * Attach a periodic sampling hook (time-resolved telemetry). The
      * callback fires once per window boundary — ticks period, 2*period,
      * ... — immediately before the first event at or after each
@@ -139,6 +196,14 @@ class EventQueue
         while (step()) {
         }
     }
+
+    /**
+     * Run until @p n more logical events have executed or the queue
+     * drains. A boundary inside an event that stands for several is
+     * decided by @p more (admit()): the caller's own test between
+     * chunks, as it reads at that point.
+     */
+    void steps(std::uint64_t n, const std::function<bool()> &more);
 
   private:
     /**
@@ -264,6 +329,13 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
+    std::uint64_t _dispatched = 0;
+    /** @name The running steps() chunk (none: _more is null). @{ */
+    /** eventsExecuted() at which the chunk ends. */
+    std::uint64_t _limit = ~std::uint64_t{0};
+    std::uint64_t _chunk = 0;
+    const std::function<bool()> *_more = nullptr;
+    /** @} */
 
     /** @name Telemetry sampling hook (0 = no sampler attached). @{ */
     Tick _sample_period = 0;

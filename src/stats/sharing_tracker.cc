@@ -8,6 +8,11 @@ void
 SharingTracker::recordAccess(Addr a, NodeId n, bool is_write)
 {
     LocState &loc = _locs[wordBase(a)];
+    if (is_write) {
+        for (NodeId r : loc.parked)
+            if (r != n)
+                _wake(r);
+    }
     if (loc.run_writer != INVALID_NODE && loc.run_writer != n) {
         // Intervening access by another processor ends the run.
         _write_runs.add(loc.run_len);
@@ -19,6 +24,21 @@ SharingTracker::recordAccess(Addr a, NodeId n, bool is_write)
         ++loc.run_len;
     }
     // A read by the running writer does not break its own run.
+}
+
+bool
+SharingTracker::parkReader(Addr a, NodeId n)
+{
+    LocState &loc = _locs[wordBase(a)];
+    loc.parked.push_back(n);
+    return loc.run_writer != INVALID_NODE && loc.run_writer != n;
+}
+
+void
+SharingTracker::unparkReader(Addr a, NodeId n)
+{
+    std::vector<NodeId> &v = _locs[wordBase(a)].parked;
+    std::erase(v, n);
 }
 
 void

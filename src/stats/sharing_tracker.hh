@@ -15,7 +15,10 @@
 #ifndef DSM_STATS_SHARING_TRACKER_HH
 #define DSM_STATS_SHARING_TRACKER_HH
 
+#include <functional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/types.hh"
 #include "stats/histogram.hh"
@@ -27,11 +30,33 @@ class SharingTracker
 {
   public:
     /**
-     * Record an access to sync location @p a by node @p n.
+     * Record an access to sync location @p a by node @p n. A write wakes
+     * the location's parked readers other than @p n.
      * @param is_write True for stores and atomic updates (a failed CAS
      *                 or SC counts as a read: it does not write).
      */
     void recordAccess(Addr a, NodeId n, bool is_write);
+
+    /**
+     * Register node @p n as a parked reader of sync location @p a: a
+     * spin-wait whose reads are not recorded, because a repeated read
+     * by one processor changes nothing here until another processor
+     * writes the location. Such a write calls the wake function with
+     * @p n, so its next read is recorded again.
+     * @return true if @p n's next read would not be a no-op: another
+     *         processor's write run is open on the location.
+     */
+    bool parkReader(Addr a, NodeId n);
+
+    /** Drop @p n from the parked readers of @p a. */
+    void unparkReader(Addr a, NodeId n);
+
+    /** Set the function recordAccess() calls to wake a parked reader. */
+    void
+    setWake(std::function<void(NodeId)> wake)
+    {
+        _wake = std::move(wake);
+    }
 
     /**
      * A processor began attempting an atomic access (e.g. issued the
@@ -60,6 +85,8 @@ class SharingTracker
     /** Contention histogram (Figure 2). */
     const Histogram &contention() const { return _contention; }
 
+    /** Forget everything recorded; between runs only (no open
+     *  attempt, no parked reader). */
     void clear();
 
   private:
@@ -68,11 +95,13 @@ class SharingTracker
         NodeId run_writer = INVALID_NODE;
         std::uint64_t run_len = 0;
         int attempts_open = 0;
+        std::vector<NodeId> parked;
     };
 
     std::unordered_map<Addr, LocState> _locs;
     Histogram _write_runs;
     Histogram _contention;
+    std::function<void(NodeId)> _wake;
 };
 
 } // namespace dsm

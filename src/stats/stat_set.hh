@@ -34,14 +34,15 @@ struct LatencyStat
     /** Sample distribution in (1 << BUCKET_SHIFT)-cycle buckets. */
     Histogram dist;
 
+    /** Record @p n samples of latency @p t; @p n must be nonzero. */
     void
-    sample(Tick t)
+    sample(Tick t, std::uint64_t n = 1)
     {
-        ++count;
-        sum += t;
+        count += n;
+        sum += t * n;
         if (t > max)
             max = t;
-        dist.add(t >> BUCKET_SHIFT);
+        dist.add(t >> BUCKET_SHIFT, n);
     }
 
     double
@@ -124,11 +125,12 @@ struct SysStats
     /** Longest serialized message chain per completed operation. */
     Histogram chain_length;
 
+    /** Record @p n completed operations (nonzero) of one latency and chain. */
     void
-    sampleOp(AtomicOp op, Tick latency, int chain)
+    sampleOp(AtomicOp op, Tick latency, int chain, std::uint64_t n = 1)
     {
-        op_latency[static_cast<int>(op)].sample(latency);
-        chain_length.add(static_cast<std::uint64_t>(chain));
+        op_latency[static_cast<int>(op)].sample(latency, n);
+        chain_length.add(static_cast<std::uint64_t>(chain), n);
     }
 
     /** Fold another node's statistics into this instance. */

@@ -211,7 +211,8 @@ NonBlockingQueue::enqueue(Proc &p, Word value)
         Word nxt = (co_await p.load(
                         _next[static_cast<std::size_t>(ti)])).value;
         // Is our snapshot still consistent?
-        if ((co_await p.load(_tail)).value != t)
+        OpResult again = co_await p.load(_tail);
+        if (again.value != t)
             continue;
         if (idxOf(nxt) < 0) {
             // Tail really is last: try to link our node after it.
@@ -238,7 +239,8 @@ NonBlockingQueue::dequeue(Proc &p, Word *out)
         Word nxt = (co_await p.load(
                         _next[static_cast<std::size_t>(idxOf(h))]))
                        .value;
-        if ((co_await p.load(_head)).value != h)
+        OpResult again = co_await p.load(_head);
+        if (again.value != h)
             continue;
         if (idxOf(h) == idxOf(t)) {
             if (idxOf(nxt) < 0)

@@ -44,13 +44,17 @@ PriorityLock::acquire(Proc &p, Word priority)
     for (;;) {
         // A releasing holder may hand the (still held) lock directly
         // to us.
-        if ((co_await p.load(_grant[me])).value != 0) {
+        OpResult grant = co_await p.load(_grant[me]);
+        if (grant.value != 0) {
             co_await p.store(_grant[me], 0);
             co_return; // the hand-off cleared our request word
         }
         // Fast path: take a free lock.
-        if ((co_await p.load(_lock)).value == 0 &&
-            co_await tryLock(p)) {
+        OpResult lock = co_await p.load(_lock);
+        if (lock.value != 0)
+            continue;
+        bool taken = co_await tryLock(p);
+        if (taken) {
             co_await p.store(_request[me], 0);
             co_return;
         }

@@ -44,7 +44,10 @@ tcThread(System &sys, Proc &p, const TcConfig &cfg,
         Word rows = 0;
         co_await barrier.arrive(p);
 
-        while ((co_await p.load(flag)).value == 0) {
+        for (;;) {
+            OpResult done = co_await p.load(flag);
+            if (done.value != 0)
+                break;
             long remaining = static_cast<long>(size) -
                              static_cast<long>(row) -
                              static_cast<long>(rows) - 1;

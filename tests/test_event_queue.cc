@@ -105,6 +105,76 @@ TEST(EventQueue, CountsExecutedEvents)
     EXPECT_EQ(eq.eventsExecuted(), 5u);
 }
 
+/**
+ * An event standing for five logical ones, the way a spin group stands
+ * for its members: its dispatch counts the first, and it credits each
+ * later one once admit() lets it.
+ */
+struct FiveInOne
+{
+    EventQueue &eq;
+    std::vector<int> &order;
+    int done = 0;
+
+    void
+    fire()
+    {
+        for (bool counted = true; done < 5; counted = false) {
+            if (!counted) {
+                if (!eq.admit(1)) {
+                    eq.requeueFront([this] { fire(); });
+                    return;
+                }
+                eq.credit(1);
+            }
+            order.push_back(10 + done++);
+        }
+    }
+};
+
+TEST(EventQueue, ChunkBoundaryInsideAnEventKeepsItsPlace)
+{
+    // The boundary test fails: the event stops at the boundary and its
+    // remainder runs first when the next chunk starts, ahead of the
+    // event scheduled after it at the same tick.
+    EventQueue eq;
+    std::vector<int> order;
+    FiveInOne five{eq, order};
+    eq.schedule(3, [&five] { five.fire(); });
+    eq.schedule(3, [&order] { order.push_back(99); });
+    EXPECT_EQ(eq.lastSeq(), 1u);
+    const std::function<bool()> stop = [] { return false; };
+    eq.steps(2, stop);
+    EXPECT_EQ(order, (std::vector<int>{10, 11}));
+    EXPECT_EQ(eq.eventsExecuted(), 2u);
+    EXPECT_EQ(eq.eventsDispatched(), 1u);
+    EXPECT_EQ(eq.lastSeq(), 1u); // the remainder took no seq
+    eq.steps(64, stop);
+    EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 13, 14, 99}));
+    EXPECT_EQ(eq.eventsExecuted(), 6u);
+    EXPECT_EQ(eq.eventsDispatched(), 3u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, ChunkBoundaryInsideAnEventPassesWhenTheTestDoes)
+{
+    // The boundary test passes: the event runs on, and the chunk ends
+    // at the first boundary after it, on the chunk's own grid.
+    EventQueue eq;
+    std::vector<int> order;
+    FiveInOne five{eq, order};
+    eq.schedule(3, [&five] { five.fire(); });
+    eq.schedule(3, [&order] { order.push_back(99); });
+    eq.schedule(4, [&order] { order.push_back(100); });
+    const std::function<bool()> go = [] { return true; };
+    eq.steps(2, go);
+    EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 13, 14, 99}));
+    EXPECT_EQ(eq.eventsExecuted(), 6u);
+    EXPECT_EQ(eq.eventsDispatched(), 2u);
+    eq.run();
+    EXPECT_EQ(eq.eventsExecuted(), 7u);
+}
+
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 {
     EventQueue eq;

@@ -17,6 +17,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "helpers.hh"
@@ -678,6 +679,350 @@ TEST(SpinWaitDifferential, LruStampsMatchAcrossAForwardMidSpin)
         SCOPED_TRACE(d);
         expectSame(runLru(d, Loop::PLAIN), runLru(d, Loop::FAST));
     }
+}
+
+// ----- seeded random flag programs -----
+
+constexpr int RAND_PROCS = 8;
+constexpr int RAND_FLAGS = 4;
+constexpr Word RAND_TOP = 4;
+constexpr std::uint64_t RAND_SEEDS = 40;
+
+/**
+ * The flags of a random program: two sync flags, each in its own block,
+ * and two data flags sharing one block, so a store to either data flag
+ * changes the line the other flag's spinners hold.
+ */
+struct RandFlags
+{
+    Addr addr[RAND_FLAGS];
+    bool sync[RAND_FLAGS];
+};
+
+/**
+ * Raise flags @p first and @p first + 2 from 0 to RAND_TOP in a random
+ * interleaving, with a random compute delay before each access. A
+ * quarter of the accesses store the flag's current value again (under
+ * UPD such a store sends no update); a sync flag is raised half the
+ * time with the implementation's own increment.
+ */
+Task
+randWriter(Proc &p, const RandFlags &f, int first, Primitive prim,
+           std::uint64_t seed, Word *out)
+{
+    Rng rng(seed);
+    Word val[2] = {0, 0};
+    Word stores = 0;
+    while (val[0] < RAND_TOP || val[1] < RAND_TOP) {
+        int k = rng.chance(1, 2) ? 0 : 1;
+        if (val[k] == RAND_TOP)
+            k = 1 - k;
+        int flag = first + 2 * k;
+        co_await p.compute(rng.range(1, 40));
+        ++stores;
+        if (rng.chance(1, 4)) {
+            co_await p.store(f.addr[flag], val[k]);
+            continue;
+        }
+        ++val[k];
+        if (f.sync[flag] && rng.chance(1, 2))
+            co_await increment(p, f.addr[flag], prim);
+        else
+            co_await p.store(f.addr[flag], val[k]);
+    }
+    *out = stores;
+}
+
+/**
+ * Wait on random flags for random targets (at least a drawn value, or
+ * the final value), with compute, a plain flag read or a store to a
+ * private word between waits.
+ */
+Task
+randSpinner(Proc &p, const RandFlags &f, Addr own, std::uint64_t seed,
+            Loop loop, Word *out)
+{
+    Rng rng(seed);
+    Word acc = 0;
+    int waits = static_cast<int>(rng.range(2, 5));
+    co_await p.compute(rng.range(0, 30));
+    for (int w = 0; w < waits; ++w) {
+        Addr flag = f.addr[rng.below(RAND_FLAGS)];
+        SpinUntil until = rng.chance(1, 3)
+                              ? SpinUntil::eq(RAND_TOP)
+                              : SpinUntil::atLeast(rng.range(1, RAND_TOP));
+        Word v = co_await spinOn(p, flag, until, loop);
+        acc = acc * 7 + v;
+        switch (rng.below(3)) {
+          case 0:
+            co_await p.compute(rng.range(1, 20));
+            break;
+          case 1:
+            co_await p.load(f.addr[rng.below(RAND_FLAGS)]);
+            break;
+          default:
+            co_await p.store(own, acc);
+            break;
+        }
+    }
+    *out = acc;
+}
+
+/**
+ * A chain of ordinary loads, mostly of a private line that stays
+ * cached, so their completions, cache_hit_latency cycles after issue,
+ * sort among the spinners' completions; now and then a flag read or a
+ * one-cycle compute.
+ */
+Task
+randLoader(Proc &p, const RandFlags &f, Addr own, std::uint64_t seed,
+           Word *out)
+{
+    Rng rng(seed);
+    int n = static_cast<int>(rng.range(20, 80));
+    Word acc = 0;
+    for (int i = 0; i < n; ++i) {
+        Addr a = rng.chance(1, 6) ? f.addr[rng.below(RAND_FLAGS)] : own;
+        OpResult r = co_await p.load(a);
+        acc += r.value + 1;
+        if (rng.chance(1, 8))
+            co_await p.compute(1);
+    }
+    *out = acc;
+}
+
+RunPrint
+runRandom(const Config &cfg, Primitive prim, std::uint64_t seed, Loop loop)
+{
+    System sys(cfg);
+    RandFlags f{};
+    f.addr[0] = sys.allocSync();
+    f.addr[1] = sys.allocSync();
+    f.sync[0] = f.sync[1] = true;
+    f.addr[2] = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
+    f.addr[3] = f.addr[2] + WORD_BYTES;
+    std::vector<Word> out(RAND_PROCS, 0);
+    Rng roles(seed);
+    for (int i = 0; i < RAND_PROCS; ++i) {
+        Proc &p = sys.proc(i);
+        Addr own = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
+        std::uint64_t s = seed * RAND_PROCS + static_cast<std::uint64_t>(i);
+        Word *o = &out[static_cast<std::size_t>(i)];
+        if (i < 2)
+            sys.spawn(randWriter(p, f, i, prim, s, o));
+        else if (i < 4 || roles.chance(2, 3))
+            sys.spawn(randSpinner(p, f, own, s, loop, o));
+        else
+            sys.spawn(randLoader(p, f, own, s, o));
+    }
+    RunPrint p = finish(sys);
+    p.results = out;
+    return p;
+}
+
+/** INV, UPD and the INVd/INVs compare_and_swap variants. */
+const Impl RANDOM_IMPLS[] = {IMPLS[0], IMPLS[3], IMPLS[9], IMPLS[10]};
+
+TEST(SpinWaitDifferential, RandomFlagProgramsMatchPlainLoop)
+{
+    for (const Impl &impl : RANDOM_IMPLS) {
+        for (Tick hit : {Tick{1}, Tick{3}}) {
+            Config cfg = implConfig(impl, RAND_PROCS);
+            cfg.machine.cache_hit_latency = hit;
+            for (std::uint64_t seed = 1; seed <= RAND_SEEDS; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << impl.name << " hit=" << hit
+                             << " seed=" << seed);
+                expectSame(runRandom(cfg, impl.prim, seed, Loop::PLAIN),
+                           runRandom(cfg, impl.prim, seed, Loop::FAST));
+            }
+        }
+    }
+}
+
+// ----- runs stopped early while processors spin -----
+
+/** What a run that stops early leaves behind. */
+struct StopPrint
+{
+    RunResult run;
+    std::string stats;
+};
+
+void
+expectSameStop(const StopPrint &plain, const StopPrint &fast)
+{
+    EXPECT_EQ(plain.run.completed, fast.run.completed);
+    EXPECT_EQ(plain.run.livelocked, fast.run.livelocked);
+    EXPECT_EQ(plain.run.end_tick, fast.run.end_tick);
+    EXPECT_EQ(plain.run.events, fast.run.events);
+    EXPECT_EQ(plain.run.diagnosis, fast.run.diagnosis);
+    EXPECT_EQ(plain.stats, fast.stats);
+}
+
+/**
+ * Test-and-test-and-set lock rounds with a plain or spin-wait test; the
+ * last round of proc 0 raises @p done.
+ */
+Task
+ttsRounds(Proc &p, Addr lock, Addr counter, Addr done, Loop loop)
+{
+    for (int i = 0; i < LIB_SECTIONS; ++i) {
+        for (;;) {
+            co_await spinOn(p, lock, SpinUntil::eq(0), loop);
+            OpResult r = co_await p.testAndSet(lock);
+            if (r.value == 0)
+                break;
+        }
+        OpResult c = co_await p.load(counter);
+        co_await p.compute(20);
+        co_await p.store(counter, c.value + 1);
+        co_await p.store(lock, 0);
+        co_await p.compute(think(p, i));
+    }
+    if (p.id() == 0)
+        co_await p.store(done, 1);
+}
+
+/** Spin on @p done, a data flag, until it is raised. */
+Task
+bystander(Proc &p, Addr done, Loop loop)
+{
+    co_await p.compute(static_cast<Tick>(p.id()));
+    co_await spinOn(p, done, SpinUntil::ne(0), loop);
+}
+
+/**
+ * Eight processors take a TTS lock while eight bystanders spin on a
+ * flag that is raised only after the lock rounds; the tick bound stops
+ * a run whose watchdog never trips.
+ */
+StopPrint
+runTtsTrip(int max_retries, Loop loop)
+{
+    Config cfg = smallConfig(SyncPolicy::INV, 16);
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.max_retries = max_retries;
+    System sys(cfg);
+    Addr lock = sys.allocSync();
+    Addr counter = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
+    Addr done = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
+    for (int i = 0; i < 8; ++i)
+        sys.spawn(ttsRounds(sys.proc(i), lock, counter, done, loop));
+    for (int i = 8; i < 16; ++i)
+        sys.spawn(bystander(sys.proc(i), done, loop));
+    StopPrint s;
+    s.run = sys.run(1'000'000);
+    s.stats = sys.statsJson();
+    return s;
+}
+
+TEST(SpinWaitDifferential, WatchdogTripMidSpinMatchesPlainLoop)
+{
+    // No faults: the NACKs come from requests that reach the lock's
+    // directory entry while it is busy, and the bound trips while the
+    // bystanders, and the lock's losers, spin on cached copies.
+    for (int bound = 1; bound <= 7; ++bound) {
+        SCOPED_TRACE(bound);
+        StopPrint plain = runTtsTrip(bound, Loop::PLAIN);
+        StopPrint fast = runTtsTrip(bound, Loop::FAST);
+        EXPECT_TRUE(fast.run.livelocked);
+        expectSameStop(plain, fast);
+    }
+}
+
+/**
+ * The flag program stopped by System::run's tick deadline, then run on
+ * to completion: both stops must match the plain loop's.
+ */
+void
+expectDeadlineAgrees(const Config &cfg, const Impl &impl, Tick deadline)
+{
+    StopPrint stop[2];
+    RunPrint done[2];
+    for (Loop loop : {Loop::PLAIN, Loop::FAST}) {
+        int k = loop == Loop::PLAIN ? 0 : 1;
+        System sys(cfg);
+        Addr flag = sys.allocSync();
+        Addr counter = sys.allocSync();
+        std::vector<Word> out(FLAG_PROCS, 0);
+        sys.spawn(flagWriter(sys.proc(0), flag, counter, loop, &out[0]));
+        for (int i = 1; i < FLAG_PROCS; ++i)
+            sys.spawn(flagSpinner(sys.proc(i), flag, counter, impl.prim,
+                                  loop, &out[static_cast<std::size_t>(i)]));
+        stop[k].run = sys.run(deadline);
+        stop[k].stats = sys.statsJson();
+        done[k] = finish(sys);
+        done[k].results = out;
+    }
+    EXPECT_FALSE(stop[1].run.completed);
+    expectSameStop(stop[0], stop[1]);
+    expectSame(done[0], done[1]);
+}
+
+TEST(SpinWaitDifferential, TickDeadlineMidSpinMatchesPlainLoop)
+{
+    for (const Impl &impl : RANDOM_IMPLS) {
+        for (Tick hit : {Tick{1}, Tick{3}}) {
+            Config cfg = implConfig(impl, FLAG_PROCS);
+            cfg.machine.cache_hit_latency = hit;
+            for (Tick deadline : {Tick{45}, Tick{61}, Tick{88}, Tick{97},
+                                  Tick{120}, Tick{203}}) {
+                SCOPED_TRACE(testing::Message() << impl.name << " hit="
+                                                << hit << " deadline="
+                                                << deadline);
+                expectDeadlineAgrees(cfg, impl, deadline);
+            }
+        }
+    }
+}
+
+// ----- parking engages -----
+
+/** Barrier rounds in which processor 0 computes far longer than the
+ *  rest. */
+Task
+lateArrivals(Proc &p, TreeBarrier &b)
+{
+    for (int r = 0; r < LIB_ROUNDS; ++r) {
+        co_await p.compute(p.id() == 0 ? 3000 : think(p, r));
+        co_await b.arrive(p);
+    }
+}
+
+/** eventsDispatched() and eventsExecuted() of lateArrivals on 16 procs. */
+std::pair<std::uint64_t, std::uint64_t>
+barrierEventCounts(bool trace)
+{
+    Config cfg = smallConfig(SyncPolicy::INV, 16);
+    if (trace) {
+        cfg.trace.enabled = true;
+        cfg.trace.capacity = 1u << 10;
+    }
+    System sys(cfg);
+    TreeBarrier b(sys, 16);
+    for (int i = 0; i < 16; ++i)
+        sys.spawn(lateArrivals(sys.proc(i), b));
+    runAll(sys);
+    return {sys.eq().eventsDispatched(), sys.eq().eventsExecuted()};
+}
+
+TEST(SpinWaitParking, GroupsDispatchUnderATenthOfTheEvents)
+{
+    // Fifteen processors wait in the tree barrier while processor 0
+    // computes; each tick's run of cached spin iterations is one
+    // dispatched spin group.
+    auto [dispatched, executed] = barrierEventCounts(false);
+    EXPECT_LT(dispatched * 10, executed);
+}
+
+TEST(SpinWaitParking, TracerDispatchesEveryEvent)
+{
+    // The tracer sees every operation, which keeps the hit path off:
+    // nothing parks, and the logical count is the parked run's.
+    auto [dispatched, executed] = barrierEventCounts(true);
+    EXPECT_EQ(dispatched, executed);
+    EXPECT_EQ(executed, barrierEventCounts(false).second);
 }
 
 } // anonymous namespace
