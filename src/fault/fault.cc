@@ -190,6 +190,9 @@ FaultPlan::corruptMessage(Msg &m)
 {
     if (_corrupt_ppm == 0 || !drawChance(_corrupt_ppm))
         return false;
+    // Stamp the checksum the ejection port verifies, only now that the
+    // message will be damaged: an undamaged one is never verified.
+    m.checksum = m.computeChecksum();
     // Flip one seeded bit in one seeded protocol-visible word. Every
     // corrupted field is covered by Msg::computeChecksum, so the flip
     // is always detected at ejection. Fixed two draws per hit. The

@@ -52,8 +52,9 @@ namespace dsm {
  *    guards absorb a stale or replayed delivery without re-executing
  *    it, and every other class keeps per-link FIFO reliable delivery.
  *  - Payload corruption is confined to the droppable legs and always
- *    detected: the mesh stamps a checksum at send and verifies it at
- *    ejection, converting a corruption into a detected drop that the
+ *    detected: on a hit the injector stamps the message's checksum
+ *    before it flips a bit, and the mesh verifies it at ejection,
+ *    converting a corruption into a detected drop that the
  *    retransmission ledger already covers.
  */
 class FaultPlan
@@ -144,10 +145,12 @@ class FaultPlan
     Tick duplicateDelay();
 
     /**
-     * Corrupt this droppable message in flight? On a hit, flips one
-     * seeded bit in one seeded protocol-visible field of @p m (so the
-     * stamped checksum no longer verifies) and returns true. Draws only
-     * when the corruption axis is armed.
+     * Corrupt this droppable message in flight? On a hit, stamps
+     * @p m's checksum, then flips one seeded bit in one seeded
+     * protocol-visible field (so the stamp no longer verifies) and
+     * returns true. On a miss @p m is left as it was. Draws only when
+     * the corruption axis is armed: the chance draw, then the field
+     * and the bit on a hit.
      */
     bool corruptMessage(Msg &m);
 

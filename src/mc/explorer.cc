@@ -466,10 +466,10 @@ Explorer::commit(World &w, NodeId self, const tf::Outcome &o)
     for (const tf::Effect &ef : o.effects) {
         switch (ef.kind) {
           case tf::EffectKind::SEND: {
-            Msg m = ef.msg;
-            m.src = self;
-            w.chan[static_cast<std::size_t>(self) * _n + m.dst]
-                .push_back(m);
+            const Msg &m = o.msg(ef);
+            auto &c = w.chan[static_cast<std::size_t>(self) * _n + m.dst];
+            c.push_back(m);
+            c.back().src = self;
             break;
           }
           case tf::EffectKind::COMPLETE: {
@@ -494,7 +494,7 @@ Explorer::commit(World &w, NodeId self, const tf::Outcome &o)
           case tf::EffectKind::TXN_SERVICE:
             if (ef.id != 0)
                 w.fact[static_cast<std::size_t>(ef.id - 1)].serve(
-                    self, ef.facts);
+                    self, o.facts(ef));
             break;
           case tf::EffectKind::ARM_TIMER:
             // Timeouts are modeled by the lost[] flags: a timer only

@@ -144,16 +144,15 @@ Mesh::noteLinkDrop(NodeId from, NodeId to, Tick now)
 }
 
 void
-Mesh::send(const Msg &msg)
+Mesh::send(Msg &m)
 {
-    dsm_assert(msg.src >= 0 && msg.src < _cfg.num_procs &&
-               msg.dst >= 0 && msg.dst < _cfg.num_procs,
-               "bad endpoints %d -> %d", msg.src, msg.dst);
-    dsm_assert(_handlers[msg.dst] != nullptr, "no handler at node %d",
-               msg.dst);
+    dsm_assert(m.src >= 0 && m.src < _cfg.num_procs &&
+               m.dst >= 0 && m.dst < _cfg.num_procs,
+               "bad endpoints %d -> %d", m.src, m.dst);
+    dsm_assert(_handlers[m.dst] != nullptr, "no handler at node %d",
+               m.dst);
 
     Tick now = _eq.now();
-    Msg m = msg;
     Tracer *tr = _tracer;
     if (tr != nullptr && tr->on(TraceCat::MSG_SEND)) {
         m.trace_id = tr->nextFlowId();
@@ -193,16 +192,17 @@ Mesh::send(const Msg &msg)
     // In-flight time: head latency over the dimension-order path.
     int nhops = hops(m.src, m.dst);
 
-    // Only a consumer — armed message loss, corruption (which needs a
-    // link to attribute the detected drop to), or per-link telemetry —
-    // makes us materialize the path: XY dimension order, falling back
-    // to YX (identical hop count, so timing-neutral) when XY would
-    // cross a quarantined link.
-    bool loss_armed = _faults != nullptr && _faults->lossArmed();
-    bool corrupt_armed = _faults != nullptr && _faults->corruptArmed();
-    bool droppable = _recovery != nullptr && m.seq != 0 &&
+    // Only a consumer — a droppable message with loss or corruption
+    // armed (corruption needs a link to attribute the detected drop
+    // to), or per-link telemetry — makes us materialize the path: XY
+    // dimension order, falling back to YX (identical hop count, so
+    // timing-neutral) when XY would cross a quarantined link.
+    bool droppable = _faults != nullptr && _recovery != nullptr &&
+                     m.seq != 0 &&
                      (recoverableRequest(m.type) ||
                       recoverableReply(m.type));
+    bool loss_armed = droppable && _faults->lossArmed();
+    bool corrupt_armed = droppable && _faults->corruptArmed();
     NodeId path[MAX_PATH_NODES];
     int nnodes = 0;
     if (loss_armed || corrupt_armed || !_link_flits.empty()) {
@@ -235,22 +235,21 @@ Mesh::send(const Msg &msg)
     // Message-loss faults drop the message on link lf -> lt of its
     // path.
     NodeId lf = INVALID_NODE, lt = INVALID_NODE;
-    bool dropped = loss_armed && droppable &&
+    bool dropped = loss_armed &&
                    _faults->dropMessage(now, path, nnodes, lf, lt);
-    // Payload corruption: stamp the checksum the ejection port will
-    // verify, then let the injector flip a protocol-visible bit. A
-    // mismatch at verify turns the corruption into a detected loss,
-    // charged to the path's first link — the message never reaches the
-    // protocol. Corruption is payload damage, not a link failure, so it
-    // does not feed the quarantine windows. (If a flip ever eluded the
-    // checksum, the corrupted message would be delivered and the
-    // coherence checker would flag the damage — the ledger's
-    // corrupt_detected count is how runs prove that never happened.)
+    // Payload corruption: on a hit the injector stamps the checksum the
+    // ejection port verifies, then flips a protocol-visible bit; no
+    // other message is hashed. A mismatch at verify turns the
+    // corruption into a detected loss, charged to the path's first
+    // link — the message never reaches the protocol. Corruption is
+    // payload damage, not a link failure, so it does not feed the
+    // quarantine windows. (If a flip ever eluded the checksum, the
+    // corrupted message would be delivered and the coherence checker
+    // would flag the damage — the ledger's corrupt_detected count is
+    // how runs prove that never happened.)
     bool corrupted = false;
-    if (!dropped && corrupt_armed && droppable) {
-        m.checksum = m.computeChecksum();
-        corrupted = _faults->corruptMessage(m) &&
-                    m.computeChecksum() != m.checksum;
+    if (!dropped && corrupt_armed && _faults->corruptMessage(m)) {
+        corrupted = m.computeChecksum() != m.checksum;
         if (corrupted) {
             ++_recovery->counters().corrupt_detected;
             lf = path[0];

@@ -60,9 +60,15 @@ class Mesh
 
     /**
      * Send a message. Node-local messages (src == dst) bypass the network
-     * and are delivered after the configured local latency.
+     * and are delivered after the configured local latency. The mesh
+     * stamps @p m where it lies (the tracer's flow id, the fault flags,
+     * and on a corruption hit the checksum and the flipped bit), so the
+     * caller hands over a message it is done with and the delivery
+     * event holds the only copy made here.
      */
-    void send(const Msg &msg);
+    void send(Msg &m);
+    /** Send a temporary message. */
+    void send(Msg &&m) { send(m); }
 
     /** Dimension-order hop count between two nodes. */
     int hops(NodeId a, NodeId b) const;

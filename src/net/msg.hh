@@ -240,13 +240,15 @@ struct Msg
      */
     int qdepth = -1;
     /**
-     * Checksum over the protocol-visible fields, stamped by Mesh::send
-     * and verified at ejection when corruption faults are armed
-     * (faults.corrupt_prob). A corrupted message fails verification and
-     * is dropped — detected, never delivered — turning corruption into
-     * a loss the retransmission ledger already covers. Metadata only:
-     * excluded from sizeBytes(); conceptually the CRC field real link
-     * headers already carry.
+     * Checksum over the protocol-visible fields, stamped by
+     * FaultPlan::corruptMessage on a corruption hit, just before it
+     * flips a bit, and verified by Mesh::send (faults.corrupt_prob). A
+     * corrupted message fails verification and is dropped — detected,
+     * never delivered — turning corruption into a loss the
+     * retransmission ledger already covers. Every other message keeps
+     * 0: hashing one that nothing damages would prove nothing.
+     * Metadata only: excluded from sizeBytes(); conceptually the CRC
+     * field real link headers already carry.
      */
     std::uint32_t checksum = 0;
     /**

@@ -53,7 +53,7 @@ Controller::now() const
 }
 
 void
-Controller::send(Msg m)
+Controller::send(Msg &m)
 {
     m.src = _id;
     // Credit-based backpressure: replies (and NACKs) from a serving
@@ -111,7 +111,7 @@ Controller::env() const
 // ===================== Outcome commit ====================================
 
 void
-Controller::commit(const tf::Outcome &o)
+Controller::commit(tf::Outcome &&o)
 {
     for (const tf::MemWrite &mw : o.mem_writes) {
         if (mw.is_block)
@@ -195,15 +195,16 @@ Controller::commit(const tf::Outcome &o)
                              now() + ef.delay, ef.node);
             break;
           case tf::EffectKind::TXN_SERVICE:
-            _sys.txns().service(ef.id, _id, ef.facts);
+            _sys.txns().service(ef.id, _id, o.facts(ef));
             break;
           case tf::EffectKind::SEND:
-            if (ef.delay == 0) {
-                send(ef.msg);
-            } else {
-                Msg m = ef.msg;
-                _sys.eq().scheduleIn(ef.delay, [this, m] { send(m); });
-            }
+            if (ef.delay == 0)
+                send(o.msg(ef));
+            else
+                _sys.eq().scheduleIn(ef.delay,
+                                     [this, m = o.msg(ef)]() mutable {
+                                         send(m);
+                                     });
             break;
           case tf::EffectKind::COMPLETE:
             if (ef.delay == 0) {
@@ -262,7 +263,7 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected)
             tf::detail::emitTraceLine(evict, v.base, v.state,
                                       LineState::INVALID);
             tf::detail::evictVictim(env(), _st, evict, v);
-            commit(evict);
+            commit(std::move(evict));
         }
     }
     _trace_flow = 0;
@@ -659,12 +660,16 @@ Controller::homeServiceSlot(Tick when)
             if (tf::dedupApplies(_st, f.msg)) {
                 tf::Outcome o;
                 bool handled = tf::tryDedup(env(), _st, f.msg, o);
-                commit(o);
+                commit(std::move(o));
                 if (handled)
                     continue;
             }
             batch.push_back(f.msg);
         }
+        // Every extracted follower was served in this slot, including
+        // one dedup consumed, whether or not a batch remains.
+        for (const HomeQueue::Entry &f : followers)
+            noteHomeService(f.msg, f.enq, when);
         if (batch.size() >= 2) {
             sst.batches += 1;
             sst.coalesced += batch.size() - 1;
@@ -675,8 +680,6 @@ Controller::homeServiceSlot(Tick when)
                 else
                     ++sst.hi_served;
             }
-            for (const HomeQueue::Entry &f : followers)
-                noteHomeService(f.msg, f.enq, when);
             commit(tf::deliverCombined(env(), _st, batch));
             homePump();
             return;
@@ -704,7 +707,7 @@ Controller::homeFilter(const Msg &m)
     if (tf::dedupApplies(_st, m)) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, m, o);
-        commit(o);
+        commit(std::move(o));
         if (handled)
             return true;
     }

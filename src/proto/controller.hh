@@ -183,9 +183,11 @@ class Controller : private tf::StepCtx
      * records (each gated by its tracer category), line-profiler notes
      * (while telemetry.enabled), transaction-tracer marks, and the
      * driver-owned SEND, COMPLETE, RETRY and ARM_TIMER (scheduling, RNG,
-     * finishNow()).
+     * finishNow()). The outcome is consumed: each undelayed SEND's
+     * message is stamped where it lies and handed to the mesh, so its
+     * only further copy is the delivery event's.
      */
-    void commit(const tf::Outcome &o);
+    void commit(tf::Outcome &&o);
 
     /**
      * Complete the active transaction now (COMPLETE effect body, and
@@ -224,8 +226,8 @@ class Controller : private tf::StepCtx
     void noteCredit(int qdepth);
     /** @} */
 
-    /** Stamp src and inject into the mesh. */
-    void send(Msg m);
+    /** Stamp src (and a reply's queue depth) onto @p m and inject it. */
+    void send(Msg &m);
     Tick now() const;
 
     /** After a transition here: touch a parked spin-wait whose line no

@@ -22,8 +22,9 @@ emitSend(Outcome &o, const Msg &m, Tick delay)
 {
     Effect ef;
     ef.kind = EffectKind::SEND;
-    ef.msg = m;
+    ef.slot = static_cast<std::uint32_t>(o.sends.size());
     ef.delay = delay;
+    o.sends.push_back(m);
     o.effects.push_back(ef);
 }
 
@@ -94,7 +95,8 @@ emitTxnService(Outcome &o, std::uint64_t id, const ServiceFacts &facts)
     Effect ef;
     ef.kind = EffectKind::TXN_SERVICE;
     ef.id = id;
-    ef.facts = facts;
+    ef.slot = static_cast<std::uint32_t>(o.services.size());
+    o.services.push_back(facts);
     o.effects.push_back(ef);
 }
 
@@ -552,12 +554,13 @@ debugString(const Outcome &o)
                ef.flag ? 1 : 0,
                static_cast<unsigned long long>(ef.serial));
         if (ef.kind == EffectKind::SEND)
-            out += " msg=" + debugString(ef.msg);
-        if (ef.kind == EffectKind::TXN_SERVICE)
+            out += " msg=" + debugString(o.msg(ef));
+        if (ef.kind == EffectKind::TXN_SERVICE) {
+            const ServiceFacts &f = o.facts(ef);
             append(out, " facts{ds=%u sh=%d fwd=%d own=%d mask=%#llx}",
-                   ef.facts.dir_state, ef.facts.sharers,
-                   ef.facts.forwarded ? 1 : 0, ef.facts.owner,
-                   static_cast<unsigned long long>(ef.facts.fanout_mask));
+                   f.dir_state, f.sharers, f.forwarded ? 1 : 0, f.owner,
+                   static_cast<unsigned long long>(f.fanout_mask));
+        }
         out += "}\n";
     }
     return out;

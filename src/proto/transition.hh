@@ -203,23 +203,27 @@ struct ServiceFacts
  * One ordered side-effect request. Effects must be committed in order:
  * transitions interleave sends and trace records exactly as the
  * event-driven protocol engine did (e.g. a victim write-back message
- * precedes the installed line's LINE_STATE record).
+ * precedes the installed line's LINE_STATE record). A SEND's message
+ * and a TXN_SERVICE's facts do not fit in an effect: they live in the
+ * Outcome's sends and services lists, and the effect names its entry
+ * by slot (Outcome::msg(), Outcome::facts()).
  */
 struct Effect
 {
     EffectKind kind = EffectKind::SEND;
-    Msg msg;                     ///< SEND payload (src unset)
-    Addr addr = 0;               ///< trace/profiler block address
-    Tick delay = 0;              ///< SEND/COMPLETE/TXN_MARK tick offset
-    NodeId node = INVALID_NODE;  ///< trace peer / mark node / new owner
     std::uint8_t a = 0;          ///< from-state / phase / req type
     std::uint8_t b = 0;          ///< to-state
-    std::uint64_t id = 0;        ///< txn tracer id
-    ServiceFacts facts;          ///< TXN_SERVICE payload
-    Word value = 0;              ///< COMPLETE value
     bool flag = false;           ///< COMPLETE success
+    NodeId node = INVALID_NODE;  ///< trace peer / mark node / new owner
+    std::uint32_t slot = 0;      ///< SEND/TXN_SERVICE payload index
+    Tick delay = 0;              ///< SEND/COMPLETE/TXN_MARK tick offset
+    Addr addr = 0;               ///< trace/profiler block address
+    std::uint64_t id = 0;        ///< txn tracer id
+    Word value = 0;              ///< COMPLETE value
     Word serial = 0;             ///< COMPLETE serial
 };
+
+static_assert(sizeof(Effect) <= 64, "an effect fits one cache line");
 
 /** Aggregate (order-insensitive) stat increments for one transition. */
 struct StatDelta
@@ -267,14 +271,17 @@ struct MemWrite
 /**
  * Everything one transition wants done to the world, as data. The
  * driver commits mem_writes, then dir_writes, then the stat delta,
- * then walks effects in order.
+ * then walks effects in order, reading each SEND's message through
+ * msg() and each TXN_SERVICE's facts through facts().
  *
  * The inline capacities cover nearly every transition, so building an
  * outcome allocates nothing: at most one directory write per
  * transition, more than one memory write only in a combined serve
- * batch, and more than four effects only for invalidation or update
- * fan-outs to several sharers (0.04-1.9% of outcomes on the benchmark
- * workloads; see EXPERIMENTS.md "Simulator performance").
+ * batch, and more than four effects or two messages only for
+ * invalidation or update fan-outs to several sharers (0.65-2.1% of
+ * outcomes on the benchmark workloads; see EXPERIMENTS.md "Simulator
+ * performance"). TXN_SERVICE records exist only under transaction
+ * tracing.
  */
 struct Outcome
 {
@@ -282,6 +289,20 @@ struct Outcome
     InlineVec<DirWrite, 1> dir_writes;
     StatDelta stats;
     InlineVec<Effect, 4> effects;
+    /** SEND payloads (src unset), one per SEND effect, in effect order. */
+    InlineVec<Msg, 2> sends;
+    /** TXN_SERVICE payloads, one per TXN_SERVICE effect, in order. */
+    InlineVec<ServiceFacts, 1> services;
+
+    /** The message SEND effect @p ef sends. */
+    const Msg &msg(const Effect &ef) const { return sends[ef.slot]; }
+    Msg &msg(const Effect &ef) { return sends[ef.slot]; }
+    /** The directory-service facts TXN_SERVICE effect @p ef records. */
+    const ServiceFacts &
+    facts(const Effect &ef) const
+    {
+        return services[ef.slot];
+    }
 };
 
 /** A processor operation to issue (driver-owned context pre-resolved). */

@@ -54,6 +54,12 @@ class InlineVec
     const T *begin() const { return spilled() ? _heap.data() : inlineData(); }
     const T *end() const { return begin() + _size; }
 
+    T &operator[](std::size_t i)
+    {
+        return (spilled() ? _heap.data() : inlineData())[i];
+    }
+    const T &operator[](std::size_t i) const { return begin()[i]; }
+
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "helpers.hh"
 
 #include "fault/fault.hh"
@@ -268,11 +270,54 @@ TEST(Chaos, CorruptionAlwaysLandsInChecksummedFootprint)
         m.word_addr = 0x40;
         m.seq = static_cast<std::uint64_t>(i) + 1;
         m.has_data = false;
-        m.checksum = m.computeChecksum();
         ASSERT_TRUE(plan.corruptMessage(m));
         EXPECT_NE(m.computeChecksum(), m.checksum) << "flip " << i;
     }
     EXPECT_EQ(plan.counters().msg_corruptions, 256u);
+}
+
+TEST(Chaos, CorruptionStampsTheChecksumOnlyOnAHit)
+{
+    // The injector hashes a message only when it damages it: a hit
+    // stamps the undamaged message's checksum and then flips a bit the
+    // stamp no longer verifies; a miss leaves every byte as it was,
+    // checksum 0 included.
+    FaultConfig fc;
+    ASSERT_EQ(fc.parse("corrupt_prob=0.5,req_timeout=2000"), "");
+    FaultPlan plan;
+    MachineConfig mc;
+    plan.configure(fc, 7, mc);
+    int hits = 0, misses = 0;
+    for (int i = 0; i < 256; ++i) {
+        Msg m;
+        m.type = i % 2 == 0 ? MsgType::GET_S : MsgType::DATA_S;
+        m.src = 0;
+        m.dst = 1;
+        m.requester = 1;
+        m.addr = 0x40;
+        m.word_addr = 0x48;
+        m.value = static_cast<Word>(i);
+        m.seq = static_cast<std::uint64_t>(i) + 1;
+        m.has_data = i % 2 != 0;
+        m.data = {1, 2, 3, static_cast<Word>(i)};
+        const std::uint32_t intact = m.computeChecksum();
+        unsigned char before[sizeof(Msg)];
+        std::memcpy(before, &m, sizeof(Msg));
+        if (plan.corruptMessage(m)) {
+            ++hits;
+            EXPECT_EQ(m.checksum, intact) << "hit " << i;
+            EXPECT_NE(m.computeChecksum(), m.checksum) << "hit " << i;
+        } else {
+            ++misses;
+            EXPECT_EQ(std::memcmp(before, &m, sizeof(Msg)), 0)
+                << "miss " << i;
+            EXPECT_EQ(m.checksum, 0u) << "miss " << i;
+        }
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(misses, 0);
+    EXPECT_EQ(plan.counters().msg_corruptions,
+              static_cast<std::uint64_t>(hits));
 }
 
 // ----- Interactions -----

@@ -317,6 +317,50 @@ TEST(Combining, CombineLimitBoundsBatchSize)
     EXPECT_EQ(st.coalesced, st.batches);
 }
 
+Task
+incThinking(Proc &p, LockFreeCounter &c, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        co_await c.fetchInc(p);
+        co_await p.compute(30 * static_cast<Tick>(1 + i % 4));
+    }
+}
+
+TEST(Combining, EveryQueuedRequestIsProfiledOnce)
+{
+    // Duplicated requests under recovery meet combining. A follower
+    // that the per-member dedup consumes was still served by its slot,
+    // so its home service is noted even when no batch of two remains:
+    // the line profiler counts each request that entered a home queue
+    // exactly once.
+    Config cfg = serveConfig(SyncPolicy::UNC);
+    cfg.telemetry.enabled = true;
+    ASSERT_EQ(cfg.faults.parse("req_timeout=4000,dup_prob=0.3,"
+                               "dup_delay=64"),
+              "");
+    System sys(cfg);
+    std::uint64_t queued = 0;
+    for (NodeId n = 0; n < 8; ++n)
+        sys.mesh().setHandler(n, [&sys, &queued, n](const Msg &m) {
+            if (homeTargeted(m.type))
+                ++queued;
+            sys.ctrl(n).handleMsg(m);
+        });
+    LockFreeCounter counter(sys, Primitive::FAP);
+    for (NodeId n = 0; n < 8; ++n)
+        sys.spawn(incThinking(sys.proc(n), counter, 30));
+    runAll(sys);
+    EXPECT_EQ(sys.debugRead(counter.addr()), 240u);
+
+    std::uint64_t profiled = 0;
+    for (const LineProfiler::Ranked &r : sys.lineProfiler().ranked(64))
+        profiled += r.prof.requests;
+    EXPECT_EQ(profiled, queued);
+    // Anti-vacuous: duplicates reached the home queues and combined.
+    EXPECT_GT(queued, 240u);
+    EXPECT_GT(sys.serveStats().coalesced, 0u);
+}
+
 TEST(Serve, DeterministicStatsAcrossRuns)
 {
     auto once = [] {

@@ -228,6 +228,60 @@ TEST(Transition, FanOutPastInlineCapacityCommitsInOrder)
     dsmtest::expectCoherent(sys);
 }
 
+TEST(Transition, UpdateFanOutSpillsMessagesInEffectOrder)
+{
+    // A fetch&add at the home of an UPD block shared by the 63 other
+    // nodes of the paper machine: one UPDATE per sharer, far past the
+    // outcome's inline message capacity. Each SEND effect names its own
+    // message, and the spilled list gives them back in effect order.
+    Config cfg; // paper machine: 64 nodes, 8x8 mesh
+    cfg.sync.policy = SyncPolicy::UPD;
+    const NodeId home = homeOf(BLOCK, cfg.machine.num_procs);
+    const NodeId req = 9;
+    FakeCtx ctx;
+    ctx.de.state = DirState::SHARED;
+    ctx.de.sharers = ~(std::uint64_t{1} << req);
+    ctx.blk = {5, 0, 0, 0};
+    tf::Env env = envFor(cfg, home, ctx);
+    tf::CtrlState s(1, 1);
+
+    Msg m;
+    m.type = MsgType::UPD_REQ;
+    m.src = req;
+    m.dst = home;
+    m.requester = req;
+    m.addr = BLOCK;
+    m.word_addr = BLOCK;
+    m.op = AtomicOp::FAA;
+    m.value = 1;
+    m.chain = 1;
+    tf::Outcome o = tf::deliver(env, s, m);
+
+    std::vector<NodeId> updated;
+    std::vector<MsgType> types;
+    std::uint32_t slot = 0;
+    for (const tf::Effect &ef : o.effects) {
+        if (ef.kind != tf::EffectKind::SEND)
+            continue;
+        EXPECT_EQ(ef.slot, slot++);
+        const Msg &sent = o.msg(ef);
+        types.push_back(sent.type);
+        if (sent.type == MsgType::UPDATE) {
+            EXPECT_EQ(sent.result, 6u) << "to " << sent.dst;
+            updated.push_back(sent.dst);
+        }
+    }
+    std::vector<NodeId> want;
+    for (NodeId n = 0; n < cfg.machine.num_procs; ++n)
+        if (n != req)
+            want.push_back(n);
+    EXPECT_EQ(updated, want);
+    ASSERT_EQ(types.size(), 64u);
+    EXPECT_EQ(types.back(), MsgType::UPD_RESP);
+    EXPECT_EQ(o.sends.size(), 64u);
+    EXPECT_TRUE(o.sends.spilled());
+}
+
 namespace {
 
 Task
@@ -970,7 +1024,7 @@ goldenResponseCases(std::string &out)
             const Msg *sent = nullptr;
             for (const tf::Effect &ef : issued.effects)
                 if (ef.kind == tf::EffectKind::SEND)
-                    sent = &ef.msg;
+                    sent = &issued.msg(ef);
             ASSERT_NE(sent, nullptr) << fl.tag;
             Msg request = *sent;
             request.src = REQ;
