@@ -15,12 +15,33 @@ toString(LineState s)
     return "?";
 }
 
-Cache::Cache(unsigned sets, unsigned ways)
-    : _sets(sets), _ways(ways), _lines(sets * ways)
+Cache::Cache(unsigned sets, unsigned ways) : _sets(sets), _ways(ways)
 {
     dsm_assert(sets > 0 && (sets & (sets - 1)) == 0,
                "sets must be a power of two");
     dsm_assert(ways > 0, "ways must be nonzero");
+    _mem.reset(new std::byte[storageBytes()]);
+    std::uninitialized_fill_n(bitmap(), bitmapWords(), 0);
+}
+
+Cache::Cache(const Cache &o)
+    : _sets(o._sets), _ways(o._ways),
+      _mem(new std::byte[o.storageBytes()]), _stamp(o._stamp),
+      _resv_valid(o._resv_valid), _resv_addr(o._resv_addr),
+      _resv_tick(o._resv_tick), _stats(o._stats)
+{
+    std::uninitialized_copy_n(o.bitmap(), bitmapWords(), bitmap());
+    o.forEachBuiltSet([&](unsigned s) {
+        std::uninitialized_copy_n(o.setLines(s), _ways, setLines(s));
+    });
+}
+
+Cache &
+Cache::operator=(const Cache &o)
+{
+    if (this != &o)
+        *this = Cache(o);
+    return *this;
 }
 
 unsigned
@@ -32,10 +53,13 @@ Cache::setIndex(Addr a) const
 CacheLine *
 Cache::lookup(Addr a)
 {
-    Addr base = blockBase(a);
     unsigned s = setIndex(a);
+    if (!built(s))
+        return nullptr;
+    Addr base = blockBase(a);
+    CacheLine *set = setLines(s);
     for (unsigned w = 0; w < _ways; ++w) {
-        CacheLine &line = _lines[s * _ways + w];
+        CacheLine &line = set[w];
         if (line.valid() && line.base == base) {
             line.lru = ++_stamp;
             return &line;
@@ -47,10 +71,13 @@ Cache::lookup(Addr a)
 const CacheLine *
 Cache::peek(Addr a) const
 {
-    Addr base = blockBase(a);
     unsigned s = setIndex(a);
+    if (!built(s))
+        return nullptr;
+    Addr base = blockBase(a);
+    const CacheLine *set = setLines(s);
     for (unsigned w = 0; w < _ways; ++w) {
-        const CacheLine &line = _lines[s * _ways + w];
+        const CacheLine &line = set[w];
         if (line.valid() && line.base == base)
             return &line;
     }
@@ -66,9 +93,14 @@ Cache::allocate(Addr a, Victim *victim)
                "allocate of already-present block %#llx",
                static_cast<unsigned long long>(base));
 
+    CacheLine *set = setLines(s);
+    if (!built(s)) {
+        std::uninitialized_value_construct_n(set, _ways);
+        bitmap()[s / 64] |= std::uint64_t{1} << (s % 64);
+    }
     CacheLine *choice = nullptr;
     for (unsigned w = 0; w < _ways; ++w) {
-        CacheLine &line = _lines[s * _ways + w];
+        CacheLine &line = set[w];
         if (!line.valid()) {
             choice = &line;
             break;
@@ -103,8 +135,11 @@ Cache::invalidate(Addr a)
     Addr base = blockBase(a);
     clearReservationIfCovers(base);
     unsigned s = setIndex(a);
+    if (!built(s))
+        return;
+    CacheLine *set = setLines(s);
     for (unsigned w = 0; w < _ways; ++w) {
-        CacheLine &line = _lines[s * _ways + w];
+        CacheLine &line = set[w];
         if (line.valid() && line.base == base) {
             line.state = LineState::INVALID;
             return;
@@ -116,9 +151,7 @@ unsigned
 Cache::validLines() const
 {
     unsigned n = 0;
-    for (const CacheLine &line : _lines)
-        if (line.valid())
-            ++n;
+    forEachLine([&n](const CacheLine &line) { n += line.valid(); });
     return n;
 }
 

@@ -15,8 +15,11 @@
 #define DSM_CACHE_CACHE_HH
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <type_traits>
 
 #include "sim/types.hh"
 
@@ -55,6 +58,11 @@ struct CacheLine
     }
 };
 
+// A set is built by value-initializing its lines in place, and copied
+// and dropped without constructors or destructors.
+static_assert(std::is_trivially_copyable_v<CacheLine> &&
+              std::is_trivially_destructible_v<CacheLine>);
+
 /** An evicted line that needs further handling by the controller. */
 struct Victim
 {
@@ -76,6 +84,11 @@ struct CacheStats
 /**
  * The cache proper. The controller is responsible for coherence actions;
  * the cache only tracks state, data, and replacement.
+ *
+ * Sets are built on first touch: only allocate() writes a set's lines,
+ * and a set it never built reads as all-invalid without being read.
+ * A line never moves, so a CacheLine * stays valid for the cache's
+ * lifetime.
  */
 class Cache
 {
@@ -85,6 +98,12 @@ class Cache
      * @param ways Associativity.
      */
     Cache(unsigned sets, unsigned ways);
+
+    /** A copy holds the built sets only, in one allocation. */
+    Cache(const Cache &o);
+    Cache &operator=(const Cache &o);
+    Cache(Cache &&) noexcept = default;
+    Cache &operator=(Cache &&) noexcept = default;
 
     /** Find the line holding @p a; nullptr on miss. Updates LRU. */
     CacheLine *lookup(Addr a);
@@ -153,15 +172,71 @@ class Cache
     CacheStats &stats() { return _stats; }
     const CacheStats &stats() const { return _stats; }
 
-    /** All line slots (sets x ways), for inspection and checking. */
-    const std::vector<CacheLine> &lines() const { return _lines; }
+    /**
+     * Call @p f on each line of every set built so far, valid or not,
+     * set-major. The sets never built hold no valid line.
+     */
+    template <class F>
+    void
+    forEachLine(F &&f) const
+    {
+        forEachBuiltSet([&](unsigned s) {
+            const CacheLine *set = setLines(s);
+            for (unsigned w = 0; w < _ways; ++w)
+                f(set[w]);
+        });
+    }
 
   private:
     unsigned setIndex(Addr a) const;
 
+    /** Call @p f with the index of every built set, in order. */
+    template <class F>
+    void
+    forEachBuiltSet(F &&f) const
+    {
+        for (unsigned i = 0; i < bitmapWords(); ++i)
+            for (std::uint64_t b = bitmap()[i]; b != 0; b &= b - 1)
+                f(i * 64 + static_cast<unsigned>(std::countr_zero(b)));
+    }
+
+    unsigned bitmapWords() const { return (_sets + 63) / 64; }
+
+    std::size_t
+    storageBytes() const
+    {
+        return bitmapWords() * sizeof(std::uint64_t) +
+               std::size_t{_sets} * _ways * sizeof(CacheLine);
+    }
+
+    std::uint64_t *
+    bitmap() const
+    {
+        return reinterpret_cast<std::uint64_t *>(_mem.get());
+    }
+
+    bool
+    built(unsigned s) const
+    {
+        return (bitmap()[s / 64] >> (s % 64)) & 1;
+    }
+
+    /** The @p _ways line slots of set @p s, built or not. */
+    CacheLine *
+    setLines(unsigned s) const
+    {
+        return reinterpret_cast<CacheLine *>(bitmap() + bitmapWords()) +
+               std::size_t{s} * _ways;
+    }
+
     unsigned _sets;
     unsigned _ways;
-    std::vector<CacheLine> _lines; ///< sets * ways, set-major
+    /**
+     * The whole cache in one allocation: the bitmap of built sets, one
+     * bit per set, then sets * ways line slots, set-major. A set's
+     * slots are neither read nor written until allocate() builds it.
+     */
+    std::unique_ptr<std::byte[]> _mem;
     std::uint64_t _stamp = 0;
 
     bool _resv_valid = false;

@@ -711,14 +711,14 @@ Explorer::canonical(const World &w) const
 
         // Cache: base/state/data of each valid line. LRU stamps and
         // hit/miss counters never influence a 1-way cache's behavior.
-        for (const CacheLine &l : st.cache.lines()) {
+        st.cache.forEachLine([&k](const CacheLine &l) {
             if (!l.valid())
-                continue;
+                return;
             encU(k, l.base);
             encU(k, static_cast<std::uint64_t>(l.state));
             for (Word wd : l.data)
                 encU(k, wd);
-        }
+        });
         encU(k, 0xfeedu); // cache / reservation delimiter
         encU(k, st.cache.reservationValid() ? 1 : 0);
         encU(k, st.cache.reservationValid()
@@ -854,9 +854,10 @@ viewOf(const World &w, const Config &cfg, int n)
     b.mem = w.mem;
     b.unc_sync = cfg.sync.policy == SyncPolicy::UNC;
     for (NodeId i = 0; i < n; ++i)
-        for (const CacheLine &l : w.node[i].cache.lines())
+        w.node[i].cache.forEachLine([&b, i](const CacheLine &l) {
             if (l.valid() && l.base == MC_BLOCK)
                 b.copies.push_back(CopyView{i, l.state, l.data});
+        });
     v.blocks.push_back(std::move(b));
     return v;
 }

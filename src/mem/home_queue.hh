@@ -105,14 +105,15 @@ class HomeQueue
     /**
      * Extract every queued request that combines with @p leader —
      * same type, same word address, commutative op — from either
-     * class, preserving queue order, up to @p limit followers.
+     * class, preserving queue order, up to @p limit followers, into
+     * @p out (cleared first, so a caller can reuse one buffer).
      * Combining candidates: FAA fetch&adds to the same word (UNC_REQ /
      * UPD_REQ), and duplicate GET_S fills of the same block.
      */
-    std::vector<Entry>
-    extractCombinable(const Msg &leader, int limit)
+    void
+    extractCombinable(const Msg &leader, int limit, std::vector<Entry> &out)
     {
-        std::vector<Entry> out;
+        out.clear();
         auto sweep = [&](std::deque<Entry> &q) {
             for (auto it = q.begin();
                  it != q.end() && static_cast<int>(out.size()) < limit;) {
@@ -126,7 +127,6 @@ class HomeQueue
         };
         sweep(_hi);
         sweep(_lo);
-        return out;
     }
 
     /**

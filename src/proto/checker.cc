@@ -19,11 +19,11 @@ coherenceView(System &sys)
     // transition-function state.
     std::map<Addr, std::vector<CopyView>> copies;
     for (NodeId n = 0; n < sys.numProcs(); ++n) {
-        for (const CacheLine &line : sys.ctrl(n).state().cache.lines()) {
+        sys.ctrl(n).state().cache.forEachLine([&](const CacheLine &line) {
             if (line.valid())
                 copies[line.base].push_back(
                     CopyView{n, line.state, line.data});
-        }
+        });
     }
 
     // Gather every directory entry, per block.

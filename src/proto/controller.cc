@@ -649,11 +649,9 @@ Controller::homeServiceSlot(Tick when)
     // Home-node combining: fold queued commutative requests to the
     // same line into this slot.
     if (sv.combining && HomeQueue::leads(lead.msg, dirEntry(lead.msg.addr))) {
-        std::vector<HomeQueue::Entry> followers =
-            hq.extractCombinable(lead.msg, sv.combine_limit - 1);
-        std::vector<Msg> batch;
-        batch.push_back(lead.msg);
-        for (const HomeQueue::Entry &f : followers) {
+        hq.extractCombinable(lead.msg, sv.combine_limit - 1, _followers);
+        _batch.assign(1, lead.msg);
+        for (const HomeQueue::Entry &f : _followers) {
             // Per-member dedup, exactly as if delivered alone; the
             // replies captured by deliverCombined refresh each member's
             // slot.
@@ -664,23 +662,23 @@ Controller::homeServiceSlot(Tick when)
                 if (handled)
                     continue;
             }
-            batch.push_back(f.msg);
+            _batch.push_back(f.msg);
         }
         // Every extracted follower was served in this slot, including
         // one dedup consumed, whether or not a batch remains.
-        for (const HomeQueue::Entry &f : followers)
+        for (const HomeQueue::Entry &f : _followers)
             noteHomeService(f.msg, f.enq, when);
-        if (batch.size() >= 2) {
+        if (_batch.size() >= 2) {
             sst.batches += 1;
-            sst.coalesced += batch.size() - 1;
-            sst.served += batch.size() - 1;
-            for (std::size_t i = 1; i < batch.size(); ++i) {
-                if (batch[i].prio == 1)
+            sst.coalesced += _batch.size() - 1;
+            sst.served += _batch.size() - 1;
+            for (std::size_t i = 1; i < _batch.size(); ++i) {
+                if (_batch[i].prio == 1)
                     ++sst.lo_served;
                 else
                     ++sst.hi_served;
             }
-            commit(tf::deliverCombined(env(), _st, batch));
+            commit(tf::deliverCombined(env(), _st, _batch));
             homePump();
             return;
         }

@@ -24,8 +24,10 @@
 #define DSM_PROTO_CONTROLLER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "cache/cache.hh"
+#include "mem/home_queue.hh"
 #include "net/msg.hh"
 #include "proto/transition.hh"
 #include "sim/types.hh"
@@ -244,6 +246,12 @@ class Controller : private tf::StepCtx
     /** @name Overload-protection driver state (serve.enabled only). @{ */
     /** A memory service slot is reserved for this home's queue. */
     bool _slot_scheduled = false;
+    /**
+     * A slot's combining followers and its batch (leader first), kept
+     * between slots so that combining allocates nothing once warm.
+     */
+    std::vector<HomeQueue::Entry> _followers;
+    std::vector<Msg> _batch;
     /** This requester is credit-throttled until this tick. */
     Tick _throttled_until = 0;
     /** Park state of the active transaction (watchdog classification). */

@@ -471,9 +471,9 @@ debugString(const CtrlState &s)
            t.retries, static_cast<unsigned long long>(t.seq), t.attempt,
            toString(t.req_type),
            static_cast<unsigned long long>(t.acks_mask));
-    for (const CacheLine &l : s.cache.lines()) {
+    s.cache.forEachLine([&out](const CacheLine &l) {
         if (!l.valid())
-            continue;
+            return;
         append(out, "line{base=%#llx state=%d data=[",
                static_cast<unsigned long long>(l.base),
                static_cast<int>(l.state));
@@ -481,7 +481,7 @@ debugString(const CtrlState &s)
             append(out, i ? ",%llu" : "%llu",
                    static_cast<unsigned long long>(l.data[i]));
         out += "]}\n";
-    }
+    });
     if (s.cache.reservationValid())
         append(out, "resv{addr=%#llx}\n",
                static_cast<unsigned long long>(s.cache.reservationAddr()));

@@ -35,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -351,7 +352,7 @@ Outcome deliver(const Env &env, CtrlState &s, const Msg &m);
  * caller runs tryDedup() per member first, exactly as for deliver().
  */
 Outcome deliverCombined(const Env &env, CtrlState &s,
-                        const std::vector<Msg> &batch);
+                        std::span<const Msg> batch);
 
 /**
  * The dedup gate: true when home-side recovery dedup applies to @p m

@@ -581,8 +581,7 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, DirEntry &e,
 } // namespace
 
 Outcome
-deliverCombined(const Env &env, CtrlState &s,
-                const std::vector<Msg> &batch)
+deliverCombined(const Env &env, CtrlState &s, std::span<const Msg> batch)
 {
     Outcome o;
     dsm_assert(batch.size() >= 2,

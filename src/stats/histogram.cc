@@ -1,5 +1,6 @@
 #include "stats/histogram.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -91,9 +92,20 @@ Histogram::percentiles() const
 void
 Histogram::merge(const Histogram &other)
 {
-    for (std::uint64_t v = 0; v < other._buckets.size(); ++v)
-        if (other._buckets[v] != 0)
-            add(v, other._buckets[v]);
+    // The same fields as add(v, n) for each nonzero bucket of other:
+    // the buckets grow once, to other's highest nonzero bucket.
+    std::size_t n = other._buckets.size();
+    while (n > 0 && other._buckets[n - 1] == 0)
+        --n;
+    if (n == 0)
+        return;
+    if (n > _buckets.size())
+        _buckets.resize(n, 0);
+    for (std::size_t v = 0; v < n; ++v)
+        _buckets[v] += other._buckets[v];
+    _samples += other._samples;
+    _sum += other._sum;
+    _max = std::max<std::uint64_t>(_max, n - 1);
 }
 
 void

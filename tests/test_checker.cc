@@ -127,6 +127,25 @@ TEST(Checker, TwoExclusiveCopies)
     EXPECT_TRUE(hasViolation(vs, "exclusive copies")) << joined(vs);
 }
 
+TEST(Checker, TwoExclusiveCopiesInTheLastSet)
+{
+    // The checker reads caches through their built sets only; a block
+    // in the last set (the last bit of the set bitmap) must be seen.
+    System sys(smallConfig());
+    unsigned sets = sys.cfg().machine.cache_sets;
+    Addr a = sys.alloc(sets * BLOCK_BYTES, BLOCK_BYTES);
+    while ((a / BLOCK_BYTES) % sets != sets - 1)
+        a += BLOCK_BYTES;
+    runOp(sys, 1, AtomicOp::STORE, a, 7);
+    ASSERT_NE(sys.ctrl(1).cache().peek(a), nullptr);
+    EXPECT_TRUE(checkCoherence(sys).empty());
+    Victim v;
+    CacheLine *l = sys.ctrl(2).cache().allocate(a, &v);
+    l->state = LineState::EXCLUSIVE;
+    std::vector<std::string> vs = checkCoherence(sys);
+    EXPECT_TRUE(hasViolation(vs, "exclusive copies")) << joined(vs);
+}
+
 TEST(Checker, CachedWithNoDirectoryEntry)
 {
     System sys(smallConfig());

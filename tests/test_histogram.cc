@@ -189,3 +189,31 @@ TEST(Histogram, LatencyOneWalkPercentilesMatchPercentile)
         EXPECT_EQ(oneWalk(l), perQuantile(l)) << "trial " << trial;
     }
 }
+
+TEST(Histogram, MergeEqualsAddLoop)
+{
+    // merge() must leave exactly the fields that add(v, n) over each
+    // nonzero bucket of the source leaves, bucket array size included.
+    // Zero-count adds give a source trailing empty buckets.
+    std::mt19937_64 rng(29);
+    auto fill = [&rng](Histogram &h) {
+        int adds = static_cast<int>(rng() % 40);
+        std::uint64_t span = 1 + rng() % 300;
+        for (int i = 0; i < adds; ++i)
+            h.add(rng() % span, rng() % 8 == 0 ? 0 : 1 + rng() % 5);
+    };
+    for (int trial = 0; trial < 500; ++trial) {
+        Histogram dst, src;
+        fill(dst);
+        fill(src);
+        Histogram want = dst;
+        for (std::uint64_t v = 0; v < src.buckets().size(); ++v)
+            if (src.buckets()[v] != 0)
+                want.add(v, src.buckets()[v]);
+        dst.merge(src);
+        EXPECT_EQ(dst.buckets(), want.buckets()) << "trial " << trial;
+        EXPECT_EQ(dst.samples(), want.samples()) << "trial " << trial;
+        EXPECT_EQ(dst.sum(), want.sum()) << "trial " << trial;
+        EXPECT_EQ(dst.max(), want.max()) << "trial " << trial;
+    }
+}

@@ -163,11 +163,17 @@ TEST(HomeQueue, ExtractCombinableRespectsTypeWordAndLimit)
     q.push(fapReq(4, BLOCK_BYTES), 0, true);           // combines (low)
     q.push(fapReq(5, BLOCK_BYTES), 0, false);          // combines
 
-    std::vector<HomeQueue::Entry> got = q.extractCombinable(lead, 2);
+    std::vector<HomeQueue::Entry> got;
+    q.extractCombinable(lead, 2, got);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].msg.src, 1);
     EXPECT_EQ(got[1].msg.src, 5);
     EXPECT_EQ(q.depth(), 3u); // non-matching + over-limit stay queued
+    // A reused buffer holds only the next extraction.
+    q.extractCombinable(lead, 2, got);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].msg.src, 4);
+    EXPECT_EQ(q.depth(), 2u);
 
     // Same-src duplicates (retransmissions) never combine; dedup at
     // service time handles them instead.
